@@ -62,14 +62,16 @@ def _apply_config_file(args):
             setattr(args, key, default)
 
 
+def _classifier_params(args) -> dict:
+    """Keyword arguments of the trainer ``learn._TRAINERS[args.classifier]``."""
+    return {
+        "logreg": {"lr": args.lr, "epochs": args.epochs, "l2": args.l2},
+        "linear_svm": {"lr": args.lr, "epochs": args.epochs, "C": args.svm_c},
+        "random_forest": {"n_trees": args.n_trees, "max_depth": args.max_depth},
+    }[args.classifier]
+
+
 def _build_pipeline_config(args) -> pipeline.PipelineConfig:
-    params = {}
-    if args.classifier == "logreg":
-        params = {"lr": args.lr, "epochs": args.epochs, "l2": args.l2}
-    elif args.classifier == "linear_svm":
-        params = {"lr": args.lr, "epochs": args.epochs, "C": args.svm_c}
-    elif args.classifier == "random_forest":
-        params = {"n_trees": args.n_trees, "max_depth": args.max_depth}
     mode = "embeddings" if args.train_embeddings or args.test_embeddings else "tfidf"
     return pipeline.PipelineConfig(
         dataset_lang=pipeline.dataset_lang_from_code(args.lang),
@@ -82,7 +84,7 @@ def _build_pipeline_config(args) -> pipeline.PipelineConfig:
         embedding_dim=args.embedding_dim,
         min_df=args.min_df,
         classifier=args.classifier,
-        classifier_params=params,
+        classifier_params=_classifier_params(args),
         k=args.k,
         base_seed=args.seed,
         fraction_train=args.fraction_train,
@@ -233,23 +235,15 @@ def _binary_training_data(args):
 
 def _cmd_train(args):
     _, _, _, _, binary = _binary_training_data(args)
-    texts = [p.text for p, _ in binary]
     if args.train_embeddings:
         vecs = features.load_embeddings(args.train_embeddings, args.embedding_dim)
-        X = [vecs[p.id] for p, _ in binary]
+        X = vecs[[p.id for p, _ in binary]]
     else:
-        vocab = features.build_vocab(texts, args.min_df)
-        X = [features.tfidf_vectorize(t, vocab) for t in texts]
+        texts = [p.text for p, _ in binary]
+        X = features.tfidf_vectorize(texts, features.build_vocab(texts, args.min_df))
     y = [r.label.value for _, r in binary]
-    params = dict(seed=args.seed)
-    if args.classifier == "logreg":
-        model = learn.train_logreg(X, y, args.lr, args.epochs, args.l2, **params)
-    elif args.classifier == "linear_svm":
-        model = learn.train_linear_svm(X, y, args.lr, args.epochs, args.svm_c,
-                                       **params)
-    else:
-        model = learn.train_random_forest(X, y, args.n_trees, args.max_depth,
-                                          **params)
+    trainer = learn._TRAINERS[args.classifier]
+    model = trainer(X, y, seed=args.seed, **_classifier_params(args))
     learn.save_model(model, args.out)
     print(f"wrote {args.out} ({model.kind}, dim {model.dim})")
 
@@ -264,15 +258,12 @@ def _cmd_predict(args):
     binary_texts = [p.text for p, r in zip(train_proc, train_rows)
                     if r.label in (Label.HOPE, Label.NOT_HOPE)]
     vocab = features.build_vocab(binary_texts, args.min_df)
-    try:
-        rows = corpus.load_tsv(args.path, lang, labeled=True)
-    except HopedetectError:
-        rows = corpus.load_tsv(args.path, lang, labeled=False)
+    rows = corpus.load_tsv(args.path, lang, labeled=None)
     proc = pipeline.preprocess_rows(rows, cfg, [], table)
+    X = features.tfidf_vectorize([p.text for p in proc], vocab)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for p in proc:
-            vec = features.tfidf_vectorize(p.text, vocab)
-            label = Label(learn.predict(model, vec)[0])
+        for i in range(len(proc)):
+            label = Label(learn.predict(model, X[i])[0])
             fh.write(pipeline._OUT_ALIAS[label] + "\n")
     print(f"wrote {args.out} ({len(proc)} predictions)")
 

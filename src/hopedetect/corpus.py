@@ -97,14 +97,21 @@ class SplitPlan:
         return "\n".join(lines) + "\n"
 
 
-def load_tsv(path, dataset_lang: DatasetLang, labeled: bool = True) -> list[LabeledComment]:
-    """Read one comment per line, in file order, ids starting at 0."""
+def load_tsv(path, dataset_lang: DatasetLang,
+             labeled: bool | None = True) -> list[LabeledComment]:
+    """Read one comment per line, in file order, ids starting at 0.
+
+    ``labeled=None`` decides from the file: labeled when the first data line
+    holds a tab, which an unlabeled row never does.
+    """
     rows: list[LabeledComment] = []
     with open(path, encoding="utf-8", newline="") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\r\n")
             if line == "":
                 continue
+            if labeled is None:
+                labeled = "\t" in line
             if labeled:
                 fields = line.split("\t")
                 if len(fields) != 2:
@@ -137,18 +144,32 @@ def compute_stats(data: list[LabeledComment]) -> DatasetStats:
     return DatasetStats(counts=counts, total=len(data), hope_to_nothope_ratio=ratio)
 
 
+def split_positions(n: int, seed: int, fraction_train) -> tuple[list[int], list[int]]:
+    """Deterministic shuffled split of positions 0..n-1: the first
+    ceil(fraction*n) positions of the seeded shuffle train. Both parts are
+    returned sorted, as (train, validation).
+    """
+    fraction = _split_fraction(fraction_train)
+    if n < 2:
+        raise TooFewRows(f"need at least 2 rows, got {n}")
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    n_train = math.ceil(fraction * n)
+    n_train = min(max(n_train, 1), n - 1)  # both partitions non-empty
+    return sorted(order[:n_train]), sorted(order[n_train:])
+
+
 def make_split(data: list[LabeledComment], seed: int, fraction_train) -> SplitPlan:
-    """Deterministic shuffled split: first ceil(fraction*n) permuted rows train."""
+    """``split_positions`` over the rows, keyed by row id."""
+    train, validation = split_positions(len(data), seed, fraction_train)
+    assignments = {data[p].id: "train" for p in train}
+    assignments.update({data[p].id: "validation" for p in validation})
+    return SplitPlan(seed=seed, fraction_train=_split_fraction(fraction_train),
+                     assignments=assignments)
+
+
+def _split_fraction(fraction_train) -> Fraction:
     fraction = Fraction(fraction_train).limit_denominator(10**9)
     if not 0 < fraction < 1:
         raise BadFraction(f"fraction_train must be in (0,1), got {fraction_train}")
-    n = len(data)
-    if n < 2:
-        raise TooFewRows(f"need at least 2 rows, got {n}")
-    ids = [row.id for row in data]
-    random.Random(seed).shuffle(ids)
-    n_train = math.ceil(fraction * n)
-    n_train = min(max(n_train, 1), n - 1)  # both partitions non-empty
-    assignments = {i: "train" for i in ids[:n_train]}
-    assignments.update({i: "validation" for i in ids[n_train:]})
-    return SplitPlan(seed=seed, fraction_train=fraction, assignments=assignments)
+    return fraction

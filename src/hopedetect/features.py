@@ -1,4 +1,4 @@
-"""Text-to-vector layer: sparse TF-IDF or dense ingested embeddings.
+"""Text-to-vector layer: a sparse TF-IDF matrix or dense ingested embeddings.
 
 Tokenization is whitespace-only; normalization has already stripped
 punctuation. Embedding files are one space-separated vector per line, with
@@ -8,7 +8,8 @@ optional ``#`` header lines recording the producer model and layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import mmap
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,20 +36,74 @@ class Vocabulary:
         return len(self.index)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    kind: str  # "sparse" | "dense"
-    dim: int
-    sparse: dict[int, float] = field(default_factory=dict)
-    dense: np.ndarray | None = None
+class CsrMatrix:
+    """Compressed sparse rows: the stored entries of row r are
+    ``data[indptr[r]:indptr[r + 1]]`` at the columns in the same slice of
+    ``indices``, unique within a row.
 
-    def to_array(self) -> np.ndarray:
-        if self.kind == "dense":
-            return self.dense
-        arr = np.zeros(self.dim)
-        for i, w in self.sparse.items():
-            arr[i] = w
-        return arr
+    It supports what the linear trainers need of a feature matrix, the same
+    way a dense ndarray does: ``X @ M``, ``D @ X``, ``X.shape``, ``X[i]`` (row
+    i as a dense vector) and ``X[rows]`` (the taken rows, duplicates allowed,
+    as a new matrix). ``np.asarray(X)`` is the dense matrix.
+    """
+
+    # Makes ``ndarray @ CsrMatrix`` return NotImplemented, so Python calls
+    # __rmatmul__ instead of numpy densifying the operand.
+    __array_ufunc__ = None
+
+    def __init__(self, data, indices, indptr, n_cols: int):
+        self.data = np.asarray(data, dtype=float)
+        self.indices = np.asarray(indices, dtype=np.intp)
+        self.indptr = np.asarray(indptr, dtype=np.intp)
+        self.shape = (len(self.indptr) - 1, n_cols)
+        # Row of each stored entry: both products sum over it or by it.
+        self._row_of = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            i = range(self.shape[0])[key]
+            lo, hi = self.indptr[i], self.indptr[i + 1]
+            row = np.zeros(self.shape[1])
+            row[self.indices[lo:hi]] = self.data[lo:hi]
+            return row
+        rows = np.arange(self.shape[0])[key]
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        # Source position of every taken entry, row after row.
+        take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return CsrMatrix(self.data[take], self.indices[take], indptr, self.shape[1])
+
+    def __matmul__(self, other):
+        """``X @ M`` for M of shape (n_cols, m)."""
+        other = np.asarray(other, dtype=float)
+        if other.ndim != 2 or other.shape[0] != self.shape[1]:
+            raise ValueError(f"matmul: {self.shape} @ {other.shape}")
+        terms = (col[self.indices] * self.data for col in other.T)
+        return np.stack([np.bincount(self._row_of, weights=t, minlength=self.shape[0])
+                         for t in terms], axis=1)
+
+    def __rmatmul__(self, other):
+        """``D @ X`` for D of shape (m, n_rows)."""
+        other = np.asarray(other, dtype=float)
+        if other.ndim != 2 or other.shape[1] != self.shape[0]:
+            raise ValueError(f"matmul: {other.shape} @ {self.shape}")
+        terms = (row[self._row_of] * self.data for row in other)
+        return np.stack([np.bincount(self.indices, weights=t, minlength=self.shape[1])
+                         for t in terms])
+
+    def __array__(self, dtype=None, copy=None):
+        # The dense copy gets an anonymous mapping of its own, which is unmapped
+        # when the copy is freed. From the heap, a copy just under malloc's
+        # mmap ceiling (32 MB) is kept after its free, and whether the next
+        # copy can reuse it depends on what else was allocated meanwhile, so
+        # one run held one copy and the next two.
+        dtype = np.dtype(float if dtype is None else dtype)
+        size = self.shape[0] * self.shape[1]
+        buffer = mmap.mmap(-1, max(size * dtype.itemsize, 1))
+        dense = np.frombuffer(buffer, dtype=dtype, count=size).reshape(self.shape)
+        dense[self._row_of, self.indices] = self.data
+        return dense
 
 
 def build_vocab(docs, min_df: int = 1) -> Vocabulary:
@@ -72,29 +127,34 @@ def build_vocab(docs, min_df: int = 1) -> Vocabulary:
     )
 
 
-def tfidf_vectorize(doc: str, vocab: Vocabulary) -> FeatureVector:
-    """tf * ln((1+N)/(1+df)), L2-normalized when nonzero; OOV terms ignored."""
-    tf: dict[int, int] = {}
-    for term in doc.split():
-        i = vocab.index.get(term)
-        if i is not None:
-            tf[i] = tf.get(i, 0) + 1
-    weights = {
-        i: c * math.log((1 + vocab.num_docs) / (1 + vocab.doc_freq[i]))
-        for i, c in tf.items()
-    }
-    norm = math.sqrt(sum(w * w for w in weights.values()))
-    if norm > 0:
-        weights = {i: w / norm for i, w in weights.items()}
-    else:
-        weights = {}
-    return FeatureVector(kind="sparse", dim=len(vocab), sparse=weights)
+def tfidf_vectorize(docs, vocab: Vocabulary) -> CsrMatrix:
+    """One row per doc: tf * ln((1+N)/(1+df)), L2-normalized when nonzero.
+
+    OOV terms are ignored; a doc with no weight left is an empty row.
+    """
+    idf = [math.log((1 + vocab.num_docs) / (1 + vocab.doc_freq[i]))
+           for i in range(len(vocab))]
+    data, indices, indptr = [], [], [0]
+    for doc in docs:
+        tf: dict[int, int] = {}
+        for term in doc.split():
+            i = vocab.index.get(term)
+            if i is not None:
+                tf[i] = tf.get(i, 0) + 1
+        weights = {i: c * idf[i] for i, c in tf.items()}
+        norm = math.sqrt(sum(w * w for w in weights.values()))
+        if norm > 0:
+            for i in sorted(weights):
+                indices.append(i)
+                data.append(weights[i] / norm)
+        indptr.append(len(indices))
+    return CsrMatrix(data, indices, indptr, len(vocab))
 
 
 def load_embeddings(path, expected_dim: int = DEFAULT_EMBEDDING_DIM,
-                    n_rows: int | None = None) -> list[FeatureVector]:
-    """One dense vector per line, aligned to dataset row order."""
-    vectors: list[FeatureVector] = []
+                    n_rows: int | None = None) -> np.ndarray:
+    """One dense vector per line, aligned to dataset row order: rows x dim."""
+    vectors: list[list[float]] = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -106,16 +166,15 @@ def load_embeddings(path, expected_dim: int = DEFAULT_EMBEDDING_DIM,
                     f"expected {expected_dim} values, got {len(tokens)}", line_no
                 )
             try:
-                values = np.array([float(t) for t in tokens])
+                vectors.append([float(t) for t in tokens])
             except ValueError:
                 bad = next(t for t in tokens if not _is_float(t))
                 raise NonNumericValue(bad, line_no) from None
-            vectors.append(FeatureVector(kind="dense", dim=expected_dim, dense=values))
     if n_rows is not None and len(vectors) != n_rows:
         raise RowCountMismatch(
             f"{path}: {len(vectors)} vectors for {n_rows} dataset rows"
         )
-    return vectors
+    return np.array(vectors, dtype=float).reshape(len(vectors), expected_dim)
 
 
 def save_embeddings(vectors, path, header: str | None = None) -> None:
@@ -123,7 +182,7 @@ def save_embeddings(vectors, path, header: str | None = None) -> None:
         if header:
             fh.write(f"# {header}\n")
         for vec in vectors:
-            fh.write(" ".join(f"{v:.9g}" for v in vec.to_array()) + "\n")
+            fh.write(" ".join(f"{v:.9g}" for v in vec) + "\n")
 
 
 def validate_token_budget(text: str, limit: int = DEFAULT_TOKEN_LIMIT) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Label, make_split, parse_label
+from .corpus import Label, parse_label, split_positions
 from .errors import (
     DimMismatch,
     EmptyPredictions,
@@ -57,7 +57,7 @@ class TrainedModel:
     classes: list[str]
     dim: int
     train_seed: int
-    hyperparams: dict[str, float] = field(default_factory=dict)
+    hyperparams: dict[str, int | float] = field(default_factory=dict)
     weights: np.ndarray | None = None  # classes x dim
     bias: np.ndarray | None = None
     trees: list[DecisionTree] = field(default_factory=list)
@@ -78,16 +78,6 @@ class EnsembleConfig:
             warnings.warn(
                 f"even ensemble size {self.k}: ties will fall to the tie-break rule"
             )
-
-
-def _as_matrix(X) -> np.ndarray:
-    if isinstance(X, np.ndarray):
-        return np.asarray(X, dtype=float)
-    arrays = [v.to_array() if hasattr(v, "to_array") else np.asarray(v, float) for v in X]
-    dims = {a.shape[0] for a in arrays}
-    if len(dims) != 1:
-        raise DimMismatch(f"inconsistent vector dimensions: {sorted(dims)}")
-    return np.vstack(arrays)
 
 
 def _encode_labels(y, classes=None):
@@ -132,17 +122,16 @@ def logreg_gradient(W, b, X, y_idx, l2):
 
 def train_logreg(X, y, lr: float = 0.1, epochs: int = 500, l2: float = 1e-4,
                  seed: int = 0, classes=None) -> TrainedModel:
-    Xm = _as_matrix(X)
     y_idx, class_names = _encode_labels(y, classes)
-    _check_training_input(Xm, y_idx, len(class_names))
-    W = np.zeros((len(class_names), Xm.shape[1]))
+    _check_training_input(X, y_idx, len(class_names))
+    W = np.zeros((len(class_names), X.shape[1]))
     b = np.zeros(len(class_names))
     for _ in range(epochs):
-        gW, gb = logreg_gradient(W, b, Xm, y_idx, l2)
+        gW, gb = logreg_gradient(W, b, X, y_idx, l2)
         W -= lr * gW
         b -= lr * gb
     return TrainedModel(
-        kind="logreg", classes=class_names, dim=Xm.shape[1], train_seed=seed,
+        kind="logreg", classes=class_names, dim=X.shape[1], train_seed=seed,
         hyperparams={"lr": lr, "epochs": epochs, "l2": l2},
         weights=W, bias=b,
     )
@@ -171,20 +160,19 @@ def svm_gradient(W, b, X, signs, C):
 
 def train_linear_svm(X, y, lr: float = 0.01, epochs: int = 500, C: float = 1.0,
                      seed: int = 0, classes=None) -> TrainedModel:
-    Xm = _as_matrix(X)
     y_idx, class_names = _encode_labels(y, classes)
-    _check_training_input(Xm, y_idx, len(class_names))
+    _check_training_input(X, y_idx, len(class_names))
     signs = np.where(
         np.arange(len(class_names))[:, None] == y_idx[None, :], 1.0, -1.0
     )
-    W = np.zeros((len(class_names), Xm.shape[1]))
+    W = np.zeros((len(class_names), X.shape[1]))
     b = np.zeros(len(class_names))
     for _ in range(epochs):
-        gW, gb = svm_gradient(W, b, Xm, signs, C)
+        gW, gb = svm_gradient(W, b, X, signs, C)
         W -= lr * gW
         b -= lr * gb
     return TrainedModel(
-        kind="linear_svm", classes=class_names, dim=Xm.shape[1], train_seed=seed,
+        kind="linear_svm", classes=class_names, dim=X.shape[1], train_seed=seed,
         hyperparams={"lr": lr, "epochs": epochs, "C": C},
         weights=W, bias=b,
     )
@@ -247,7 +235,7 @@ def train_random_forest(X, y, n_trees: int = 100, max_depth: int = 16,
     """
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-    Xm = _as_matrix(X)
+    Xm = np.asarray(X, dtype=float)  # the split search reads dense columns
     y_idx, class_names = _encode_labels(y, classes)
     if Xm.shape[0] != len(y_idx) or Xm.shape[0] < 1:
         raise DimMismatch(f"{Xm.shape[0]} vectors vs {len(y_idx)} labels")
@@ -281,7 +269,7 @@ def train_random_forest(X, y, n_trees: int = 100, max_depth: int = 16,
 
 def predict(model: TrainedModel, x) -> tuple[str, dict[str, float]]:
     """Argmax over class scores; ties fall to the first class in model order."""
-    vec = x.to_array() if hasattr(x, "to_array") else np.asarray(x, dtype=float)
+    vec = np.asarray(x, dtype=float)
     if vec.shape[0] != model.dim:
         raise DimMismatch(f"vector dim {vec.shape[0]} != model dim {model.dim}")
     if model.kind == "logreg":
@@ -333,25 +321,23 @@ _TRAINERS = {
 }
 
 
-def train_ensemble(data, X, y, cfg: EnsembleConfig, **trainer_params):
-    """Train cfg.k members, each on a fresh shuffled split of the data.
+def train_ensemble(X, y, cfg: EnsembleConfig, **trainer_params):
+    """Train cfg.k members, each on a fresh shuffled split of the rows.
 
-    ``data`` carries the row ids used for splitting; ``X``/``y`` are the
-    id-aligned feature vectors and labels. Returns (models, member_records)
-    where each record holds the member's split seed and validation ids.
+    ``X`` is the feature matrix (ndarray or CsrMatrix) and ``y`` the labels,
+    row-aligned. Each member trains on its split's rows taken from ``X``.
+    Returns (models, member_records) where each record holds the member's
+    split seed and validation row positions.
     """
     trainer = _TRAINERS[cfg.member_kind]
     models, records = [], []
     for i in range(cfg.k):
         member_seed = cfg.base_seed + i
-        plan = make_split(data, member_seed, cfg.fraction_train)
-        train_ids = plan.train_ids()
-        model = trainer(
-            [X[j] for j in train_ids], [y[j] for j in train_ids],
-            seed=member_seed, **trainer_params,
-        )
+        train, validation = split_positions(len(y), member_seed, cfg.fraction_train)
+        model = trainer(X[train], [y[j] for j in train], seed=member_seed,
+                        **trainer_params)
         models.append(model)
-        records.append({"seed": member_seed, "validation_ids": plan.validation_ids()})
+        records.append({"seed": member_seed, "validation_rows": validation})
     return models, records
 
 
@@ -405,7 +391,7 @@ def load_model(path) -> TrainedModel:
         hp = {}
         for chunk in header.split("\t")[-1].split():
             k, v = chunk.split("=", 1)
-            hp[k] = float(v)
+            hp[k] = _parse_number(v)
         body = [ln.rstrip("\n") for ln in fh if ln.strip()]
     kind = meta["kind"]
     model = TrainedModel(
@@ -425,6 +411,14 @@ def load_model(path) -> TrainedModel:
                 depth = int(ln.split()[1])
                 model.trees.append(DecisionTree(root=_read_nodes(it), max_depth=depth))
     return model
+
+
+def _parse_number(text: str) -> int | float:
+    # save_model writes repr(): an int has no point or exponent, a float does.
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def load_external_predictions(paths, n_rows: int):

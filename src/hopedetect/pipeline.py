@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import corpus, features, langid, learn, metrics, textprep, translit
 from .corpus import DatasetLang, Label
-from .errors import ConfigError, StageError
+from .errors import ConfigError, HopedetectError, StageError
 
 MANIFEST_VERSION = "manifest-v1"
 
@@ -159,65 +159,57 @@ def run_pipeline(cfg: PipelineConfig, train_path, test_path, out_dir,
         train_rows = corpus.load_tsv(train_path, cfg.dataset_lang, labeled=True)
     except Exception as e:
         raise StageError("load-train", e) from e
-    test_labeled = True
     try:
-        test_rows = corpus.load_tsv(test_path, cfg.dataset_lang, labeled=True)
-    except Exception:
-        test_labeled = False
-        test_rows = corpus.load_tsv(test_path, cfg.dataset_lang, labeled=False)
+        test_rows = corpus.load_tsv(test_path, cfg.dataset_lang, labeled=None)
+    except (HopedetectError, OSError) as e:
+        raise StageError("load-test", e) from e
+    test_labeled = test_rows[0].label is not None
 
     profiles = _load_profiles(cfg)
     table = _scheme_table(cfg)
     train_proc = preprocess_rows(train_rows, cfg, profiles, table, trace_hook)
     test_proc = preprocess_rows(test_rows, cfg, profiles, table, trace_hook)
 
-    # Binary classifier training set: gold Hope/NotHope rows only.
-    binary = [p for p, r in zip(train_proc, train_rows)
+    # Binary classifier training set: positions of the gold Hope/NotHope rows.
+    binary = [i for i, r in enumerate(train_rows)
               if r.label in (Label.HOPE, Label.NOT_HOPE)]
     if cfg.feature_mode == "tfidf":
-        vocab = features.build_vocab([p.text for p in binary], cfg.min_df)
-        vec_of = {p.id: features.tfidf_vectorize(p.text, vocab) for p in binary}
-        test_vecs = {
-            p.id: features.tfidf_vectorize(p.text, vocab) for p in test_proc
-        }
+        texts = [train_proc[i].text for i in binary]
+        vocab = features.build_vocab(texts, cfg.min_df)
+        X = features.tfidf_vectorize(texts, vocab)
+        test_X = features.tfidf_vectorize([p.text for p in test_proc], vocab)
     else:
-        train_emb = features.load_embeddings(
+        X = features.load_embeddings(
             cfg.train_embeddings, cfg.embedding_dim, n_rows=len(train_rows)
-        )
-        test_emb = features.load_embeddings(
+        )[binary]
+        test_X = features.load_embeddings(
             cfg.test_embeddings, cfg.embedding_dim, n_rows=len(test_rows)
         )
-        vec_of = {p.id: train_emb[p.id] for p in binary}
-        test_vecs = {p.id: test_emb[p.id] for p in test_proc}
+    y = [train_rows[i].label.value for i in binary]
 
-    sub_rows = [r for r in train_rows if r.label in (Label.HOPE, Label.NOT_HOPE)]
-    X = {r.id: vec_of[r.id] for r in sub_rows}
-    y = {r.id: r.label.value for r in sub_rows}
     ens_cfg = learn.EnsembleConfig(
         k=cfg.k, base_seed=cfg.base_seed, member_kind=cfg.classifier,
         fraction_train=cfg.fraction_train, tie_break=cfg.tie_break,
     )
-    models, records = learn.train_ensemble(
-        sub_rows, X, y, ens_cfg, **cfg.classifier_params
-    )
+    models, records = learn.train_ensemble(X, y, ens_cfg, **cfg.classifier_params)
 
     # Per-member validation weighted F1, recorded in the manifest.
     for model, rec in zip(models, records):
-        vids = rec["validation_ids"]
-        gold = [y[i] for i in vids]
-        pred = [learn.predict(model, X[i])[0] for i in vids]
+        rows = rec["validation_rows"]
+        gold = [y[i] for i in rows]
+        pred = [learn.predict(model, X[i])[0] for i in rows]
         cm = metrics.confusion(gold, pred, model.classes)
         rec["validation_weighted_f1"] = metrics.aggregate(cm).weighted.f1
 
     not_lang_alias = _NOT_LANG_ALIAS[cfg.dataset_lang]
     predictions: list[tuple[Label, str]] = []
-    for p in test_proc:
+    for i, p in enumerate(test_proc):
         if p.gate == "NotLanguage":
             predictions.append((Label.NOT_LANGUAGE, not_lang_alias))
             continue
         if trace_hook:
             trace_hook(p.id, "classify")
-        voted = learn.ensemble_predict(models, test_vecs[p.id], cfg.tie_break)
+        voted = learn.ensemble_predict(models, test_X[i], cfg.tie_break)
         label = Label(voted)
         predictions.append((label, _OUT_ALIAS[label]))
 

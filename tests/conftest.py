@@ -1,6 +1,7 @@
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -54,6 +55,15 @@ def synthetic_sentences(lang: str, n: int, seed: int, holdout: bool = False):
         " ".join(rng.choice(pool) for _ in range(rng.randint(4, 10)))
         for _ in range(n)
     ]
+
+
+def csr_from_dense(A):
+    """CsrMatrix holding the non-zero entries of a dense 2-D array."""
+    from hopedetect.features import CsrMatrix
+
+    rows, cols = np.nonzero(A)
+    indptr = np.searchsorted(rows, np.arange(A.shape[0] + 1))
+    return CsrMatrix(A[rows, cols], cols, indptr, A.shape[1])
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ import pytest
 
 from hopedetect import cli, corpus, langid, learn, metrics
 from hopedetect.corpus import DatasetLang, Label
-from conftest import FIXTURES, FIXTURE_COUNTS, synthetic_sentences
+from conftest import FIXTURES, FIXTURE_COUNTS, csr_from_dense, synthetic_sentences
 from test_metrics import oracle_report, _random_case
 
 
@@ -103,7 +103,6 @@ def test_04_classifier_sanity():
         y_idx = rng.integers(0, 3, size=5)
         W = rng.normal(size=(3, 8)) * 0.5
         b = rng.normal(size=3) * 0.5
-        gW, gb = learn.logreg_gradient(W, b, Xg, y_idx, 1e-3)
 
         def num(f, params, eps=1e-6):
             g = np.zeros_like(params)
@@ -114,14 +113,16 @@ def test_04_classifier_sanity():
                 g.flat[i] = (f(u) - f(d)) / (2 * eps)
             return g
 
-        nW = num(lambda p: learn.logreg_objective(p, b, Xg, y_idx, 1e-3), W)
-        rel_err = max(rel_err, np.abs(gW - nW).max() / np.abs(nW).max())
-
         signs = np.where(np.arange(3)[:, None] == y_idx[None, :], 1.0, -1.0)
-        if np.abs(signs.T * (Xg @ W.T + b) - 1.0).min() > 1e-4:
-            sW, _ = learn.svm_gradient(W, b, Xg, signs, 1.0)
-            snW = num(lambda p: learn.svm_objective(p, b, Xg, signs, 1.0), W)
-            rel_err = max(rel_err, np.abs(sW - snW).max() / np.abs(snW).max())
+        for Xg in (Xg, csr_from_dense(Xg)):
+            gW, gb = learn.logreg_gradient(W, b, Xg, y_idx, 1e-3)
+            nW = num(lambda p: learn.logreg_objective(p, b, Xg, y_idx, 1e-3), W)
+            rel_err = max(rel_err, np.abs(gW - nW).max() / np.abs(nW).max())
+
+            if np.abs(signs.T * (Xg @ W.T + b) - 1.0).min() > 1e-4:
+                sW, _ = learn.svm_gradient(W, b, Xg, signs, 1.0)
+                snW = num(lambda p: learn.svm_objective(p, b, Xg, signs, 1.0), W)
+                rel_err = max(rel_err, np.abs(sW - snW).max() / np.abs(snW).max())
     elapsed = time.monotonic() - start
     _report(
         "4 classifier-sanity", ok and rel_err <= 1e-4 and elapsed < 10.0,

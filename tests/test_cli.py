@@ -140,6 +140,31 @@ class TestRun:
         )
         assert code == 3
 
+    def _run_on_test_lines(self, tmp_path, lines):
+        test = tmp_path / "test.tsv"
+        test.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = run_cli("run", "--lang", "en", "--epochs", "10", "--out", str(out),
+                       str(FIXTURES / "en_train.tsv"), str(test))
+        return code, out
+
+    def test_bad_test_label_names_its_line(self, tmp_path, capsys):
+        lines = (FIXTURES / "en_test.tsv").read_text(encoding="utf-8").splitlines()
+        text, _ = lines[2].split("\t")
+        lines[2] = f"{text}\tMaybe_hope"
+        code, _ = self._run_on_test_lines(tmp_path, lines)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 3: unknown label 'Maybe_hope'" in err
+
+    def test_unlabeled_test_file(self, tmp_path):
+        lines = (FIXTURES / "en_test.tsv").read_text(encoding="utf-8").splitlines()
+        code, out = self._run_on_test_lines(
+            tmp_path, [line.split("\t")[0] for line in lines])
+        assert code == 0
+        assert len((out / "predictions.txt").read_text().splitlines()) == 25
+        assert not (out / "report.tsv").exists()
+
 
 class TestPipelineInternals:
     def test_notlanguage_bypasses_classifier(self, tmp_path, trained_profiles):

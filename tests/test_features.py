@@ -1,8 +1,9 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopedetect import features
@@ -41,20 +42,20 @@ class TestBuildVocab:
 class TestTfidf:
     def test_all_oov_zero_vector(self):
         vocab = features.build_vocab(["a b"], min_df=1)
-        vec = features.tfidf_vectorize("x y z", vocab)
-        assert vec.sparse == {}
+        X = features.tfidf_vectorize(["x y z"], vocab)
+        assert X.shape == (1, 2) and X.data.size == 0
 
     def test_single_doc_idf_not_zero_with_smoothing(self):
         # One-doc corpus: idf = ln(2/2) = 0, so every weight is 0.
         vocab = features.build_vocab(["a a b"], min_df=1)
-        vec = features.tfidf_vectorize("a a b", vocab)
-        assert vec.sparse == {}
+        X = features.tfidf_vectorize(["a a b"], vocab)
+        assert X.data.size == 0
 
     def test_two_doc_hand_computed(self):
         vocab = features.build_vocab(["a", "b"], min_df=1)
-        vec = features.tfidf_vectorize("a", vocab)
-        assert set(vec.sparse) == {vocab.index["a"]}
-        assert vec.sparse[vocab.index["a"]] == pytest.approx(1.0)  # L2-normalized
+        X = features.tfidf_vectorize(["a"], vocab)
+        assert X.indices.tolist() == [vocab.index["a"]]
+        assert X.data[0] == pytest.approx(1.0)  # L2-normalized
         # pre-normalization weight is ln(3/2)
         raw = 1 * math.log((1 + 2) / (1 + 1))
         assert raw > 0
@@ -68,9 +69,61 @@ class TestTfidf:
             vocab = features.build_vocab(docs, min_df=1)
         except EmptyVocabulary:
             return
-        vec = features.tfidf_vectorize(doc, vocab)
-        norm = math.sqrt(sum(w * w for w in vec.sparse.values()))
+        X = features.tfidf_vectorize([doc], vocab)
+        norm = math.sqrt(sum(w * w for w in X.data))
         assert norm == pytest.approx(1.0) or norm == 0.0
+
+
+def _dense_tfidf(docs, vocab):
+    """Oracle: the TF-IDF matrix filled densely, cell by cell."""
+    D = np.zeros((len(docs), len(vocab)))
+    for r, doc in enumerate(docs):
+        tf = Counter(t for t in doc.split() if t in vocab.index)
+        for t, c in tf.items():
+            i = vocab.index[t]
+            D[r, i] = c * math.log((1 + vocab.num_docs) / (1 + vocab.doc_freq[i]))
+        norm = np.linalg.norm(D[r])
+        if norm > 0:
+            D[r] /= norm
+    return D
+
+
+class TestCsrMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(alphabet="abcde ", min_size=1, max_size=15),
+                    min_size=1, max_size=8),
+           st.lists(st.text(alphabet="abcdefg ", max_size=20), max_size=8),
+           st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+    def test_matches_dense_oracle(self, vocab_docs, docs, m, seed, data):
+        assume(any(d.split() for d in vocab_docs))
+        vocab = features.build_vocab(vocab_docs, min_df=1)
+        docs = docs + ["", "ff g"]  # always an empty and an all-OOV row
+        X = features.tfidf_vectorize(docs, vocab)
+        D = _dense_tfidf(docs, vocab)
+        assert X.shape == D.shape
+        np.testing.assert_allclose(np.asarray(X), D, rtol=0, atol=1e-12)
+        assert not D[-2:].any() and X.indptr[-1] == X.indptr[-3]
+
+        rows = data.draw(st.lists(st.integers(0, len(docs) - 1), max_size=12))
+        taken = X[rows]  # rows may repeat
+        np.testing.assert_array_equal(np.asarray(taken), np.asarray(X)[rows])
+
+        rng = np.random.default_rng(seed)
+        for A, B in ((X, D), (taken, D[rows])):
+            M = rng.normal(size=(A.shape[1], m))
+            G = rng.normal(size=(m, A.shape[0]))
+            for got, want in ((A @ M, B @ M), (G @ A, G @ B),
+                              *((A[i], B[i]) for i in range(-len(B), len(B)))):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_dense_copy_is_a_fresh_writable_array(self):
+        X = features.CsrMatrix([1.0, 2.0], [0, 2], [0, 1, 1, 2], 3)
+        dense = np.asarray(X, dtype=np.float32)
+        assert dense.dtype == np.float32 and dense.flags.writeable
+        dense[1, 1] = 5.0
+        assert np.asarray(X)[1, 1] == 0.0
+        assert np.asarray(X[[]]).shape == (0, 3)
 
 
 class TestEmbeddings:
@@ -83,7 +136,7 @@ class TestEmbeddings:
         row = " ".join("0.5" for _ in range(768))
         path = self._write(tmp_path, ["# producer: test, layer: -2", row, row, row])
         vecs = features.load_embeddings(path, 768)
-        assert len(vecs) == 3 and all(v.dim == 768 for v in vecs)
+        assert vecs.shape == (3, 768)
 
     def test_dimension_mismatch(self, tmp_path):
         path = self._write(tmp_path, [" ".join("0.1" for _ in range(767))])
@@ -94,7 +147,7 @@ class TestEmbeddings:
     def test_zero_vector_accepted(self, tmp_path):
         path = self._write(tmp_path, [" ".join("0" for _ in range(4))])
         vecs = features.load_embeddings(path, 4)
-        assert np.allclose(vecs[0].dense, 0.0)
+        assert np.allclose(vecs[0], 0.0)
 
     def test_non_numeric(self, tmp_path):
         path = self._write(tmp_path, ["0.1 abc 0.3"])
@@ -108,15 +161,12 @@ class TestEmbeddings:
 
     def test_round_trip_9_significant_digits(self, tmp_path):
         rng = np.random.default_rng(0)
-        vecs = [
-            features.FeatureVector(kind="dense", dim=16, dense=rng.normal(size=16))
-            for _ in range(5)
-        ]
+        vecs = rng.normal(size=(5, 16))
         path = tmp_path / "out.txt"
         features.save_embeddings(vecs, path, header="round trip")
         loaded = features.load_embeddings(path, 16)
         for a, b in zip(vecs, loaded):
-            np.testing.assert_allclose(a.dense, b.dense, rtol=1e-8)
+            np.testing.assert_allclose(a, b, rtol=1e-8)
         path2 = tmp_path / "out2.txt"
         features.save_embeddings(loaded, path2, header="round trip")
         assert path.read_text() == path2.read_text()

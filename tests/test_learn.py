@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from hopedetect import learn
-from hopedetect.corpus import DatasetLang, Label, LabeledComment
+from hopedetect.corpus import Label
 from hopedetect.errors import (
     DimMismatch,
     EmptyPredictions,
     RowCountMismatch,
     SingleClass,
 )
+from conftest import csr_from_dense
 
 
 def _separable_set():
@@ -60,13 +61,16 @@ class TestLogReg:
         W = rng.normal(size=(3, 8)) * 0.3
         b = rng.normal(size=3) * 0.3
         l2 = 1e-3
-        gW, gb = learn.logreg_gradient(W, b, X, y_idx, l2)
-        nW = _numeric_grad(lambda p: learn.logreg_objective(p, b, X, y_idx, l2), W)
-        nb = _numeric_grad(
-            lambda p: learn.logreg_objective(W, p, X, y_idx, l2), b
-        )
-        assert np.abs(gW - nW).max() / max(np.abs(nW).max(), 1e-12) <= 1e-4
-        assert np.abs(gb - nb).max() / max(np.abs(nb).max(), 1e-12) <= 1e-4
+        for X in (X, csr_from_dense(X)):
+            gW, gb = learn.logreg_gradient(W, b, X, y_idx, l2)
+            nW = _numeric_grad(
+                lambda p: learn.logreg_objective(p, b, X, y_idx, l2), W
+            )
+            nb = _numeric_grad(
+                lambda p: learn.logreg_objective(W, p, X, y_idx, l2), b
+            )
+            assert np.abs(gW - nW).max() / max(np.abs(nW).max(), 1e-12) <= 1e-4
+            assert np.abs(gb - nb).max() / max(np.abs(nb).max(), 1e-12) <= 1e-4
 
     def test_loss_non_increasing(self):
         rng = np.random.default_rng(1)
@@ -119,11 +123,12 @@ class TestLinearSvm:
         C = 1.3
         margins = signs.T * (X @ W.T + b)
         assert np.abs(margins - 1.0).min() > 1e-4  # not at a kink
-        gW, gb = learn.svm_gradient(W, b, X, signs, C)
-        nW = _numeric_grad(lambda p: learn.svm_objective(p, b, X, signs, C), W)
-        nb = _numeric_grad(lambda p: learn.svm_objective(W, p, X, signs, C), b)
-        assert np.abs(gW - nW).max() / max(np.abs(nW).max(), 1e-12) <= 1e-4
-        assert np.abs(gb - nb).max() / max(np.abs(nb).max(), 1e-12) <= 1e-4
+        for X in (X, csr_from_dense(X)):
+            gW, gb = learn.svm_gradient(W, b, X, signs, C)
+            nW = _numeric_grad(lambda p: learn.svm_objective(p, b, X, signs, C), W)
+            nb = _numeric_grad(lambda p: learn.svm_objective(W, p, X, signs, C), b)
+            assert np.abs(gW - nW).max() / max(np.abs(nW).max(), 1e-12) <= 1e-4
+            assert np.abs(gb - nb).max() / max(np.abs(nb).max(), 1e-12) <= 1e-4
 
     def test_margin_shift_invariance(self):
         X, y = _separable_set()
@@ -277,38 +282,56 @@ class TestEnsemble:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, dim))
         y = ["Hope" if x[0] > 0 else "NotHope" for x in X]
-        rows = [LabeledComment(i, "t", None, DatasetLang.ENGLISH) for i in range(n)]
-        return rows, {i: X[i] for i in range(n)}, {i: y[i] for i in range(n)}, X
+        return X, y
 
     def test_k7_distinct_seeds(self):
-        rows, X, y, _ = self._data()
+        X, y = self._data()
         cfg = learn.EnsembleConfig(k=7, base_seed=100, member_kind="logreg")
-        models, records = learn.train_ensemble(rows, X, y, cfg, epochs=20)
+        models, records = learn.train_ensemble(X, y, cfg, epochs=20)
         assert len(models) == 7
         assert [r["seed"] for r in records] == list(range(100, 107))
 
     def test_k1_equals_single_model(self):
-        rows, X, y, Xm = self._data()
+        X, y = self._data()
         cfg = learn.EnsembleConfig(k=1, base_seed=0, member_kind="logreg")
-        models, _ = learn.train_ensemble(rows, X, y, cfg, epochs=50)
-        for x in Xm[:10]:
+        models, _ = learn.train_ensemble(X, y, cfg, epochs=50)
+        for x in X[:10]:
             assert learn.ensemble_predict(models, x) == learn.predict(models[0], x)[0]
 
     def test_deterministic_reruns(self):
-        rows, X, y, Xm = self._data()
+        X, y = self._data()
         cfg = learn.EnsembleConfig(k=3, base_seed=9, member_kind="logreg")
-        a, _ = learn.train_ensemble(rows, X, y, cfg, epochs=30)
-        b, _ = learn.train_ensemble(rows, X, y, cfg, epochs=30)
-        for x in Xm:
+        a, _ = learn.train_ensemble(X, y, cfg, epochs=30)
+        b, _ = learn.train_ensemble(X, y, cfg, epochs=30)
+        for x in X:
             assert learn.ensemble_predict(a, x) == learn.ensemble_predict(b, x)
 
     def test_identical_members_equal_single(self):
-        rows, X, y, Xm = self._data()
+        X, y = self._data()
         cfg = learn.EnsembleConfig(k=1, base_seed=5, member_kind="logreg")
-        models, _ = learn.train_ensemble(rows, X, y, cfg, epochs=30)
+        models, _ = learn.train_ensemble(X, y, cfg, epochs=30)
         clones = models * 5
-        for x in Xm[:20]:
+        for x in X[:20]:
             assert learn.ensemble_predict(clones, x) == learn.predict(models[0], x)[0]
+
+    @pytest.mark.parametrize("kind,params", [
+        ("logreg", {"epochs": 40}),
+        ("linear_svm", {"epochs": 40}),
+        ("random_forest", {"n_trees": 3, "max_depth": 4}),
+    ])
+    def test_sparse_and_dense_members_agree(self, kind, params):
+        X, y = self._data(n=60, dim=6, seed=3)
+        X[np.abs(X) < 0.8] = 0.0  # about half the entries
+        cfg = learn.EnsembleConfig(k=3, base_seed=2, member_kind=kind)
+        dense, dense_rec = learn.train_ensemble(X, y, cfg, **params)
+        sparse, sparse_rec = learn.train_ensemble(csr_from_dense(X), y, cfg, **params)
+        assert dense_rec == sparse_rec
+        for a, b in zip(dense, sparse):
+            if kind == "random_forest":
+                assert a.trees == b.trees  # same dense input, same draws
+            else:
+                np.testing.assert_allclose(a.weights, b.weights, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(a.bias, b.bias, rtol=0, atol=1e-12)
 
     def test_even_k_warns(self):
         with pytest.warns(UserWarning):
@@ -365,5 +388,8 @@ class TestModelIO:
         path = tmp_path / "rf.model"
         learn.save_model(model, path)
         loaded = learn.load_model(path)
+        assert loaded.hyperparams == model.hyperparams
+        assert {k: type(v) for k, v in loaded.hyperparams.items()} == \
+            {"n_trees": int, "max_depth": int, "feature_frac": float}
         for x in rng.normal(size=(30, 3)):
             assert learn.predict(loaded, x) == learn.predict(model, x)
