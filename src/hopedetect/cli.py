@@ -201,7 +201,7 @@ def _cmd_detect_lang(args):
             if not text:
                 print("??")
                 continue
-            print(langid.detect(text, profiles, args.script_threshold).best)
+            print(langid.detect(text, profiles, args.script_threshold))
 
 
 def _cmd_train_profile(args):
@@ -222,26 +222,18 @@ def _cmd_transliterate(args):
             print(translit.transliterate(line.rstrip("\n"), table))
 
 
-def _binary_training_data(args):
-    lang = pipeline.dataset_lang_from_code(args.lang)
-    rows = corpus.load_tsv(args.path if hasattr(args, "path") else args.train, lang)
-    cfg = pipeline.PipelineConfig(dataset_lang=lang, min_df=args.min_df)
-    table = pipeline._scheme_table(cfg)
-    proc = pipeline.preprocess_rows(rows, cfg, [], table)
-    binary = [(p, r) for p, r in zip(proc, rows)
-              if r.label in (Label.HOPE, Label.NOT_HOPE)]
-    return lang, cfg, table, proc, binary
-
-
 def _cmd_train(args):
-    _, _, _, _, binary = _binary_training_data(args)
+    lang = pipeline.dataset_lang_from_code(args.lang)
+    rows = corpus.load_tsv(args.path, lang)
+    cfg = pipeline.PipelineConfig(dataset_lang=lang, min_df=args.min_df)
+    proc = pipeline.preprocess_rows(rows, cfg, [], pipeline._scheme_table(cfg))
+    binary = [i for i, r in enumerate(rows) if r.label in (Label.HOPE, Label.NOT_HOPE)]
     if args.train_embeddings:
-        vecs = features.load_embeddings(args.train_embeddings, args.embedding_dim)
-        X = vecs[[p.id for p, _ in binary]]
+        X = features.load_embeddings(args.train_embeddings, args.embedding_dim)[binary]
     else:
-        texts = [p.text for p, _ in binary]
+        texts = [proc[i].text for i in binary]
         X = features.tfidf_vectorize(texts, features.build_vocab(texts, args.min_df))
-    y = [r.label.value for _, r in binary]
+    y = [rows[i].label.value for i in binary]
     trainer = learn._TRAINERS[args.classifier]
     model = trainer(X, y, seed=args.seed, **_classifier_params(args))
     learn.save_model(model, args.out)

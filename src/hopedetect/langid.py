@@ -4,29 +4,24 @@ A pure order-n model (default trigram, add-alpha 0.5, no back-off) scores
 each text per language; before scoring, if at least half of the letters sit
 in one Indic script block, that block's language wins outright. Code-mixed
 comments are exactly where statistical detectors fail, and native-script
-presence is a near-certain signal.
+presence is a near-certain signal. Without profiles only the shortcut can
+give evidence; a text it does not decide has no detected language, and the
+not-in-intended-language gate never flags it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
+from . import textprep
 from .corpus import DatasetLang
 from .errors import EmptyCorpus, EmptyText, NoProfiles
 
 PROFILE_VERSION = "langprofile-v1"
 
 SUPPORTED_LANGS = ("en", "hi", "ml", "ta")
-
-# Script block -> language code used by the shortcut.
-_SCRIPT_LANG = {"Tamil": "ta", "Malayalam": "ml", "Devanagari": "hi"}
-
-_SCRIPT_RANGES = {
-    "Tamil": (0x0B80, 0x0BFF),
-    "Malayalam": (0x0D00, 0x0D7F),
-    "Devanagari": (0x0900, 0x097F),
-}
 
 
 @dataclass(frozen=True)
@@ -36,12 +31,6 @@ class LanguageProfile:
     logprob: dict[str, float]
     smoothing_alpha: float
     unseen_logprob: float  # mass for n-grams never observed in training
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    best: str
-    scores: dict[str, float]
 
 
 def _char_ngrams(text: str, n: int):
@@ -77,28 +66,33 @@ def train_profile(corpus, lang: str, n: int = 3, alpha: float = 0.5) -> Language
 def script_fraction(text: str) -> dict[str, float]:
     """Fraction of the text's letters in each known Indic script block."""
     letters = [c for c in text if c.isalpha()]
-    if not letters:
-        return {name: 0.0 for name in _SCRIPT_RANGES}
-    return {
-        name: sum(1 for c in letters if lo <= ord(c) <= hi) / len(letters)
-        for name, (lo, hi) in _SCRIPT_RANGES.items()
-    }
+    counts = Counter(map(textprep.indic_script, letters))
+    # No letters: every count is 0, and so is every fraction.
+    return {s.name: counts[s] / max(len(letters), 1) for s in textprep.INDIC_SCRIPTS}
 
 
-def detect(text: str, profiles, script_threshold: float = 0.5) -> DetectionResult:
-    """Length-normalized log-likelihood argmax, with the script shortcut."""
+def script_language(text: str, threshold: float = 0.5) -> str | None:
+    """Language of the first Indic script holding at least ``threshold`` of
+    the text's letters, or None when no script does."""
+    fractions = script_fraction(text)
+    for script in textprep.INDIC_SCRIPTS:
+        share = fractions[script.name]
+        if share >= threshold and share > 0:
+            return script.lang
+    return None
+
+
+def detect(text: str, profiles, script_threshold: float = 0.5) -> str:
+    """Detected language code: the script shortcut, else the profile with
+    the highest length-normalized log-likelihood (ties to the smaller code)."""
     if not profiles:
         raise NoProfiles("need at least one language profile")
     if not text:
         raise EmptyText("cannot detect language of empty text")
 
-    fractions = script_fraction(text)
-    for script in sorted(fractions):
-        if fractions[script] >= script_threshold and fractions[script] > 0:
-            lang = _SCRIPT_LANG[script]
-            scores = {p.lang: float("-inf") for p in profiles}
-            scores[lang] = 0.0
-            return DetectionResult(best=lang, scores=scores)
+    lang = script_language(text, script_threshold)
+    if lang is not None:
+        return lang
 
     scores: dict[str, float] = {}
     for profile in profiles:
@@ -106,20 +100,23 @@ def detect(text: str, profiles, script_threshold: float = 0.5) -> DetectionResul
         total = sum(profile.logprob.get(g, profile.unseen_logprob) for g in grams)
         scores[profile.lang] = total / len(grams)
     best_score = max(scores.values())
-    best = min(lang for lang, s in scores.items() if s == best_score)
-    return DetectionResult(best=best, scores=scores)
+    return min(lang for lang, s in scores.items() if s == best_score)
 
 
-def assign_language_class(result: DetectionResult, dataset_lang: DatasetLang) -> str:
+def assign_language_class(lang: str | None, dataset_lang: DatasetLang) -> str:
     """Dataset-specific rule for the not-in-intended-language class.
 
-    Tamil/Malayalam datasets: only English or Hindi detections are flagged;
-    everything else is assumed to belong to the dataset language. English:
-    anything not detected as English is flagged.
+    ``lang`` is the detected language code, or None when there is no
+    evidence; None is never flagged. Tamil/Malayalam datasets: only English
+    or Hindi detections are flagged; everything else is assumed to belong to
+    the dataset language. English: anything detected as another language is
+    flagged.
     """
+    if lang is None:
+        return "InLanguage"
     if dataset_lang == DatasetLang.ENGLISH:
-        return "InLanguage" if result.best == "en" else "NotLanguage"
-    return "NotLanguage" if result.best in ("en", "hi") else "InLanguage"
+        return "InLanguage" if lang == "en" else "NotLanguage"
+    return "NotLanguage" if lang in ("en", "hi") else "InLanguage"
 
 
 def _escape(gram: str) -> str:

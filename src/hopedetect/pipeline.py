@@ -84,27 +84,6 @@ def _load_profiles(cfg: PipelineConfig):
     return [langid.load_profile(p) for p in cfg.profile_paths]
 
 
-def detect_language(text: str, profiles, cfg: PipelineConfig) -> str:
-    """Detected language code; without profiles, script evidence only.
-
-    The profile-free fallback assigns the dominant Indic script's language,
-    or English when no Indic script dominates.
-    """
-    if profiles:
-        return langid.detect(text, profiles, cfg.script_threshold).best
-    fractions = langid.script_fraction(text)
-    for script in sorted(fractions):
-        if fractions[script] >= cfg.script_threshold and fractions[script] > 0:
-            return langid._SCRIPT_LANG[script]
-    return "en"
-
-
-def _gate(best: str, dataset_lang: DatasetLang) -> str:
-    return langid.assign_language_class(
-        langid.DetectionResult(best=best, scores={best: 0.0}), dataset_lang
-    )
-
-
 def _scheme_table(cfg: PipelineConfig):
     code = {DatasetLang.TAMIL: "ta", DatasetLang.MALAYALAM: "ml"}.get(cfg.dataset_lang)
     if code is None:
@@ -122,30 +101,25 @@ class ProcessedRow:
     gold: Label | None
 
 
-def preprocess_rows(rows, cfg: PipelineConfig, profiles, table,
-                    trace_hook=None) -> list[ProcessedRow]:
+def preprocess_rows(rows, cfg: PipelineConfig, profiles, table) -> list[ProcessedRow]:
     out = []
     for row in rows:
-        if trace_hook:
-            trace_hook(row.id, "preprocess")
         text = textprep.normalize_text(row.text, cfg.normalization)
-        if trace_hook:
-            trace_hook(row.id, "langid")
-        if text:
-            best = detect_language(text, profiles, cfg)
-            gate = _gate(best, cfg.dataset_lang)
+        if profiles and text:
+            lang = langid.detect(text, profiles, cfg.script_threshold)
         else:
-            gate = "InLanguage"  # empty after normalization: no evidence to flag
+            # Without profiles, non-empty text without a dominant Indic
+            # script counts as English.
+            lang = langid.script_language(text, cfg.script_threshold) or (
+                "en" if text else None)
+        gate = langid.assign_language_class(lang, cfg.dataset_lang)
         if gate == "InLanguage" and table is not None:
-            if trace_hook:
-                trace_hook(row.id, "transliterate")
             text = translit.transliterate(text, table)
         out.append(ProcessedRow(id=row.id, text=text, gate=gate, gold=row.label))
     return out
 
 
-def run_pipeline(cfg: PipelineConfig, train_path, test_path, out_dir,
-                 trace_hook=None):
+def run_pipeline(cfg: PipelineConfig, train_path, test_path, out_dir):
     """Train the ensemble on the train file, predict the test file.
 
     Writes predictions.txt, manifest.txt and (when the test file carries
@@ -167,8 +141,8 @@ def run_pipeline(cfg: PipelineConfig, train_path, test_path, out_dir,
 
     profiles = _load_profiles(cfg)
     table = _scheme_table(cfg)
-    train_proc = preprocess_rows(train_rows, cfg, profiles, table, trace_hook)
-    test_proc = preprocess_rows(test_rows, cfg, profiles, table, trace_hook)
+    train_proc = preprocess_rows(train_rows, cfg, profiles, table)
+    test_proc = preprocess_rows(test_rows, cfg, profiles, table)
 
     # Binary classifier training set: positions of the gold Hope/NotHope rows.
     binary = [i for i, r in enumerate(train_rows)
@@ -207,8 +181,6 @@ def run_pipeline(cfg: PipelineConfig, train_path, test_path, out_dir,
         if p.gate == "NotLanguage":
             predictions.append((Label.NOT_LANGUAGE, not_lang_alias))
             continue
-        if trace_hook:
-            trace_hook(p.id, "classify")
         voted = learn.ensemble_predict(models, test_X[i], cfg.tie_break)
         label = Label(voted)
         predictions.append((label, _OUT_ALIAS[label]))

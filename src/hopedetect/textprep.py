@@ -8,6 +8,7 @@ Native-script Indic characters pass through untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # Emoji blocks plus variation selectors and ZWJ. Closed, enumerable set.
 _EMOJI_RANGES = (
@@ -35,18 +36,35 @@ class NormalizationConfig:
     collapse_whitespace: bool = True
 
 
-# Tamil, Malayalam and Devanagari blocks: preserved wholesale so combining
-# vowel signs and viramas survive the special-character pass.
-_INDIC_RANGES = ((0x0900, 0x097F), (0x0B80, 0x0BFF), (0x0D00, 0x0D7F))
+class IndicScript(NamedTuple):
+    name: str
+    lang: str  # language code the script shortcut assigns
+    lo: int
+    hi: int
+
+
+# The one table of Indic Unicode blocks. Sorted by name: the script shortcut
+# breaks ties between scripts in this order.
+INDIC_SCRIPTS = (
+    IndicScript("Devanagari", "hi", 0x0900, 0x097F),
+    IndicScript("Malayalam", "ml", 0x0D00, 0x0D7F),
+    IndicScript("Tamil", "ta", 0x0B80, 0x0BFF),
+)
+
+
+# indic_script(cp): the script whose block holds the character ``cp``, or
+# None. A dict lookup rather than a range scan: it runs once per character.
+indic_script = {chr(cp): script for script in INDIC_SCRIPTS
+                for cp in range(script.lo, script.hi + 1)}.get
 
 
 def _is_special(cp: str) -> bool:
     # Anything that is not a letter (any script), digit, whitespace, or a
-    # native-script Indic code point.
+    # native-script Indic code point. Indic blocks are kept wholesale so
+    # combining vowel signs and viramas survive the special-character pass.
     if cp.isalpha() or cp.isdigit() or cp.isspace():
         return False
-    o = ord(cp)
-    return not any(lo <= o <= hi for lo, hi in _INDIC_RANGES)
+    return indic_script(cp) is None
 
 
 def normalize_text(raw: str, cfg: NormalizationConfig = NormalizationConfig()) -> str:

@@ -12,11 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-_BLOCKS = {
-    "Tamil": (0x0B80, 0x0BFF),
-    "Malayalam": (0x0D00, 0x0D7F),
-    "Devanagari": (0x0900, 0x097F),
-}
+from .textprep import indic_script
 
 _BUNDLED_SCHEMES = {"ta": "tamil.tsv", "ml": "malayalam.tsv"}
 
@@ -26,10 +22,8 @@ def script_of(cp: str) -> str:
     o = ord(cp)
     if (0x0041 <= o <= 0x005A) or (0x0061 <= o <= 0x007A) or (0x00C0 <= o <= 0x024F):
         return "Latin"
-    for name, (lo, hi) in _BLOCKS.items():
-        if lo <= o <= hi:
-            return name
-    return "Other"
+    script = indic_script(cp)
+    return script.name if script else "Other"
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from hopedetect import cli, corpus, langid, pipeline
+from hopedetect import cli, corpus, langid, learn, pipeline, textprep, translit
 from hopedetect.corpus import DatasetLang, Label
 from conftest import FIXTURES, synthetic_sentences
 
@@ -167,7 +167,8 @@ class TestRun:
 
 
 class TestPipelineInternals:
-    def test_notlanguage_bypasses_classifier(self, tmp_path, trained_profiles):
+    def test_notlanguage_bypasses_classifier(self, tmp_path, trained_profiles,
+                                             monkeypatch):
         profile_paths = []
         for p in trained_profiles:
             path = tmp_path / f"{p.lang}.profile"
@@ -178,10 +179,16 @@ class TestPipelineInternals:
             profile_paths=profile_paths,
             k=1, classifier_params={"epochs": 30},
         )
-        trace = []
+        votes = []
+        vote = learn.ensemble_predict
+
+        def counted_vote(*args):
+            votes.append(args)
+            return vote(*args)
+
+        monkeypatch.setattr(learn, "ensemble_predict", counted_vote)
         pipeline.run_pipeline(
-            cfg, FIXTURES / "ta_train.tsv", FIXTURES / "ta_train.tsv",
-            tmp_path / "out", trace_hook=lambda i, stage: trace.append((i, stage)),
+            cfg, FIXTURES / "ta_train.tsv", FIXTURES / "ta_train.tsv", tmp_path / "out"
         )
         preds = (tmp_path / "out" / "predictions.txt").read_text().splitlines()
         rows = corpus.load_tsv(FIXTURES / "ta_train.tsv", DatasetLang.TAMIL)
@@ -189,24 +196,37 @@ class TestPipelineInternals:
         english_ids = [r.id for r in rows if r.label is Label.NOT_LANGUAGE]
         for rid in english_ids:
             assert preds[rid] == "not-Tamil"
-        classified = {i for i, stage in trace if stage == "classify"}
-        assert not (set(english_ids) & classified)
+        # Only the gate writes not-Tamil, so one vote per other row means no
+        # gated row reached the classifier.
+        assert len(votes) == sum(p != "not-Tamil" for p in preds)
 
-    def test_stage_order(self):
+    def test_stage_order(self, trained_profiles, monkeypatch):
         cfg = pipeline.PipelineConfig(dataset_lang=DatasetLang.TAMIL)
         rows = corpus.load_tsv(FIXTURES / "ta_train.tsv", DatasetLang.TAMIL)
         table = pipeline._scheme_table(cfg)
-        trace = []
-        pipeline.preprocess_rows(
-            rows, cfg, [], table, trace_hook=lambda i, s: trace.append((i, s))
-        )
-        order = {"preprocess": 0, "langid": 1, "transliterate": 2}
-        by_row = {}
-        for rid, stage in trace:
-            by_row.setdefault(rid, []).append(order[stage])
-        for stages in by_row.values():
-            assert stages == sorted(stages)
-            assert stages[0] == 0
+        events = []  # (stage, first argument, result), in call order
+        for module, name in ((textprep, "normalize_text"),
+                             (langid, "script_fraction"),
+                             (translit, "transliterate")):
+            def record(*args, _fn=getattr(module, name), _stage=name):
+                result = _fn(*args)
+                events.append((_stage, args[0], result))
+                return result
+            monkeypatch.setattr(module, name, record)
+        for profiles in ([], trained_profiles):
+            events.clear()
+            proc = pipeline.preprocess_rows(rows, cfg, profiles, table)
+            # Each row: normalize, langid on the normalized text, then (when
+            # the gate keeps it) transliterate that same text.
+            it = iter(events)
+            for row, p in zip(rows, proc):
+                stage, arg, text = next(it)
+                assert (stage, arg) == ("normalize_text", row.text)
+                assert next(it)[:2] == ("script_fraction", text)
+                if p.gate == "InLanguage":
+                    assert next(it) == ("transliterate", text, p.text)
+            assert next(it, None) is None
+            assert any(stage == "transliterate" for stage, _, _ in events)
 
     def test_embeddings_mode_requires_paths(self):
         cfg = pipeline.PipelineConfig(

@@ -40,24 +40,22 @@ class TestTrainProfile:
 
 class TestDetect:
     def test_script_shortcut_tamil(self, trained_profiles):
-        result = langid.detect("வணக்கம் நண்பா", trained_profiles)
-        assert result.best == "ta"
+        assert langid.detect("வணக்கம் நண்பா", trained_profiles) == "ta"
 
     def test_script_shortcut_devanagari(self, trained_profiles):
-        result = langid.detect("नमस्ते दोस्त", trained_profiles)
-        assert result.best == "hi"
+        assert langid.detect("नमस्ते दोस्त", trained_profiles) == "hi"
 
     def test_english_sentence(self, trained_profiles):
         result = langid.detect(
             "this is clearly an english sentence about hope", trained_profiles
         )
-        assert result.best == "en"
+        assert result == "en"
 
     def test_scale_free(self, trained_profiles):
         text = "some words that could be anywhere"
         one = langid.detect(text, trained_profiles)
         two = langid.detect(f"{text} {text}", trained_profiles)
-        assert one.best == two.best
+        assert one == two
 
     def test_no_profiles(self):
         with pytest.raises(NoProfiles):
@@ -70,7 +68,7 @@ class TestDetect:
     def test_mixed_below_threshold_uses_statistics(self, trained_profiles):
         # One Tamil letter among many Latin ones: shortcut must not fire.
         result = langid.detect("க this is mostly english text here", trained_profiles)
-        assert result.best == "en"
+        assert result == "en"
 
 
 class TestAssignLanguageClass:
@@ -79,27 +77,23 @@ class TestAssignLanguageClass:
         ("ta", "InLanguage"), ("ml", "InLanguage"),
     ])
     def test_tamil_dataset(self, best, expected):
-        result = langid.DetectionResult(best=best, scores={best: 0.0})
-        assert langid.assign_language_class(result, DatasetLang.TAMIL) == expected
+        assert langid.assign_language_class(best, DatasetLang.TAMIL) == expected
 
     def test_malayalam_dataset_other_lang_in_language(self):
-        result = langid.DetectionResult(best="ta", scores={"ta": 0.0})
         assert (
-            langid.assign_language_class(result, DatasetLang.MALAYALAM)
+            langid.assign_language_class("ta", DatasetLang.MALAYALAM)
             == "InLanguage"
         )
 
     def test_english_dataset(self):
-        en = langid.DetectionResult(best="en", scores={"en": 0.0})
-        hi = langid.DetectionResult(best="hi", scores={"hi": 0.0})
-        assert langid.assign_language_class(en, DatasetLang.ENGLISH) == "InLanguage"
-        assert langid.assign_language_class(hi, DatasetLang.ENGLISH) == "NotLanguage"
+        assert langid.assign_language_class("en", DatasetLang.ENGLISH) == "InLanguage"
+        assert langid.assign_language_class("hi", DatasetLang.ENGLISH) == "NotLanguage"
+        assert langid.assign_language_class(None, DatasetLang.ENGLISH) == "InLanguage"
 
     def test_exhaustive_never_flags_other_codes(self):
-        for code in ("ta", "ml", "fr", "de", "xx"):
-            result = langid.DetectionResult(best=code, scores={code: 0.0})
+        for code in ("ta", "ml", "fr", "de", "xx", None):
             for lang in (DatasetLang.TAMIL, DatasetLang.MALAYALAM):
-                assert langid.assign_language_class(result, lang) == "InLanguage"
+                assert langid.assign_language_class(code, lang) == "InLanguage"
 
 
 class TestProfileRoundTrip:
@@ -124,6 +118,6 @@ def test_held_out_accuracy(trained_profiles):
     for lang in ("en", "hi", "ta", "ml"):
         for sent in synthetic_sentences(lang, 100, seed=11, holdout=True):
             total += 1
-            if langid.detect(sent, trained_profiles).best == lang:
+            if langid.detect(sent, trained_profiles) == lang:
                 correct += 1
     assert correct / total >= 0.95

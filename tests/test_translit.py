@@ -18,6 +18,11 @@ class TestScriptOf:
     @pytest.mark.parametrize("cp,expected", [
         ("க", "Tamil"), ("k", "Latin"), (" ", "Other"),
         ("മ", "Malayalam"), ("न", "Devanagari"), ("5", "Other"), ("é", "Latin"),
+        # block edges
+        ("\u08ff", "Other"), ("\u0900", "Devanagari"), ("\u097f", "Devanagari"),
+        ("\u0980", "Other"), ("\u0b7f", "Other"), ("\u0b80", "Tamil"),
+        ("\u0bff", "Tamil"), ("\u0c00", "Other"), ("\u0d00", "Malayalam"),
+        ("\u0d7f", "Malayalam"), ("\u0d80", "Other"),
     ])
     def test_blocks(self, cp, expected):
         assert script_of(cp) == expected
