@@ -108,10 +108,7 @@ def preprocess_rows(rows, cfg: PipelineConfig, profiles, table) -> list[Processe
         if profiles and text:
             lang = langid.detect(text, profiles, cfg.script_threshold)
         else:
-            # Without profiles, non-empty text without a dominant Indic
-            # script counts as English.
-            lang = langid.script_language(text, cfg.script_threshold) or (
-                "en" if text else None)
+            lang = langid.script_language(text, cfg.script_threshold)
         gate = langid.assign_language_class(lang, cfg.dataset_lang)
         if gate == "InLanguage" and table is not None:
             text = translit.transliterate(text, table)

@@ -228,6 +228,22 @@ class TestPipelineInternals:
             assert next(it, None) is None
             assert any(stage == "transliterate" for stage, _, _ in events)
 
+    @pytest.mark.parametrize("name,lang", [
+        ("ta_train.tsv", DatasetLang.TAMIL), ("ml_train.tsv", DatasetLang.MALAYALAM),
+    ])
+    def test_no_profiles_gates_only_script_evidence(self, name, lang):
+        # Without profiles, romanized comments carry no evidence of English,
+        # so none of the gold Hope/NotHope rows may be gated; Devanagari
+        # script still is.
+        rows = corpus.load_tsv(FIXTURES / name, lang)
+        rows.append(corpus.LabeledComment(len(rows), "नमस्ते दोस्त", None, lang))
+        cfg = pipeline.PipelineConfig(dataset_lang=lang)
+        proc = pipeline.preprocess_rows(rows, cfg, [], pipeline._scheme_table(cfg))
+        gold = [p.gate for p, r in zip(proc, rows)
+                if r.label in (Label.HOPE, Label.NOT_HOPE)]
+        assert (len(gold), gold.count("NotLanguage")) == (22, 0)
+        assert proc[-1].gate == "NotLanguage"
+
     def test_embeddings_mode_requires_paths(self):
         cfg = pipeline.PipelineConfig(
             dataset_lang=DatasetLang.ENGLISH, feature_mode="embeddings"
