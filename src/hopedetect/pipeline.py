@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from importlib import resources
 from pathlib import Path
 
-from . import corpus, features, langid, learn, metrics, textprep, translit
+from . import __version__, corpus, features, langid, learn, metrics, textprep, translit
 from .corpus import DatasetLang, Label
 from .errors import ConfigError, HopedetectError, StageError
 
@@ -28,6 +29,9 @@ _OUT_ALIAS = {Label.HOPE: "Hope_speech", Label.NOT_HOPE: "Non_hope_speech"}
 
 _LANG_CODES = {"en": DatasetLang.ENGLISH, "ta": DatasetLang.TAMIL,
                "ml": DatasetLang.MALAYALAM}
+
+# Transliteration only applies to the Indic datasets.
+_SCHEME_CODES = {DatasetLang.TAMIL: "ta", DatasetLang.MALAYALAM: "ml"}
 
 
 @dataclass
@@ -85,12 +89,23 @@ def _load_profiles(cfg: PipelineConfig):
 
 
 def _scheme_table(cfg: PipelineConfig):
-    code = {DatasetLang.TAMIL: "ta", DatasetLang.MALAYALAM: "ml"}.get(cfg.dataset_lang)
+    code = _SCHEME_CODES.get(cfg.dataset_lang)
     if code is None:
-        return None  # transliteration only applies to the Indic datasets
+        return None
     if cfg.scheme_path:
         return translit.load_scheme_table(cfg.scheme_path, code)
     return translit.bundled_scheme_table(code)
+
+
+def _scheme_sha256(cfg: PipelineConfig) -> str | None:
+    """sha256 of the file ``_scheme_table`` reads, or None when it reads none."""
+    code = _SCHEME_CODES.get(cfg.dataset_lang)
+    if code is None:
+        return None
+    if cfg.scheme_path:
+        return sha256_file(cfg.scheme_path)
+    with resources.as_file(translit.bundled_scheme_file(code)) as path:
+        return sha256_file(path)
 
 
 @dataclass
@@ -209,6 +224,7 @@ def run_pipeline(cfg: PipelineConfig, train_path, test_path, out_dir):
 def _render_manifest(cfg, train_path, test_path, models, records) -> str:
     lines = [f"# {MANIFEST_VERSION}"]
     add = lines.append
+    add(f"hopedetect_version={__version__}")
     add(f"dataset_lang={cfg.dataset_lang.value}")
     add(f"split_prng={corpus.SPLIT_PRNG}")
     nc = cfg.normalization
@@ -233,6 +249,14 @@ def _render_manifest(cfg, train_path, test_path, models, records) -> str:
     add(f"tie_break={cfg.tie_break}")
     add(f"input.train.sha256={sha256_file(train_path)}")
     add(f"input.test.sha256={sha256_file(test_path)}")
+    if cfg.feature_mode == "embeddings":
+        add(f"input.train_embeddings.sha256={sha256_file(cfg.train_embeddings)}")
+        add(f"input.test_embeddings.sha256={sha256_file(cfg.test_embeddings)}")
+    scheme_sha256 = _scheme_sha256(cfg)
+    if scheme_sha256 is not None:
+        add(f"scheme.sha256={scheme_sha256}")
+    for path in cfg.profile_paths:
+        add(f"profile.sha256={sha256_file(path)}")
     for rec in records:
         add(
             f"member.seed={rec['seed']} "

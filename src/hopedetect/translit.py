@@ -55,11 +55,15 @@ def load_scheme_table(path, lang: str) -> SchemeTable:
     return make_scheme_table(lang, entries)
 
 
+def bundled_scheme_file(lang: str):
+    """Scheme table file shipped with the package ('ta' or 'ml'), as an
+    ``importlib.resources`` traversable."""
+    return resources.files("hopedetect.data").joinpath(_BUNDLED_SCHEMES[lang])
+
+
 def bundled_scheme_table(lang: str) -> SchemeTable:
     """Scheme table shipped with the package ('ta' or 'ml')."""
-    name = _BUNDLED_SCHEMES[lang]
-    ref = resources.files("hopedetect.data").joinpath(name)
-    with resources.as_file(ref) as path:
+    with resources.as_file(bundled_scheme_file(lang)) as path:
         return load_scheme_table(path, lang)
 
 

@@ -1,4 +1,5 @@
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +116,9 @@ class TestRun:
         assert code == 0
         manifest = (out / "manifest.txt").read_text()
         assert "feature_mode=embeddings" in manifest
+        for name in ("train", "test"):
+            digest = pipeline.sha256_file(tmp_path / f"{name}.emb")
+            assert f"input.{name}_embeddings.sha256={digest}" in manifest
         assert len((out / "predictions.txt").read_text().splitlines()) == 25
 
     def test_config_file(self, tmp_path):
@@ -129,6 +133,32 @@ class TestRun:
         manifest = (out / "manifest.txt").read_text()
         assert "ensemble_k=3" in manifest
         assert "base_seed=9" in manifest
+
+    def test_manifest_pins_scheme_profiles_and_version(self, tmp_path,
+                                                        trained_profiles):
+        import hopedetect
+
+        bundled = Path(translit.__file__).parent / "data" / "tamil.tsv"
+        changed = tmp_path / "changed.tsv"
+        changed.write_text(bundled.read_text(encoding="utf-8") + "zzz\tழ\n",
+                           encoding="utf-8")
+        profile = tmp_path / "ta.profile"
+        langid.save_profile(trained_profiles[0], profile)
+        manifests = []
+        for scheme, flags in ((bundled, []), (changed, ["--scheme", str(changed)])):
+            out = tmp_path / scheme.stem
+            code = run_cli(
+                "run", "--lang", "ta", *flags, "--profiles", str(profile),
+                "--epochs", "10", "--out", str(out),
+                str(FIXTURES / "ta_train.tsv"), str(FIXTURES / "ta_train.tsv"),
+            )
+            assert code == 0
+            lines = (out / "manifest.txt").read_text().splitlines()
+            assert f"scheme.sha256={pipeline.sha256_file(scheme)}" in lines
+            assert f"profile.sha256={pipeline.sha256_file(profile)}" in lines
+            assert f"hopedetect_version={hopedetect.__version__}" in lines
+            manifests.append(lines)
+        assert manifests[0] != manifests[1]
 
     def test_bad_config_exit_3(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
