@@ -71,7 +71,7 @@ def script_fraction(text: str) -> dict[str, float]:
     return {s.name: counts[s] / max(len(letters), 1) for s in textprep.INDIC_SCRIPTS}
 
 
-def script_language(text: str, threshold: float = 0.5) -> str | None:
+def script_language(text: str, threshold: float) -> str | None:
     """Language of the first Indic script holding at least ``threshold`` of
     the text's letters, or None when no script does."""
     fractions = script_fraction(text)

@@ -43,8 +43,8 @@ class IndicScript(NamedTuple):
     hi: int
 
 
-# The one table of Indic Unicode blocks. Sorted by name: the script shortcut
-# breaks ties between scripts in this order.
+# The Indic Unicode blocks every stage recognizes. Sorted by name: the
+# script shortcut breaks ties between scripts in this order.
 INDIC_SCRIPTS = (
     IndicScript("Devanagari", "hi", 0x0900, 0x097F),
     IndicScript("Malayalam", "ml", 0x0D00, 0x0D7F),

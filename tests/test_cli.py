@@ -142,7 +142,7 @@ class TestRun:
         changed = tmp_path / "changed.tsv"
         changed.write_text(bundled.read_text(encoding="utf-8") + "zzz\tழ\n",
                            encoding="utf-8")
-        profile = tmp_path / "ta.profile"
+        profile = tmp_path / "en.profile"
         langid.save_profile(trained_profiles[0], profile)
         manifests = []
         for scheme, flags in ((bundled, []), (changed, ["--scheme", str(changed)])):
