@@ -229,7 +229,9 @@ def _cmd_train(args):
     proc = pipeline.preprocess_rows(rows, cfg, [], pipeline._scheme_table(cfg))
     binary = [i for i, r in enumerate(rows) if r.label in (Label.HOPE, Label.NOT_HOPE)]
     if args.train_embeddings:
-        X = features.load_embeddings(args.train_embeddings, args.embedding_dim)[binary]
+        X = features.load_embeddings(
+            args.train_embeddings, args.embedding_dim, n_rows=len(rows)
+        )[binary]
     else:
         texts = [proc[i].text for i in binary]
         X = features.tfidf_vectorize(texts, features.build_vocab(texts, args.min_df))

@@ -8,7 +8,6 @@ optional ``#`` header lines recording the producer model and layer.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,15 +92,7 @@ class CsrMatrix:
                          for t in terms])
 
     def __array__(self, dtype=None, copy=None):
-        # The dense copy gets an anonymous mapping of its own, which is unmapped
-        # when the copy is freed. From the heap, a copy just under malloc's
-        # mmap ceiling (32 MB) is kept after its free, and whether the next
-        # copy can reuse it depends on what else was allocated meanwhile, so
-        # one run held one copy and the next two.
-        dtype = np.dtype(float if dtype is None else dtype)
-        size = self.shape[0] * self.shape[1]
-        buffer = mmap.mmap(-1, max(size * dtype.itemsize, 1))
-        dense = np.frombuffer(buffer, dtype=dtype, count=size).reshape(self.shape)
+        dense = np.zeros(self.shape, dtype=float if dtype is None else dtype)
         dense[self._row_of, self.indices] = self.data
         return dense
 

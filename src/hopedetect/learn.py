@@ -20,6 +20,7 @@ from .errors import (
     RowCountMismatch,
     SingleClass,
 )
+from .features import CsrMatrix
 
 MODEL_VERSION = "model-v1"
 
@@ -182,46 +183,105 @@ def train_linear_svm(X, y, lr: float = 0.01, epochs: int = 500, C: float = 1.0,
 # Random forest
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - (p * p).sum())
+def _transpose(X) -> CsrMatrix:
+    """X (ndarray or CsrMatrix) transposed, as a CsrMatrix: row j holds the
+    stored (non-zero) entries of column j of X, at their rows of X."""
+    if isinstance(X, CsrMatrix):
+        n_rows, dim = X.shape
+        order = np.argsort(X.indices, kind="stable")
+        cols = X.indices[order]
+        rows = np.repeat(np.arange(n_rows), np.diff(X.indptr))[order]
+        vals = X.data[order]
+    else:
+        A = np.asarray(X, dtype=float)
+        n_rows, dim = A.shape
+        cols, rows = np.nonzero(A.T)
+        vals = A[rows, cols]
+    return CsrMatrix(vals, rows, np.searchsorted(cols, np.arange(dim + 1)), n_rows)
 
 
-def _grow_tree(X, y_idx, n_classes, indices, depth, max_depth, n_feats, rng):
+def _gini(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Gini impurity of each row of class counts; 0 for an empty row."""
+    p = counts / np.maximum(totals, 1)[:, None]
+    return np.where(totals > 0, 1.0 - (p * p).sum(axis=1), 0.0)
+
+
+def _best_split(XT: CsrMatrix, y_idx, counts, indices, feats):
+    """The split ``x[f] < threshold`` of the node's rows with the lowest
+    weighted Gini impurity, as (f, threshold, left mask), or None.
+
+    Candidates are the midpoints between distinct adjacent values of each
+    feature in ``feats`` (ascending), thresholds ascending within a feature;
+    a later candidate wins only if it is more than 1e-12 below the best so
+    far. Only stored entries are read: the zeros of a column at the node
+    are one item, holding their class counts.
+    """
+    n, n_classes = len(indices), len(counts)
+    copies = np.bincount(indices, minlength=XT.shape[1])  # bootstrap duplicates
+    sampled = XT[feats]
+    slot = np.repeat(np.arange(len(feats)), np.diff(sampled.indptr))
+    hit = copies[sampled.indices] > 0
+    slot, rows, value = slot[hit], sampled.indices[hit], sampled.data[hit]
+    # Class counts of each stored entry, and of each column's zeros.
+    stored = np.zeros((len(rows), n_classes), dtype=np.int64)
+    stored[np.arange(len(rows)), y_idx[rows]] = copies[rows]
+    zeros = np.repeat(counts[None], len(feats), axis=0)
+    np.subtract.at(zeros, slot, stored)
+    has_zeros = zeros.any(axis=1)
+    # Items of every column, sorted by column, then by value.
+    slot = np.concatenate((slot, np.flatnonzero(has_zeros)))
+    value = np.concatenate((value, np.zeros(has_zeros.sum())))
+    items = np.concatenate((stored, zeros[has_zeros]))
+    order = np.lexsort((value, slot))
+    slot, value, items = slot[order], value[order], items[order]
+    # Sorted last, NaNs count as one value, as in np.unique.
+    j = np.flatnonzero((slot[1:] == slot[:-1]) & (value[1:] != value[:-1])
+                       & ~np.isnan(value[:-1]))
+    if len(j) == 0:
+        return None
+    lo, hi = value[j], value[j + 1]
+    thresholds = (lo + hi) / 2.0
+    below = np.cumsum(items, axis=0)
+    first = np.searchsorted(slot, slot[j])
+    left = below[j] - below[first] + items[first]
+    # A midpoint can round onto lo (adjacent doubles), or overflow past hi.
+    for i in np.flatnonzero(~((lo < thresholds) & (thresholds <= hi))):
+        left[i] = items[(slot == slot[j[i]]) & (value < thresholds[i])].sum(axis=0)
+    n_left = left.sum(axis=1)
+    n_right = n - n_left
+    impurity = (n_left * _gini(left, n_left)
+                + n_right * _gini(counts - left, n_right)) / n
+    best = 0
+    while True:
+        later = impurity[best + 1:] < impurity[best] - 1e-12
+        if not later.any():
+            break
+        best += 1 + int(later.argmax())
+    f, threshold = int(feats[slot[j[best]]]), float(thresholds[best])
+    return f, threshold, XT[f][indices] < threshold
+
+
+def _grow_tree(XT: CsrMatrix, y_idx, n_classes, indices, depth, max_depth,
+               n_feats, rng):
     counts = np.bincount(y_idx[indices], minlength=n_classes)
     majority = int(counts.argmax())  # argmax ties fall to the lowest class index
     if depth >= max_depth or counts.max() == counts.sum():
         return TreeNode(label=majority)
 
-    dim = X.shape[1]
+    dim = XT.shape[0]
     feats = rng.permutation(dim)[:n_feats] if n_feats < dim else np.arange(dim)
-    best = None  # (impurity, feature, threshold)
-    for f in sorted(feats):
-        values = np.unique(X[indices, f])
-        if len(values) < 2:
-            continue
-        for threshold in (values[:-1] + values[1:]) / 2.0:
-            mask = X[indices, f] < threshold
-            left, right = indices[mask], indices[~mask]
-            lc = np.bincount(y_idx[left], minlength=n_classes)
-            rc = np.bincount(y_idx[right], minlength=n_classes)
-            impurity = (len(left) * _gini(lc) + len(right) * _gini(rc)) / len(indices)
-            if best is None or impurity < best[0] - 1e-12:
-                best = (impurity, f, float(threshold))
-    if best is None:
+    # A helper, so that the search's arrays are freed before the recursion.
+    split = _best_split(XT, y_idx, counts, indices, np.sort(feats))
+    if split is None:
         return TreeNode(label=majority)
-    _, f, threshold = best
-    mask = X[indices, f] < threshold
+    f, threshold, mask = split
     return TreeNode(
-        feature=int(f),
+        feature=f,
         threshold=threshold,
-        left=_grow_tree(X, y_idx, n_classes, indices[mask], depth + 1, max_depth,
+        left=_grow_tree(XT, y_idx, n_classes, indices[mask], depth + 1, max_depth,
                         n_feats, rng),
-        right=_grow_tree(X, y_idx, n_classes, indices[~mask], depth + 1, max_depth,
-                         n_feats, rng),
+        right=_grow_tree(XT, y_idx, n_classes, indices[~mask], depth + 1,
+                         max_depth, n_feats, rng),
     )
 
 
@@ -230,16 +290,21 @@ def train_random_forest(X, y, n_trees: int = 100, max_depth: int = 16,
                         classes=None, bootstrap: bool = True) -> TrainedModel:
     """Bagged Gini trees with a per-node random feature subset.
 
-    feature_frac=None uses the sqrt(dim)/dim rule. ``bootstrap=False`` is a
+    ``X`` (ndarray or CsrMatrix) is copied once into columns of its non-zero
+    entries; it is never densified. Each node reads only the entries of its
+    sampled columns that fall in its rows (bootstrap copies counted), sorts
+    them by column and value with each column's zeros as one more value, and
+    scores every candidate threshold at once from cumulative class counts.
+    The trees are those of an exhaustive threshold scan. feature_frac=None uses the sqrt(dim)/dim rule. ``bootstrap=False`` is a
     test hook that trains every tree on the full sample.
     """
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-    Xm = np.asarray(X, dtype=float)  # the split search reads dense columns
+    XT = _transpose(X)
     y_idx, class_names = _encode_labels(y, classes)
-    if Xm.shape[0] != len(y_idx) or Xm.shape[0] < 1:
-        raise DimMismatch(f"{Xm.shape[0]} vectors vs {len(y_idx)} labels")
-    dim = Xm.shape[1]
+    dim, n = XT.shape
+    if n != len(y_idx) or n < 1:
+        raise DimMismatch(f"{n} vectors vs {len(y_idx)} labels")
     if feature_frac is None:
         n_feats = max(1, int(np.ceil(np.sqrt(dim))))
         feature_frac = n_feats / dim
@@ -248,11 +313,10 @@ def train_random_forest(X, y, n_trees: int = 100, max_depth: int = 16,
             raise ValueError(f"feature_frac must be in (0,1], got {feature_frac}")
         n_feats = max(1, int(np.ceil(feature_frac * dim)))
     rng = np.random.default_rng(seed)
-    n = Xm.shape[0]
     trees = []
     for _ in range(n_trees):
         sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        root = _grow_tree(Xm, y_idx, len(class_names), np.asarray(sample), 0,
+        root = _grow_tree(XT, y_idx, len(class_names), np.asarray(sample), 0,
                           max_depth, n_feats, rng)
         trees.append(DecisionTree(root=root, max_depth=max_depth))
     return TrainedModel(

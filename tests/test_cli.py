@@ -66,6 +66,18 @@ class TestTrainPredictEvaluate:
         out = capsys.readouterr().out
         assert "weighted_f1" in out
 
+    @pytest.mark.parametrize("n_vectors", [3, 53])
+    def test_train_embeddings_row_count_checked(self, tmp_path, capsys, n_vectors):
+        emb = tmp_path / "train.emb"
+        emb.write_text("0.5 0.25\n" * n_vectors)
+        code = run_cli("train", "--lang", "en", "--classifier", "random_forest",
+                       "--train-embeddings", str(emb), "--embedding-dim", "2",
+                       "--out", str(tmp_path / "rf.model"),
+                       str(FIXTURES / "en_train.tsv"))
+        assert code == 2
+        assert f"{n_vectors} vectors for 52 dataset rows" in capsys.readouterr().err
+        assert not (tmp_path / "rf.model").exists()
+
 
 class TestEnsembleVote:
     def test_planted_majority(self, tmp_path, capsys):

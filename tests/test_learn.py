@@ -1,10 +1,14 @@
 import itertools
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hopedetect import learn
+from hopedetect import features, learn
 from hopedetect.corpus import Label
 from hopedetect.errors import (
     DimMismatch,
@@ -226,6 +230,139 @@ class TestRandomForest:
             assert learn.predict(one, x)[0] == learn.predict(many, x)[0]
 
 
+# ---------------------------------------------------------------------------
+# Oracle: the exhaustive threshold scan over a dense copy that the sorted
+# split search replaced, kept as it was apart from names and input checks.
+
+
+def _oracle_gini(counts):
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - (p * p).sum())
+
+
+def _oracle_grow_tree(X, y_idx, n_classes, indices, depth, max_depth, n_feats, rng):
+    counts = np.bincount(y_idx[indices], minlength=n_classes)
+    majority = int(counts.argmax())
+    if depth >= max_depth or counts.max() == counts.sum():
+        return learn.TreeNode(label=majority)
+
+    dim = X.shape[1]
+    feats = rng.permutation(dim)[:n_feats] if n_feats < dim else np.arange(dim)
+    best = None  # (impurity, feature, threshold)
+    for f in sorted(feats):
+        values = np.unique(X[indices, f])
+        if len(values) < 2:
+            continue
+        for threshold in (values[:-1] + values[1:]) / 2.0:
+            mask = X[indices, f] < threshold
+            left, right = indices[mask], indices[~mask]
+            lc = np.bincount(y_idx[left], minlength=n_classes)
+            rc = np.bincount(y_idx[right], minlength=n_classes)
+            impurity = (len(left) * _oracle_gini(lc)
+                        + len(right) * _oracle_gini(rc)) / len(indices)
+            if best is None or impurity < best[0] - 1e-12:
+                best = (impurity, f, float(threshold))
+    if best is None:
+        return learn.TreeNode(label=majority)
+    _, f, threshold = best
+    mask = X[indices, f] < threshold
+    return learn.TreeNode(
+        feature=int(f),
+        threshold=threshold,
+        left=_oracle_grow_tree(X, y_idx, n_classes, indices[mask], depth + 1,
+                               max_depth, n_feats, rng),
+        right=_oracle_grow_tree(X, y_idx, n_classes, indices[~mask], depth + 1,
+                                max_depth, n_feats, rng),
+    )
+
+
+def _oracle_random_forest(X, y, n_trees=100, max_depth=16, feature_frac=None,
+                          seed=0, classes=None, bootstrap=True):
+    Xm = np.asarray(X, dtype=float)
+    y_idx, class_names = learn._encode_labels(y, classes)
+    dim = Xm.shape[1]
+    if feature_frac is None:
+        n_feats = max(1, int(np.ceil(np.sqrt(dim))))
+        feature_frac = n_feats / dim
+    else:
+        n_feats = max(1, int(np.ceil(feature_frac * dim)))
+    rng = np.random.default_rng(seed)
+    n = Xm.shape[0]
+    trees = []
+    for _ in range(n_trees):
+        sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        root = _oracle_grow_tree(Xm, y_idx, len(class_names), np.asarray(sample), 0,
+                                 max_depth, n_feats, rng)
+        trees.append(learn.DecisionTree(root=root, max_depth=max_depth))
+    return learn.TrainedModel(
+        kind="random_forest", classes=class_names, dim=dim, train_seed=seed,
+        hyperparams={"n_trees": n_trees, "max_depth": max_depth,
+                     "feature_frac": feature_frac},
+        trees=trees,
+    )
+
+
+def _model_bytes(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.model"
+        learn.save_model(model, path)
+        return path.read_bytes()
+
+
+# Ties, negatives, zeros and 1.0 next to the double just above it, whose
+# midpoint rounds onto 1.0 (likewise -1.0 and the double just above it).
+_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.0, -2.5, -1.0, np.nextafter(-1.0, 0.0), 0.5, 1.0,
+                     np.nextafter(1.0, 2.0), 3.0]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+
+class TestSplitSearchOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 14), dim=st.integers(1, 5),
+           n_classes=st.integers(1, 3), max_depth=st.integers(0, 6),
+           feature_frac=st.sampled_from([None, 1.0, 0.5]),
+           bootstrap=st.booleans(), n_trees=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_trees_byte_identical_to_exhaustive_scan(
+            self, data, n, dim, n_classes, max_depth, feature_frac, bootstrap,
+            n_trees, seed):
+        X = np.array(data.draw(st.lists(st.lists(_VALUES, min_size=dim,
+                                                 max_size=dim),
+                                        min_size=n, max_size=n)))
+        # Every example has an all-zero column and an empty row.
+        X = np.hstack([X, np.zeros((n, 1))])
+        X[data.draw(st.integers(0, n - 1))] = 0.0
+        y = data.draw(st.lists(st.sampled_from("ABC"[:n_classes]),
+                               min_size=n, max_size=n))
+        params = dict(n_trees=n_trees, max_depth=max_depth,
+                      feature_frac=feature_frac, seed=seed, bootstrap=bootstrap)
+        expected = _model_bytes(_oracle_random_forest(X, y, **params))
+        assert _model_bytes(learn.train_random_forest(X, y, **params)) == expected
+        assert _model_bytes(
+            learn.train_random_forest(csr_from_dense(X), y, **params)) == expected
+
+    def test_sparse_input_is_never_densified(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(30, 6))
+        X[np.abs(X) < 0.7] = 0.0
+        y = ["A" if x[0] + x[3] > 0 else "B" for x in X]
+        csr = csr_from_dense(X)
+
+        def densify(*args, **kwargs):
+            raise AssertionError("CsrMatrix densified")
+
+        monkeypatch.setattr(features.CsrMatrix, "__array__", densify)
+        model = learn.train_random_forest(csr, y, n_trees=5, max_depth=4, seed=1)
+        assert [learn.predict(model, csr[i])[0] for i in range(len(y))] == \
+            [learn.predict(model, x)[0] for x in X]
+        assert sum(learn.predict(model, x)[0] == t for x, t in zip(X, y)) > 20
+
+
 class TestPredict:
     def test_zero_logreg_tie_break(self):
         model = learn.TrainedModel(
@@ -328,7 +465,7 @@ class TestEnsemble:
         assert dense_rec == sparse_rec
         for a, b in zip(dense, sparse):
             if kind == "random_forest":
-                assert a.trees == b.trees  # same dense input, same draws
+                assert a.trees == b.trees  # same columns, same draws
             else:
                 np.testing.assert_allclose(a.weights, b.weights, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(a.bias, b.bias, rtol=0, atol=1e-12)
