@@ -108,6 +108,11 @@ def _add_common_model_flags(p, defer_defaults=False):
     p.add_argument("--embedding-dim", type=int, default=d("embedding_dim"))
 
 
+# The list takes every argument up to the next option, positionals included.
+_PROFILES_HELP = ("language profile files; end the list with -- or put it "
+                  "after the positional arguments")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopedetect", description="Hope-speech detection pipeline"
@@ -119,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
 
     p = sub.add_parser("detect-lang", help="per-line language detection")
-    p.add_argument("--profiles", nargs="+", required=True)
+    p.add_argument("--profiles", nargs="+", required=True, help=_PROFILES_HELP)
     p.add_argument("--script-threshold", type=float, default=0.5)
     p.add_argument("path")
 
@@ -167,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline: train, predict, evaluate")
     p.add_argument("--lang", required=True, choices=["en", "ta", "ml"])
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--profiles", nargs="*", default=[])
+    p.add_argument("--profiles", nargs="*", default=[], help=_PROFILES_HELP)
     p.add_argument("--script-threshold", type=float)
     p.add_argument("--scheme")
     p.add_argument("--seed", type=int)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,8 +56,12 @@ class CsrMatrix:
         self.indices = np.asarray(indices, dtype=np.intp)
         self.indptr = np.asarray(indptr, dtype=np.intp)
         self.shape = (len(self.indptr) - 1, n_cols)
-        # Row of each stored entry: both products sum over it or by it.
-        self._row_of = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    @cached_property
+    def _row_of(self):
+        # Row of each stored entry: both products sum over it or by it. Built
+        # on first use, as a row take or a transpose may never need it.
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import textprep
 from .corpus import DatasetLang
@@ -33,9 +34,8 @@ class LanguageProfile:
     unseen_logprob: float  # mass for n-grams never observed in training
 
 
-def _char_ngrams(text: str, n: int):
-    for i in range(len(text) - n + 1):
-        yield text[i : i + n]
+def _char_ngrams(text: str, n: int) -> list[str]:
+    return [text[i : i + n] for i in range(len(text) - n + 1)]
 
 
 def train_profile(corpus, lang: str, n: int = 3, alpha: float = 0.5) -> LanguageProfile:
@@ -46,10 +46,9 @@ def train_profile(corpus, lang: str, n: int = 3, alpha: float = 0.5) -> Language
         raise ValueError(f"n must be in 1..3, got {n}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     for text in corpus:
-        for gram in _char_ngrams(text, n):
-            counts[gram] = counts.get(gram, 0) + 1
+        counts.update(_char_ngrams(text, n))
     total = sum(counts.values())
     # Normalized over the observed alphabet; unseen n-grams get alpha/norm.
     norm = total + alpha * len(counts)
@@ -63,12 +62,27 @@ def train_profile(corpus, lang: str, n: int = 3, alpha: float = 0.5) -> Language
     )
 
 
+# One-character tag of each Indic script; "-" tags any other letter.
+_TAGS = {script: str(i) for i, script in enumerate(textprep.INDIC_SCRIPTS)}
+
+
+def _script_tag(c: str) -> str | None:
+    # A letter becomes its script's tag; a non-letter is deleted.
+    if not c.isalpha():
+        return None
+    script = textprep.indic_script(c)
+    return _TAGS[script] if script else "-"
+
+
+_SCRIPT_TAGS = textprep.CodePointTable(_script_tag)
+
+
 def script_fraction(text: str) -> dict[str, float]:
     """Fraction of the text's letters in each known Indic script block."""
-    letters = [c for c in text if c.isalpha()]
-    counts = Counter(map(textprep.indic_script, letters))
+    tags = text.translate(_SCRIPT_TAGS)
     # No letters: every count is 0, and so is every fraction.
-    return {s.name: counts[s] / max(len(letters), 1) for s in textprep.INDIC_SCRIPTS}
+    letters = max(len(tags), 1)
+    return {s.name: tags.count(tag) / letters for s, tag in _TAGS.items()}
 
 
 def script_language(text: str, threshold: float) -> str | None:
@@ -95,9 +109,12 @@ def detect(text: str, profiles, script_threshold: float = 0.5) -> str:
         return lang
 
     scores: dict[str, float] = {}
+    grams_of: dict[int, list[str]] = {}
     for profile in profiles:
-        grams = list(_char_ngrams(text, profile.n)) or [text]
-        total = sum(profile.logprob.get(g, profile.unseen_logprob) for g in grams)
+        grams = grams_of.get(profile.n)
+        if grams is None:
+            grams = grams_of[profile.n] = _char_ngrams(text, profile.n) or [text]
+        total = sum(map(profile.logprob.get, grams, repeat(profile.unseen_logprob)))
         scores[profile.lang] = total / len(grams)
     best_score = max(scores.values())
     return min(lang for lang, s in scores.items() if s == best_score)

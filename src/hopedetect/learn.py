@@ -190,7 +190,7 @@ def _transpose(X) -> CsrMatrix:
         n_rows, dim = X.shape
         order = np.argsort(X.indices, kind="stable")
         cols = X.indices[order]
-        rows = np.repeat(np.arange(n_rows), np.diff(X.indptr))[order]
+        rows = X._row_of[order]
         vals = X.data[order]
     else:
         A = np.asarray(X, dtype=float)
@@ -219,9 +219,9 @@ def _best_split(XT: CsrMatrix, y_idx, counts, indices, feats):
     n, n_classes = len(indices), len(counts)
     copies = np.bincount(indices, minlength=XT.shape[1])  # bootstrap duplicates
     sampled = XT[feats]
-    slot = np.repeat(np.arange(len(feats)), np.diff(sampled.indptr))
     hit = copies[sampled.indices] > 0
-    slot, rows, value = slot[hit], sampled.indices[hit], sampled.data[hit]
+    # The row of an entry in ``sampled`` is its column's slot in ``feats``.
+    slot, rows, value = sampled._row_of[hit], sampled.indices[hit], sampled.data[hit]
     # Class counts of each stored entry, and of each column's zeros.
     stored = np.zeros((len(rows), n_classes), dtype=np.int64)
     stored[np.arange(len(rows)), y_idx[rows]] = copies[rows]

@@ -67,12 +67,45 @@ def _is_special(cp: str) -> bool:
     return indic_script(cp) is None
 
 
+class CodePointTable(dict):
+    """A ``str.translate`` table that decides each code point once.
+
+    ``decide(ch)`` gives what the character ``ch`` becomes: a string, or
+    None to delete it. The table calls it the first time ``translate`` meets
+    a code point and keeps the answer, so it holds one entry per distinct
+    code point seen and the per-character work stays in C.
+    """
+
+    def __init__(self, decide):
+        super().__init__()
+        self._decide = decide
+
+    def __missing__(self, cp: int):
+        out = self[cp] = self._decide(chr(cp))
+        return out
+
+
+def _char_rule(strip_specials: bool, strip_emoji: bool):
+    # The specials pass turns a special into a space, which the emoji pass
+    # keeps; the emoji pass deletes what the specials pass kept, such as the
+    # dingbat digits (U+2776 and on), which are digits.
+    def decide(c: str):
+        if strip_specials and _is_special(c):
+            return " "
+        if strip_emoji and is_emoji(c):
+            return None
+        return c
+
+    return decide
+
+
+# One table per (strip_specials, strip_emoji) pair, filled as text arrives.
+_CHAR_TABLES = {(s, e): CodePointTable(_char_rule(s, e))
+                for s in (False, True) for e in (False, True)}
+
+
 def normalize_text(raw: str, cfg: NormalizationConfig = NormalizationConfig()) -> str:
-    out = raw
-    if cfg.strip_specials:
-        out = "".join(c if not _is_special(c) else " " for c in out)
-    if cfg.strip_emoji:
-        out = "".join(c for c in out if not is_emoji(c))
+    out = raw.translate(_CHAR_TABLES[bool(cfg.strip_specials), bool(cfg.strip_emoji)])
     if cfg.lowercase:
         out = out.lower()
     if cfg.collapse_whitespace:

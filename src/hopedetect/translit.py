@@ -9,7 +9,8 @@ the pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .textprep import indic_script
@@ -31,6 +32,9 @@ class SchemeTable:
     lang: str
     entries: dict[str, str]
     max_key_len: int
+    # Matches the longest key at a position where a key starts with a Latin
+    # letter; built from ``entries`` by make_scheme_table.
+    pattern: re.Pattern = field(compare=False, repr=False)
 
 
 def make_scheme_table(lang: str, entries: dict[str, str]) -> SchemeTable:
@@ -38,9 +42,19 @@ def make_scheme_table(lang: str, entries: dict[str, str]) -> SchemeTable:
         raise ValueError("scheme table has no entries")
     if any(k == "" for k in entries):
         raise ValueError("scheme table keys must be non-empty")
-    return SchemeTable(
-        lang=lang, entries=dict(entries), max_key_len=max(map(len, entries))
-    )
+    # One alternation of the keys, grouped by first letter so that the
+    # engine tries only one group at a position, and longest first within
+    # each group, so the first match is the longest key. A match starts
+    # only on a Latin letter, so keys starting otherwise are left out.
+    rests: dict[str, list[str]] = {}
+    for key in sorted(entries, key=len, reverse=True):
+        if script_of(key[0]) == "Latin":
+            rests.setdefault(key[0], []).append(re.escape(key[1:]))
+    # "(?!)" never matches: a table without Latin keys changes nothing.
+    pattern = re.compile("|".join(f"{re.escape(first)}(?:{'|'.join(rest)})"
+                                  for first, rest in rests.items()) or "(?!)")
+    return SchemeTable(lang=lang, entries=dict(entries),
+                       max_key_len=max(map(len, entries)), pattern=pattern)
 
 
 def load_scheme_table(path, lang: str) -> SchemeTable:
@@ -73,23 +87,5 @@ def transliterate(text: str, table: SchemeTable) -> str:
     Only Latin characters are candidates for matching; everything else is
     copied through byte-identically.
     """
-    out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if script_of(text[i]) != "Latin":
-            out.append(text[i])
-            i += 1
-            continue
-        matched = False
-        for length in range(min(table.max_key_len, n - i), 0, -1):
-            candidate = text[i : i + length]
-            if candidate in table.entries:
-                out.append(table.entries[candidate])
-                i += length
-                matched = True
-                break
-        if not matched:
-            out.append(text[i])
-            i += 1
-    return "".join(out)
+    entries = table.entries
+    return table.pattern.sub(lambda m: entries[m[0]], text)

@@ -1,8 +1,11 @@
 import random
+from functools import cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -64,6 +67,26 @@ def csr_from_dense(A):
     rows, cols = np.nonzero(A)
     indptr = np.searchsorted(rows, np.arange(A.shape[0] + 1))
     return CsrMatrix(A[rows, cols], cols, indptr, A.shape[1])
+
+
+@cache
+def all_scalar_values() -> str:
+    """Every Unicode scalar value (all code points but the surrogates), in order."""
+    return "".join(map(chr, chain(range(0xD800), range(0xE000, 0x110000))))
+
+
+# Text mixing the scripts and symbols the text stages decide on: Latin,
+# Latin-1 and Extended-A letters, the Indic blocks and their neighbours,
+# digits, dingbats (with the dingbat digits), emoji, ZWJ and variation
+# selectors, punctuation and whitespace, plus any other character.
+mixed_script_text = st.text(alphabet=st.one_of(
+    st.sampled_from("aZé@#!.,_- \t\n0123456789\u200d\ufe0f\u2776\u2700\U0001F642"),
+    st.characters(min_codepoint=0x0041, max_codepoint=0x024F),
+    st.characters(min_codepoint=0x08F0, max_codepoint=0x0D8F),
+    st.characters(min_codepoint=0x2700, max_codepoint=0x27BF),
+    st.characters(min_codepoint=0x1F300, max_codepoint=0x1F9FF),
+    st.characters(),
+), max_size=60)
 
 
 @pytest.fixture(scope="session")

@@ -44,6 +44,21 @@ class TestTrainProfileAndDetect:
         assert capsys.readouterr().out.splitlines()[-1] == "en"
 
 
+class TestParser:
+    # --profiles takes every argument up to the next option, so the list
+    # ends with -- when the positionals follow it.
+    def test_run_profiles_end_at_double_dash(self):
+        args = cli.build_parser().parse_args([
+            "run", "--lang", "ta", "--out", "o", "--profiles", "a", "b", "--",
+            "train.tsv", "test.tsv"])
+        assert (args.profiles, args.train, args.test) == (["a", "b"], "train.tsv", "test.tsv")
+
+    def test_detect_lang_profiles_end_at_double_dash(self):
+        args = cli.build_parser().parse_args(
+            ["detect-lang", "--profiles", "a", "b", "--", "comments.txt"])
+        assert (args.profiles, args.path) == (["a", "b"], "comments.txt")
+
+
 class TestTransliterate:
     def test_tamil(self, tmp_path, capsys):
         src = tmp_path / "in.txt"

@@ -125,6 +125,14 @@ class TestCsrMatrix:
         assert np.asarray(X)[1, 1] == 0.0
         assert np.asarray(X[[]]).shape == (0, 3)
 
+    def test_row_index_built_only_for_products(self):
+        X = features.CsrMatrix([1.0, 2.0, 3.0], [0, 2, 1], [0, 1, 1, 3], 3)
+        taken = X[[2, 0, 2]]
+        assert "_row_of" not in vars(X) and "_row_of" not in vars(taken)
+        product = taken @ np.eye(3)
+        assert "_row_of" in vars(taken) and "_row_of" not in vars(X)
+        np.testing.assert_array_equal(product, np.asarray(X)[[2, 0, 2]])
+
 
 class TestEmbeddings:
     def _write(self, tmp_path, lines):

@@ -1,11 +1,15 @@
 import math
+from collections import Counter
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hopedetect import langid
+from hopedetect import langid, textprep
 from hopedetect.corpus import DatasetLang
 from hopedetect.errors import EmptyCorpus, EmptyText, NoProfiles
-from conftest import synthetic_sentences
+from conftest import all_scalar_values, mixed_script_text, synthetic_sentences
 
 
 class TestTrainProfile:
@@ -38,6 +42,29 @@ class TestTrainProfile:
             langid.train_profile([], "en")
 
 
+def _oracle_detect(text: str, profiles, script_threshold: float = 0.5) -> str:
+    """detect's scoring as it was before the gram lists were shared: the
+    oracle for them."""
+    lang = langid.script_language(text, script_threshold)
+    if lang is not None:
+        return lang
+    scores: dict[str, float] = {}
+    for profile in profiles:
+        grams = [text[i : i + profile.n] for i in range(len(text) - profile.n + 1)] or [text]
+        total = sum(profile.logprob.get(g, profile.unseen_logprob) for g in grams)
+        scores[profile.lang] = total / len(grams)
+    best_score = max(scores.values())
+    return min(lang for lang, s in scores.items() if s == best_score)
+
+
+@pytest.fixture(scope="module")
+def mixed_order_profiles():
+    # All trained on English text, so that every profile scores Latin text
+    # closely and the winner depends on each profile's own n.
+    return [langid.train_profile(synthetic_sentences("en", 30, seed=seed), lang, n=n)
+            for seed, (lang, n) in enumerate((("en", 1), ("hi", 2), ("ta", 3), ("ml", 2)))]
+
+
 class TestDetect:
     def test_script_shortcut_tamil(self, trained_profiles):
         assert langid.detect("வணக்கம் நண்பா", trained_profiles) == "ta"
@@ -50,6 +77,14 @@ class TestDetect:
             "this is clearly an english sentence about hope", trained_profiles
         )
         assert result == "en"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz க", min_size=1, max_size=30))
+    def test_mixed_orders_match_oracle(self, mixed_order_profiles, text):
+        # Profiles of different n each score their own n-grams, whichever
+        # profile comes first; each ordered pair shows one comparison.
+        for profiles in [mixed_order_profiles, *permutations(mixed_order_profiles, 2)]:
+            assert langid.detect(text, profiles) == _oracle_detect(text, profiles)
 
     def test_scale_free(self, trained_profiles):
         text = "some words that could be anywhere"
@@ -69,6 +104,40 @@ class TestDetect:
         # One Tamil letter among many Latin ones: shortcut must not fire.
         result = langid.detect("க this is mostly english text here", trained_profiles)
         assert result == "en"
+
+
+def _oracle_script_fraction(text: str) -> dict[str, float]:
+    """script_fraction as one pass over the characters, as it was before the
+    translate table: the oracle for the table."""
+    letters = [c for c in text if c.isalpha()]
+    counts = Counter(map(textprep.indic_script, letters))
+    # No letters: every count is 0, and so is every fraction.
+    return {s.name: counts[s] / max(len(letters), 1) for s in textprep.INDIC_SCRIPTS}
+
+
+class TestScriptFraction:
+    def test_every_code_point_matches_oracle(self):
+        # Eight code points at a time, next to a Tamil and a Latin letter, so
+        # that a non-letter, a non-Indic letter and each script's letters
+        # all shift the fractions differently.
+        text = all_scalar_values()
+        try:
+            for i in range(0, len(text), 8):
+                chunk = text[i : i + 8] + "கa"
+                assert langid.script_fraction(chunk) == _oracle_script_fraction(chunk)
+        finally:
+            # Filled with every code point the table is large; start empty again.
+            langid._SCRIPT_TAGS.clear()
+
+    @pytest.mark.parametrize("text", ["", "123 !", "\u2776\u200d\ufe0f", "abc",
+                                      "கக a", "नमस्ते", "മലയാളം தமிழ் hindi"])
+    def test_explicit(self, text):
+        assert langid.script_fraction(text) == _oracle_script_fraction(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_script_text)
+    def test_mixed_script_matches_oracle(self, text):
+        assert langid.script_fraction(text) == _oracle_script_fraction(text)
 
 
 class TestAssignLanguageClass:

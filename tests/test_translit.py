@@ -121,6 +121,77 @@ def test_greedy_replay():
             i += matched
 
 
+def _oracle_transliterate(text: str, table) -> str:
+    """transliterate as the greedy loop it was before the compiled pattern:
+    the oracle for the pattern."""
+    out: list[str] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        if script_of(text[i]) != "Latin":
+            out.append(text[i])
+            i += 1
+            continue
+        matched = False
+        for length in range(min(table.max_key_len, n - i), 0, -1):
+            candidate = text[i : i + length]
+            if candidate in table.entries:
+                out.append(table.entries[candidate])
+                i += length
+                matched = True
+                break
+        if not matched:
+            out.append(text[i])
+            i += 1
+    return "".join(out)
+
+
+# Key characters: Latin letters, regex metacharacters, a Tamil letter, a
+# digit, a space and Latin-1/Extended-A letters (U+00C0-U+024F). A small
+# alphabet gives keys that share prefixes.
+_KEY_CHARS = st.one_of(st.sampled_from("abk.|\\()*+?[]{}^$ க7"),
+                       st.characters(min_codepoint=0x00C0, max_codepoint=0x024F))
+_TEXT = st.text(alphabet=st.one_of(_KEY_CHARS, st.sampled_from("cz\u0bbeമ\n")),
+                max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(alphabet=_KEY_CHARS, min_size=1, max_size=4),
+                       st.text(alphabet="xyகம\\|", max_size=3),
+                       min_size=1, max_size=12),
+       _TEXT)
+def test_custom_tables_match_oracle(entries, text):
+    table = make_scheme_table("ta", entries)
+    assert transliterate(text, table) == _oracle_transliterate(text, table)
+
+
+@pytest.mark.parametrize("lang", ["ta", "ml"])
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ .", max_size=60),
+    st.text(max_size=40),
+))
+def test_bundled_tables_match_oracle(lang, text):
+    table = bundled_scheme_table(lang)
+    assert transliterate(text, table) == _oracle_transliterate(text, table)
+
+
+@pytest.mark.parametrize("entries,text", [
+    # Keys starting with a Tamil letter, a digit or a space are never tried.
+    ({"கa": "X", "a": "Y", "7a": "Z", " a": "W"}, "கa 7a a"),
+    ({"கa": "X"}, "கa"),
+    # Overlapping prefixes: the longest key at each position wins.
+    ({"a": "1", "ab": "2", "abc": "3", "bc": "4"}, "abcabxbcab"),
+    # Regex metacharacters are literal.
+    ({"a.": "1", "a|b": "2", "(a)": "3", "\\": "4", "a*": "5", "a+?": "6"},
+     "axa.a|b(a)\\a*a+?aa"),
+    ({"À": "1", "Àɏ": "2", "ɏa": "3"}, "ÀɏaÀɏÀ"),
+])
+def test_explicit_tables_match_oracle(entries, text):
+    table = make_scheme_table("ta", entries)
+    assert transliterate(text, table) == _oracle_transliterate(text, table)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=50))
 def test_idempotence_property(s):
