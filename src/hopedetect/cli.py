@@ -12,17 +12,16 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import corpus, features, langid, learn, metrics, pipeline, textprep, translit
-from .corpus import Label
+from . import corpus, langid, learn, metrics, pipeline, textprep, translit
 from .errors import ConfigError, HopedetectError
 
 EXIT_INPUT_ERROR = 2
 EXIT_CONFIG_ERROR = 3
 
 
-# Defaults for the `run` subcommand; its argparse defaults are None so a
-# config file can fill in anything the user did not pass explicitly.
-_RUN_DEFAULTS = {
+# Defaults of the `train` and `run` options; their argparse defaults are
+# None so a config file can fill in anything the user did not pass.
+_PIPELINE_DEFAULTS = {
     "script_threshold": 0.5, "seed": 0, "k": 1, "fraction_train": 0.9,
     "tie_break": "MajorityClassPrior", "classifier": "logreg",
     "lr": 0.1, "epochs": 500, "l2": 1e-4, "svm_c": 1.0,
@@ -32,8 +31,8 @@ _RUN_DEFAULTS = {
 
 
 def _apply_config_file(args):
-    """Fill unset (None) run options from key=value lines; flags win."""
-    if getattr(args, "config", None):
+    """Fill unset (None) options from key=value lines; flags win."""
+    if args.config:
         for line_no, line in enumerate(
             Path(args.config).read_text(encoding="utf-8").splitlines(), start=1
         ):
@@ -44,10 +43,10 @@ def _apply_config_file(args):
                 raise ConfigError(f"{args.config}:{line_no}: expected key=value")
             key, value = line.split("=", 1)
             key = key.strip().replace("-", "_")
-            if key not in _RUN_DEFAULTS:
+            if key not in _PIPELINE_DEFAULTS:
                 raise ConfigError(f"{args.config}:{line_no}: unknown key {key!r}")
             if getattr(args, key) is None:
-                default = _RUN_DEFAULTS[key]
+                default = _PIPELINE_DEFAULTS[key]
                 if isinstance(default, bool):
                     value = value.strip().lower() in ("1", "true", "yes")
                 elif isinstance(default, int):
@@ -57,25 +56,29 @@ def _apply_config_file(args):
                 else:
                     value = value.strip()
                 setattr(args, key, value)
-    for key, default in _RUN_DEFAULTS.items():
-        if getattr(args, key, None) is None:
+    for key, default in _PIPELINE_DEFAULTS.items():
+        if getattr(args, key) is None:
             setattr(args, key, default)
 
 
 def _classifier_params(args) -> dict:
-    """Keyword arguments of the trainer ``learn._TRAINERS[args.classifier]``."""
+    """Keyword arguments of the trainer of ``args.classifier``; none for an
+    unknown classifier, which ``PipelineConfig.validate`` rejects."""
     return {
         "logreg": {"lr": args.lr, "epochs": args.epochs, "l2": args.l2},
         "linear_svm": {"lr": args.lr, "epochs": args.epochs, "C": args.svm_c},
         "random_forest": {"n_trees": args.n_trees, "max_depth": args.max_depth},
-    }[args.classifier]
+    }.get(args.classifier, {})
 
 
-def _build_pipeline_config(args) -> pipeline.PipelineConfig:
+def _pipeline_config(args) -> pipeline.PipelineConfig:
+    """The settings of `train` and `run`: flags, then the config file, then
+    the defaults."""
+    _apply_config_file(args)
     mode = "embeddings" if args.train_embeddings or args.test_embeddings else "tfidf"
     return pipeline.PipelineConfig(
         dataset_lang=pipeline.dataset_lang_from_code(args.lang),
-        profile_paths=args.profiles or [],
+        profile_paths=args.profiles,
         script_threshold=args.script_threshold,
         scheme_path=args.scheme,
         feature_mode=mode,
@@ -92,25 +95,35 @@ def _build_pipeline_config(args) -> pipeline.PipelineConfig:
     )
 
 
-def _add_common_model_flags(p, defer_defaults=False):
-    d = (lambda k: None) if defer_defaults else _RUN_DEFAULTS.get
-    p.add_argument("--classifier", default=d("classifier"),
-                   choices=["logreg", "linear_svm", "random_forest"])
-    p.add_argument("--lr", type=float, default=d("lr"))
-    p.add_argument("--epochs", type=int, default=d("epochs"))
-    p.add_argument("--l2", type=float, default=d("l2"))
-    p.add_argument("--svm-c", type=float, default=d("svm_c"))
-    p.add_argument("--n-trees", type=int, default=d("n_trees"))
-    p.add_argument("--max-depth", type=int, default=d("max_depth"))
-    p.add_argument("--min-df", type=int, default=d("min_df"))
-    p.add_argument("--train-embeddings")
-    p.add_argument("--test-embeddings")
-    p.add_argument("--embedding-dim", type=int, default=d("embedding_dim"))
-
-
 # The list takes every argument up to the next option, positionals included.
 _PROFILES_HELP = ("language profile files; end the list with -- or put it "
                   "after the positional arguments")
+
+
+def _add_pipeline_flags(p):
+    """The options of `train` and `run`, which both fit the pipeline."""
+    p.add_argument("--lang", required=True, choices=["en", "ta", "ml"])
+    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--profiles", nargs="*", default=[], help=_PROFILES_HELP)
+    p.add_argument("--script-threshold", type=float)
+    p.add_argument("--scheme")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--fraction-train", type=float)
+    p.add_argument("--tie-break",
+                   choices=["MajorityClassPrior", "ClassOrder"])
+    p.add_argument("--classifier",
+                   choices=["logreg", "linear_svm", "random_forest"])
+    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--l2", type=float)
+    p.add_argument("--svm-c", type=float)
+    p.add_argument("--n-trees", type=int)
+    p.add_argument("--max-depth", type=int)
+    p.add_argument("--min-df", type=int)
+    p.add_argument("--train-embeddings")
+    p.add_argument("--test-embeddings")
+    p.add_argument("--embedding-dim", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,19 +153,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", help="custom scheme TSV (default: bundled)")
     p.add_argument("path")
 
-    p = sub.add_parser("train", help="train one classifier on a labeled TSV")
-    p.add_argument("--lang", required=True, choices=["en", "ta", "ml"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    _add_common_model_flags(p)
+    p = sub.add_parser("train", help="fit the pipeline and save it as a bundle")
+    _add_pipeline_flags(p)
+    p.add_argument("--out", required=True, help="bundle directory")
     p.add_argument("path")
 
-    p = sub.add_parser("predict", help="predict with a saved model")
+    p = sub.add_parser("predict", help="label a TSV with a saved bundle")
     p.add_argument("--lang", required=True, choices=["en", "ta", "ml"])
-    p.add_argument("--model", required=True)
-    p.add_argument("--min-df", type=int, default=1)
-    p.add_argument("--train-path", required=True,
-                   help="TSV the model was trained on (rebuilds the vocabulary)")
+    p.add_argument("--model", required=True, help="bundle directory from train")
     p.add_argument("--out", required=True)
     p.add_argument("path")
 
@@ -170,17 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("predictions")
 
     p = sub.add_parser("run", help="full pipeline: train, predict, evaluate")
-    p.add_argument("--lang", required=True, choices=["en", "ta", "ml"])
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--profiles", nargs="*", default=[], help=_PROFILES_HELP)
-    p.add_argument("--script-threshold", type=float)
-    p.add_argument("--scheme")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--fraction-train", type=float)
-    p.add_argument("--tie-break",
-                   choices=["MajorityClassPrior", "ClassOrder"])
-    _add_common_model_flags(p, defer_defaults=True)
+    _add_pipeline_flags(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("train")
     p.add_argument("test")
@@ -228,43 +226,24 @@ def _cmd_transliterate(args):
 
 
 def _cmd_train(args):
-    lang = pipeline.dataset_lang_from_code(args.lang)
-    rows = corpus.load_tsv(args.path, lang)
-    cfg = pipeline.PipelineConfig(dataset_lang=lang, min_df=args.min_df)
-    proc = pipeline.preprocess_rows(rows, cfg, [], pipeline._scheme_table(cfg))
-    binary = [i for i, r in enumerate(rows) if r.label in (Label.HOPE, Label.NOT_HOPE)]
-    if args.train_embeddings:
-        X = features.load_embeddings(
-            args.train_embeddings, args.embedding_dim, n_rows=len(rows)
-        )[binary]
-    else:
-        texts = [proc[i].text for i in binary]
-        X = features.tfidf_vectorize(texts, features.build_vocab(texts, args.min_df))
-    y = [rows[i].label.value for i in binary]
-    trainer = learn._TRAINERS[args.classifier]
-    model = trainer(X, y, seed=args.seed, **_classifier_params(args))
-    learn.save_model(model, args.out)
-    print(f"wrote {args.out} ({model.kind}, dim {model.dim})")
+    cfg = _pipeline_config(args)
+    rows = pipeline.load_rows("load-train", args.path, cfg.dataset_lang, labeled=True)
+    fitted = pipeline.fit(cfg, rows)
+    pipeline.save_bundle(fitted, args.path, args.out)
+    print(f"wrote {args.out} ({cfg.k} {cfg.classifier} members, "
+          f"dim {fitted.models[0].dim})")
 
 
 def _cmd_predict(args):
-    model = learn.load_model(args.model)
+    fitted = pipeline.load_bundle(args.model)
     lang = pipeline.dataset_lang_from_code(args.lang)
-    cfg = pipeline.PipelineConfig(dataset_lang=lang, min_df=args.min_df)
-    table = pipeline._scheme_table(cfg)
-    train_rows = corpus.load_tsv(args.train_path, lang)
-    train_proc = pipeline.preprocess_rows(train_rows, cfg, [], table)
-    binary_texts = [p.text for p, r in zip(train_proc, train_rows)
-                    if r.label in (Label.HOPE, Label.NOT_HOPE)]
-    vocab = features.build_vocab(binary_texts, args.min_df)
-    rows = corpus.load_tsv(args.path, lang, labeled=None)
-    proc = pipeline.preprocess_rows(rows, cfg, [], table)
-    X = features.tfidf_vectorize([p.text for p in proc], vocab)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for i in range(len(proc)):
-            label = Label(learn.predict(model, X[i])[0])
-            fh.write(pipeline._OUT_ALIAS[label] + "\n")
-    print(f"wrote {args.out} ({len(proc)} predictions)")
+    if lang is not fitted.cfg.dataset_lang:
+        raise ConfigError(f"{args.model} was fitted on {fitted.cfg.dataset_lang.value} "
+                          f"data, not {lang.value}")
+    rows = pipeline.load_rows("load-test", args.path, lang, labeled=None)
+    predictions = pipeline.apply(fitted, rows)
+    pipeline.write_predictions(predictions, args.out)
+    print(f"wrote {args.out} ({len(predictions)} predictions)")
 
 
 def _cmd_ensemble_vote(args):
@@ -294,8 +273,7 @@ def _cmd_evaluate(args):
 
 
 def _cmd_run(args):
-    _apply_config_file(args)
-    cfg = _build_pipeline_config(args)
+    cfg = _pipeline_config(args)
     pipeline.run_pipeline(cfg, args.train, args.test, args.out)
     print(f"wrote predictions and manifest under {args.out}")
 

@@ -68,10 +68,6 @@ class RowCountMismatch(HopedetectError):
     pass
 
 
-class DimMismatch(HopedetectError):
-    pass
-
-
 class SingleClass(HopedetectError):
     pass
 

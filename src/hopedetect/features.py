@@ -23,6 +23,7 @@ from .errors import (
 
 DEFAULT_EMBEDDING_DIM = 768
 DEFAULT_TOKEN_LIMIT = 512
+VOCAB_VERSION = "vocab-v1"
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,29 @@ def build_vocab(docs, min_df: int = 1) -> Vocabulary:
         num_docs=len(docs),
         min_df=min_df,
     )
+
+
+def save_vocab(vocab: Vocabulary, path) -> None:
+    """Versioned header, then one ``term<TAB>document frequency`` line per
+    term in index order (terms hold no whitespace)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {VOCAB_VERSION}\tnum_docs={vocab.num_docs}\tmin_df={vocab.min_df}\n")
+        for term, i in vocab.index.items():
+            fh.write(f"{term}\t{vocab.doc_freq[i]}\n")
+
+
+def load_vocab(path) -> Vocabulary:
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        if not header.startswith(f"# {VOCAB_VERSION}\t"):
+            raise ValueError(f"unrecognized vocabulary header in {path}")
+        meta = dict(part.split("=", 1) for part in header.split("\t")[1:])
+        index, doc_freq = {}, {}
+        for i, line in enumerate(fh):
+            term, df = line.rstrip("\n").split("\t")
+            index[term], doc_freq[i] = i, int(df)
+    return Vocabulary(index=index, doc_freq=doc_freq,
+                      num_docs=int(meta["num_docs"]), min_df=int(meta["min_df"]))
 
 
 def tfidf_vectorize(docs, vocab: Vocabulary) -> CsrMatrix:

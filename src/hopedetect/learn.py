@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import Label, parse_label, split_positions
 from .errors import (
-    DimMismatch,
+    DimensionMismatch,
     EmptyPredictions,
     RowCountMismatch,
     SingleClass,
@@ -68,9 +68,8 @@ class TrainedModel:
 class EnsembleConfig:
     k: int
     base_seed: int
-    member_kind: str  # trainer kind or "external_predictions"
+    member_kind: str  # a key of _TRAINERS
     fraction_train: float = 0.9
-    tie_break: str = "MajorityClassPrior"
 
     def __post_init__(self):
         if self.k < 1:
@@ -90,7 +89,7 @@ def _encode_labels(y, classes=None):
 
 def _check_training_input(X: np.ndarray, y_idx: np.ndarray, n_classes: int):
     if X.shape[0] != len(y_idx) or X.shape[0] < 2:
-        raise DimMismatch(
+        raise DimensionMismatch(
             f"{X.shape[0]} vectors vs {len(y_idx)} labels (need >= 2 rows)"
         )
     if n_classes < 2:
@@ -189,15 +188,20 @@ def _transpose(X) -> CsrMatrix:
     if isinstance(X, CsrMatrix):
         n_rows, dim = X.shape
         order = np.argsort(X.indices, kind="stable")
-        cols = X.indices[order]
         rows = X._row_of[order]
         vals = X.data[order]
+        indptr = np.searchsorted(X.indices[order], np.arange(dim + 1))
     else:
-        A = np.asarray(X, dtype=float)
-        n_rows, dim = A.shape
-        cols, rows = np.nonzero(A.T)
-        vals = A[rows, cols]
-    return CsrMatrix(vals, rows, np.searchsorted(cols, np.arange(dim + 1)), n_rows)
+        # Boolean indexing walks A.T in C order, column of A after column,
+        # and gives its result a buffer of its own; np.nonzero's row and
+        # column arrays would both be views of one (nnz, 2) array.
+        AT = np.asarray(X, dtype=float).T
+        n_rows = AT.shape[1]
+        stored = AT != 0
+        rows = np.broadcast_to(np.arange(n_rows), AT.shape)[stored]
+        vals = AT[stored]
+        indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
+    return CsrMatrix(vals, rows, indptr, n_rows)
 
 
 def _gini(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -304,7 +308,7 @@ def train_random_forest(X, y, n_trees: int = 100, max_depth: int = 16,
     y_idx, class_names = _encode_labels(y, classes)
     dim, n = XT.shape
     if n != len(y_idx) or n < 1:
-        raise DimMismatch(f"{n} vectors vs {len(y_idx)} labels")
+        raise DimensionMismatch(f"{n} vectors vs {len(y_idx)} labels")
     if feature_frac is None:
         n_feats = max(1, int(np.ceil(np.sqrt(dim))))
         feature_frac = n_feats / dim
@@ -335,7 +339,7 @@ def predict(model: TrainedModel, x) -> tuple[str, dict[str, float]]:
     """Argmax over class scores; ties fall to the first class in model order."""
     vec = np.asarray(x, dtype=float)
     if vec.shape[0] != model.dim:
-        raise DimMismatch(f"vector dim {vec.shape[0]} != model dim {model.dim}")
+        raise DimensionMismatch(f"vector dim {vec.shape[0]} != model dim {model.dim}")
     if model.kind == "logreg":
         z = model.weights @ vec + model.bias
         z -= z.max()

@@ -4,13 +4,18 @@ transliteration -> classification, plus prediction/manifest/report output.
 The three-class prediction is realized as a language-ID gate in front of a
 binary hope classifier: comments gated as not-in-intended-language never
 reach the feature or classifier stages.
+
+``fit`` learns everything from the train rows and ``apply`` labels test rows
+with it. ``run_pipeline`` is the two in one process; ``save_bundle`` and
+``load_bundle`` keep a fitted pipeline in a directory between ``train`` and
+``predict``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from importlib import resources
+import shutil
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__, corpus, features, langid, learn, metrics, textprep, translit
@@ -56,13 +61,14 @@ class PipelineConfig:
     tie_break: str = "MajorityClassPrior"
     include_zero_support: bool = True
 
-    def validate(self):
+    def validate(self, test_input: bool = True):
+        """``test_input=False`` checks only what ``fit`` reads."""
         if self.feature_mode not in ("tfidf", "embeddings"):
             raise ConfigError(f"unknown feature mode {self.feature_mode!r}")
-        if self.feature_mode == "embeddings" and not (
-            self.train_embeddings and self.test_embeddings
-        ):
-            raise ConfigError("embeddings mode requires train and test embedding paths")
+        if self.feature_mode == "embeddings" and not self.train_embeddings:
+            raise ConfigError("embeddings mode requires a train embedding path")
+        if self.feature_mode == "embeddings" and test_input and not self.test_embeddings:
+            raise ConfigError("embeddings mode requires a test embedding path")
         if self.classifier not in learn._TRAINERS:
             raise ConfigError(f"unknown classifier {self.classifier!r}")
         if not 0 < self.script_threshold <= 1:
@@ -97,15 +103,14 @@ def _scheme_table(cfg: PipelineConfig):
     return translit.bundled_scheme_table(code)
 
 
-def _scheme_sha256(cfg: PipelineConfig) -> str | None:
-    """sha256 of the file ``_scheme_table`` reads, or None when it reads none."""
+def _scheme_bytes(cfg: PipelineConfig) -> bytes | None:
+    """The file ``_scheme_table`` reads, or None when it reads none."""
     code = _SCHEME_CODES.get(cfg.dataset_lang)
     if code is None:
         return None
     if cfg.scheme_path:
-        return sha256_file(cfg.scheme_path)
-    with resources.as_file(translit.bundled_scheme_file(code)) as path:
-        return sha256_file(path)
+        return Path(cfg.scheme_path).read_bytes()
+    return translit.bundled_scheme_file(code).read_bytes()
 
 
 @dataclass
@@ -131,51 +136,54 @@ def preprocess_rows(rows, cfg: PipelineConfig, profiles, table) -> list[Processe
     return out
 
 
-def run_pipeline(cfg: PipelineConfig, train_path, test_path, out_dir):
-    """Train the ensemble on the train file, predict the test file.
+@dataclass
+class FittedPipeline:
+    """What ``apply`` needs from training: the settings, the gate's profiles
+    and scheme table, the vocabulary (None in embeddings mode), and the
+    ensemble members with their records."""
 
-    Writes predictions.txt, manifest.txt and (when the test file carries
-    gold labels) report.txt under out_dir. Returns (predictions, report).
-    """
-    cfg.validate()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg: PipelineConfig
+    profiles: list
+    table: translit.SchemeTable | None
+    vocab: features.Vocabulary | None
+    models: list[learn.TrainedModel]
+    records: list[dict]
 
+
+def load_rows(stage: str, path, lang: DatasetLang, labeled: bool | None):
+    """``corpus.load_tsv``, with input errors wrapped as a StageError."""
     try:
-        train_rows = corpus.load_tsv(train_path, cfg.dataset_lang, labeled=True)
-    except Exception as e:
-        raise StageError("load-train", e) from e
-    try:
-        test_rows = corpus.load_tsv(test_path, cfg.dataset_lang, labeled=None)
+        return corpus.load_tsv(path, lang, labeled=labeled)
     except (HopedetectError, OSError) as e:
-        raise StageError("load-test", e) from e
-    test_labeled = test_rows[0].label is not None
+        raise StageError(stage, e) from e
 
+
+def fit(cfg: PipelineConfig, train_rows) -> FittedPipeline:
+    """Preprocess the train rows, build their features and train the ensemble
+    on the gold Hope/NotHope rows. Each member's record gets its validation
+    weighted F1."""
+    cfg.validate(test_input=False)
     profiles = _load_profiles(cfg)
     table = _scheme_table(cfg)
     train_proc = preprocess_rows(train_rows, cfg, profiles, table)
-    test_proc = preprocess_rows(test_rows, cfg, profiles, table)
 
     # Binary classifier training set: positions of the gold Hope/NotHope rows.
     binary = [i for i, r in enumerate(train_rows)
               if r.label in (Label.HOPE, Label.NOT_HOPE)]
+    vocab = None
     if cfg.feature_mode == "tfidf":
         texts = [train_proc[i].text for i in binary]
         vocab = features.build_vocab(texts, cfg.min_df)
         X = features.tfidf_vectorize(texts, vocab)
-        test_X = features.tfidf_vectorize([p.text for p in test_proc], vocab)
     else:
         X = features.load_embeddings(
             cfg.train_embeddings, cfg.embedding_dim, n_rows=len(train_rows)
         )[binary]
-        test_X = features.load_embeddings(
-            cfg.test_embeddings, cfg.embedding_dim, n_rows=len(test_rows)
-        )
     y = [train_rows[i].label.value for i in binary]
 
     ens_cfg = learn.EnsembleConfig(
         k=cfg.k, base_seed=cfg.base_seed, member_kind=cfg.classifier,
-        fraction_train=cfg.fraction_train, tie_break=cfg.tie_break,
+        fraction_train=cfg.fraction_train,
     )
     models, records = learn.train_ensemble(X, y, ens_cfg, **cfg.classifier_params)
 
@@ -186,24 +194,55 @@ def run_pipeline(cfg: PipelineConfig, train_path, test_path, out_dir):
         pred = [learn.predict(model, X[i])[0] for i in rows]
         cm = metrics.confusion(gold, pred, model.classes)
         rec["validation_weighted_f1"] = metrics.aggregate(cm).weighted.f1
+    return FittedPipeline(cfg, profiles, table, vocab, models, records)
 
+
+def apply(fitted: FittedPipeline, test_rows) -> list[tuple[Label, str]]:
+    """(label, output alias) of each test row: the gate's NotLanguage, or the
+    ensemble's vote on the row's features."""
+    cfg = fitted.cfg
+    test_proc = preprocess_rows(test_rows, cfg, fitted.profiles, fitted.table)
+    if cfg.feature_mode == "tfidf":
+        X = features.tfidf_vectorize([p.text for p in test_proc], fitted.vocab)
+    else:
+        X = features.load_embeddings(
+            cfg.test_embeddings, cfg.embedding_dim, n_rows=len(test_rows)
+        )
     not_lang_alias = _NOT_LANG_ALIAS[cfg.dataset_lang]
     predictions: list[tuple[Label, str]] = []
     for i, p in enumerate(test_proc):
         if p.gate == "NotLanguage":
             predictions.append((Label.NOT_LANGUAGE, not_lang_alias))
             continue
-        voted = learn.ensemble_predict(models, test_X[i], cfg.tie_break)
-        label = Label(voted)
+        label = Label(learn.ensemble_predict(fitted.models, X[i], cfg.tie_break))
         predictions.append((label, _OUT_ALIAS[label]))
+    return predictions
 
-    pred_path = out_dir / "predictions.txt"
-    pred_path.write_text(
+
+def write_predictions(predictions, path) -> None:
+    Path(path).write_text(
         "".join(alias + "\n" for _, alias in predictions), encoding="utf-8"
     )
 
+
+def run_pipeline(cfg: PipelineConfig, train_path, test_path, out_dir):
+    """Train the ensemble on the train file, predict the test file.
+
+    Writes predictions.txt, manifest.txt and (when the test file carries
+    gold labels) report.txt under out_dir. Returns (predictions, report).
+    """
+    cfg.validate()
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    train_rows = load_rows("load-train", train_path, cfg.dataset_lang, labeled=True)
+    test_rows = load_rows("load-test", test_path, cfg.dataset_lang, labeled=None)
+
+    fitted = fit(cfg, train_rows)
+    predictions = apply(fitted, test_rows)
+    write_predictions(predictions, out_dir / "predictions.txt")
+
     report = None
-    if test_labeled:
+    if test_rows[0].label is not None:
         gold = [r.label.value for r in test_rows]
         pred = [label.value for label, _ in predictions]
         classes = [c.value for c in learn.CLASS_ORDER]
@@ -216,9 +255,94 @@ def run_pipeline(cfg: PipelineConfig, train_path, test_path, out_dir):
             metrics.render_report(report, "tsv"), encoding="utf-8"
         )
 
-    manifest = _render_manifest(cfg, train_path, test_path, models, records)
+    manifest = _render_manifest(cfg, train_path, test_path, fitted.models,
+                                fitted.records)
     (out_dir / "manifest.txt").write_text(manifest, encoding="utf-8")
     return predictions, report
+
+
+def _bundle_copies(bundle: Path, n_profiles: int, with_scheme: bool):
+    """Paths of a bundle's copies of the profile files and scheme table."""
+    return ([str(bundle / f"profile-{i}.profile") for i in range(n_profiles)],
+            str(bundle / "scheme.tsv") if with_scheme else None)
+
+
+def save_bundle(fitted: FittedPipeline, train_path, bundle_dir) -> None:
+    """Write ``fitted`` to a directory that ``load_bundle`` reads back.
+
+    It holds copies of the profile and scheme files, vocab.tsv, one model
+    file per member, and manifest.txt: the run manifest without the test
+    input, whose sha256 lines pin the copies.
+    """
+    out = Path(bundle_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    scheme = _scheme_bytes(fitted.cfg)
+    profile_paths, scheme_path = _bundle_copies(
+        out, len(fitted.cfg.profile_paths), scheme is not None)
+    for src, dst in zip(fitted.cfg.profile_paths, profile_paths):
+        shutil.copyfile(src, dst)
+    if scheme is not None:
+        Path(scheme_path).write_bytes(scheme)
+    if fitted.vocab is not None:
+        features.save_vocab(fitted.vocab, out / "vocab.tsv")
+    for i, model in enumerate(fitted.models):
+        learn.save_model(model, out / f"member-{i}.model")
+    cfg = replace(fitted.cfg, profile_paths=profile_paths, scheme_path=scheme_path)
+    manifest = _render_manifest(cfg, train_path, None, fitted.models, fitted.records)
+    (out / "manifest.txt").write_text(manifest, encoding="utf-8")
+
+
+def load_bundle(bundle_dir) -> FittedPipeline:
+    """Read a directory written by ``save_bundle``. The copied profile and
+    scheme files must match the sha256 its manifest pins. Only TF-IDF
+    bundles load: nothing here computes embeddings of new comments."""
+    bundle = Path(bundle_dir)
+    lines = (bundle / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != f"# {MANIFEST_VERSION}":
+        raise ConfigError(f"{bundle}: manifest.txt is not a {MANIFEST_VERSION} file")
+    pinned: dict[str, list[str]] = {}
+    for line in lines[1:]:
+        key, _, value = line.partition("=")
+        pinned.setdefault(key, []).append(value)
+    one = {key: values[0] for key, values in pinned.items()}
+    if one.get("feature_mode") == "embeddings":
+        raise ConfigError(
+            f"{bundle} was fitted on embeddings, which predict cannot compute for "
+            "new comments; use run with --train-embeddings and --test-embeddings")
+    profile_sha256 = pinned.get("profile.sha256", [])
+    profile_paths, scheme_path = _bundle_copies(
+        bundle, len(profile_sha256), "scheme.sha256" in one)
+    try:
+        norm = dict(part.split(":") for part in one["normalization"].split(","))
+        cfg = PipelineConfig(
+            dataset_lang=DatasetLang(one["dataset_lang"]),
+            normalization=textprep.NormalizationConfig(*(
+                norm[key] == "1" for key in ("specials", "emoji", "lowercase",
+                                             "whitespace"))),
+            profile_paths=profile_paths,
+            script_threshold=float(one["script_threshold"]),
+            scheme_path=scheme_path,
+            min_df=int(one["min_df"]),
+            classifier=one["classifier"],
+            k=int(one["ensemble_k"]),
+            base_seed=int(one["base_seed"]),
+            fraction_train=float(one["fraction_train"]),
+            tie_break=one["tie_break"],
+        )
+        records = [{"seed": int(seed), "validation_weighted_f1": float(f1.split("=")[1])}
+                   for seed, f1 in map(str.split, pinned["member.seed"])]
+    except (KeyError, ValueError) as e:
+        raise ConfigError(f"{bundle}: malformed manifest.txt ({e!r})") from None
+    copies = list(zip(profile_paths, profile_sha256))
+    if scheme_path is not None:
+        copies.append((scheme_path, one["scheme.sha256"]))
+    for path, digest in copies:
+        if sha256_file(path) != digest:
+            raise ConfigError(f"{path} does not match the sha256 that "
+                              f"{bundle / 'manifest.txt'} pins")
+    models = [learn.load_model(bundle / f"member-{i}.model") for i in range(cfg.k)]
+    return FittedPipeline(cfg, _load_profiles(cfg), _scheme_table(cfg),
+                          features.load_vocab(bundle / "vocab.tsv"), models, records)
 
 
 def _render_manifest(cfg, train_path, test_path, models, records) -> str:
@@ -247,14 +371,17 @@ def _render_manifest(cfg, train_path, test_path, models, records) -> str:
     add(f"base_seed={cfg.base_seed}")
     add(f"fraction_train={cfg.fraction_train!r}")
     add(f"tie_break={cfg.tie_break}")
+    # A bundle's manifest (test_path None) pins no test input.
     add(f"input.train.sha256={sha256_file(train_path)}")
-    add(f"input.test.sha256={sha256_file(test_path)}")
+    if test_path is not None:
+        add(f"input.test.sha256={sha256_file(test_path)}")
     if cfg.feature_mode == "embeddings":
         add(f"input.train_embeddings.sha256={sha256_file(cfg.train_embeddings)}")
-        add(f"input.test_embeddings.sha256={sha256_file(cfg.test_embeddings)}")
-    scheme_sha256 = _scheme_sha256(cfg)
-    if scheme_sha256 is not None:
-        add(f"scheme.sha256={scheme_sha256}")
+        if test_path is not None:
+            add(f"input.test_embeddings.sha256={sha256_file(cfg.test_embeddings)}")
+    scheme = _scheme_bytes(cfg)
+    if scheme is not None:
+        add(f"scheme.sha256={hashlib.sha256(scheme).hexdigest()}")
     for path in cfg.profile_paths:
         add(f"profile.sha256={sha256_file(path)}")
     for rec in records:

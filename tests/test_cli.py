@@ -75,7 +75,7 @@ class TestTrainPredictEvaluate:
                        "--epochs", "100", "--out", str(model_path), train) == 0
         preds = tmp_path / "preds.txt"
         assert run_cli("predict", "--lang", "en", "--model", str(model_path),
-                       "--train-path", train, "--out", str(preds), train) == 0
+                       "--out", str(preds), train) == 0
         assert run_cli("evaluate", "--lang", "en", "--format", "tsv",
                        train, str(preds)) == 0
         out = capsys.readouterr().out
@@ -92,6 +92,107 @@ class TestTrainPredictEvaluate:
         assert code == 2
         assert f"{n_vectors} vectors for 52 dataset rows" in capsys.readouterr().err
         assert not (tmp_path / "rf.model").exists()
+
+
+class TestBundle:
+    """`train` saves the fitted pipeline; `predict` on it equals `run`."""
+
+    CLASSIFIER_FLAGS = {
+        "logreg": ["--epochs", "60"],
+        "linear_svm": ["--epochs", "60", "--lr", "1", "--svm-c", "100"],
+        "random_forest": ["--n-trees", "5", "--max-depth", "6"],
+    }
+
+    def _profiles(self, tmp_path, trained_profiles):
+        paths = []
+        for p in trained_profiles:
+            path = tmp_path / f"{p.lang}.profile"
+            langid.save_profile(p, path)
+            paths.append(str(path))
+        return paths
+
+    def _run_and_predict(self, tmp_path, lang, train, test, flags, profiles=()):
+        """predictions.txt of `run`, the bundle, and `predict`'s output."""
+        flags = ["--lang", lang, *flags]
+        if profiles:
+            flags += ["--profiles", *profiles, "--"]
+        out, bundle, preds = tmp_path / "run", tmp_path / "bundle", tmp_path / "p.txt"
+        assert run_cli("run", "--out", str(out), *flags, str(train), str(test)) == 0
+        assert run_cli("train", "--out", str(bundle), *flags, str(train)) == 0
+        assert run_cli("predict", "--lang", lang, "--model", str(bundle),
+                       "--out", str(preds), str(test)) == 0
+        return out, bundle, preds.read_bytes()
+
+    @pytest.mark.parametrize("classifier", sorted(CLASSIFIER_FLAGS))
+    @pytest.mark.parametrize("lang", ["en", "ta"])
+    def test_predict_matches_run(self, tmp_path, trained_profiles, lang, classifier):
+        flags = ["--k", "3", "--seed", "2", "--classifier", classifier,
+                 *self.CLASSIFIER_FLAGS[classifier]]
+        if lang == "en":
+            train, test, profiles = (FIXTURES / "en_train.tsv",
+                                     FIXTURES / "en_test.tsv", ())
+        else:
+            train = test = FIXTURES / "ta_train.tsv"
+            profiles = self._profiles(tmp_path, trained_profiles)
+        out, bundle, predicted = self._run_and_predict(
+            tmp_path, lang, train, test, flags, profiles)
+        assert predicted == (out / "predictions.txt").read_bytes()
+        # The bundle's manifest is the run's without the test input.
+        run_manifest = (out / "manifest.txt").read_text().splitlines()
+        assert (bundle / "manifest.txt").read_text().splitlines() == \
+            [line for line in run_manifest if not line.startswith("input.test.")]
+        if lang == "ta":
+            rows = corpus.load_tsv(test, DatasetLang.TAMIL)
+            lines = predicted.decode().splitlines()
+            gold_not_tamil = [r.id for r in rows if r.label is Label.NOT_LANGUAGE]
+            assert gold_not_tamil and all(lines[i] == "not-Tamil" for i in gold_not_tamil)
+
+    def test_min_df_travels_with_the_bundle(self, tmp_path):
+        out, _, predicted = self._run_and_predict(
+            tmp_path, "en", FIXTURES / "en_train.tsv", FIXTURES / "en_test.tsv",
+            ["--min-df", "3", "--epochs", "60"])
+        assert predicted == (out / "predictions.txt").read_bytes()
+
+    def test_embeddings_bundle_is_refused(self, tmp_path, capsys):
+        emb = tmp_path / "train.emb"
+        emb.write_text("0.5 0.25\n0.25 0.5\n" * 26)
+        bundle = tmp_path / "bundle"
+        assert run_cli("train", "--lang", "en", "--train-embeddings", str(emb),
+                       "--embedding-dim", "2", "--epochs", "10", "--out", str(bundle),
+                       str(FIXTURES / "en_train.tsv")) == 0
+        code = run_cli("predict", "--lang", "en", "--model", str(bundle),
+                       "--out", str(tmp_path / "p.txt"), str(FIXTURES / "en_test.tsv"))
+        assert code == 3
+        assert "fitted on embeddings" in capsys.readouterr().err
+        assert not (tmp_path / "p.txt").exists()
+
+    def test_changed_copy_is_refused(self, tmp_path, trained_profiles, capsys):
+        bundle = tmp_path / "bundle"
+        assert run_cli("train", "--lang", "ta", "--epochs", "10", "--out", str(bundle),
+                       "--profiles", *self._profiles(tmp_path, trained_profiles), "--",
+                       str(FIXTURES / "ta_train.tsv")) == 0
+        with open(bundle / "profile-1.profile", "a", encoding="utf-8") as fh:
+            fh.write("zz\t-1.0\n")
+        code = run_cli("predict", "--lang", "ta", "--model", str(bundle),
+                       "--out", str(tmp_path / "p.txt"), str(FIXTURES / "ta_train.tsv"))
+        assert code == 3
+        assert "profile-1.profile does not match" in capsys.readouterr().err
+
+    def test_language_must_match(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        assert run_cli("train", "--lang", "en", "--epochs", "10", "--out", str(bundle),
+                       str(FIXTURES / "en_train.tsv")) == 0
+        code = run_cli("predict", "--lang", "ta", "--model", str(bundle),
+                       "--out", str(tmp_path / "p.txt"), str(FIXTURES / "ta_train.tsv"))
+        assert code == 3
+        assert "fitted on English data" in capsys.readouterr().err
+
+    def test_predict_takes_no_rebuild_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("predict", "--help")
+        help_text = capsys.readouterr().out
+        assert "--model" in help_text
+        assert "--train-path" not in help_text and "--min-df" not in help_text
 
 
 class TestEnsembleVote:
@@ -186,6 +287,16 @@ class TestRun:
             assert f"hopedetect_version={hopedetect.__version__}" in lines
             manifests.append(lines)
         assert manifests[0] != manifests[1]
+
+    def test_unknown_classifier_in_config_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("classifier=perceptron\n")
+        code = run_cli(
+            "run", "--lang", "en", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            str(FIXTURES / "en_train.tsv"), str(FIXTURES / "en_test.tsv"),
+        )
+        assert code == 3
+        assert "unknown classifier 'perceptron'" in capsys.readouterr().err
 
     def test_bad_config_exit_3(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -300,6 +411,18 @@ class TestPipelineInternals:
                 if r.label in (Label.HOPE, Label.NOT_HOPE)]
         assert (len(gold), gold.count("NotLanguage")) == (22, 0)
         assert proc[-1].gate == "NotLanguage"
+
+    def test_unexpected_train_load_error_propagates(self, tmp_path, monkeypatch):
+        # Only input errors become a [load-train] StageError (exit 2); a bug
+        # inside the loader keeps its own type and traceback.
+        def broken(*args, **kwargs):
+            raise RuntimeError("loader bug")
+
+        monkeypatch.setattr(corpus, "load_tsv", broken)
+        cfg = pipeline.PipelineConfig(dataset_lang=DatasetLang.ENGLISH)
+        with pytest.raises(RuntimeError, match="loader bug"):
+            pipeline.run_pipeline(cfg, FIXTURES / "en_train.tsv",
+                                  FIXTURES / "en_test.tsv", tmp_path / "out")
 
     def test_embeddings_mode_requires_paths(self):
         cfg = pipeline.PipelineConfig(

@@ -38,6 +38,14 @@ class TestBuildVocab:
         docs = ["hope wins always", "never give up hope", "stay strong"]
         assert features.build_vocab(docs).index == features.build_vocab(docs).index
 
+    def test_save_load_round_trip(self, tmp_path):
+        docs = ["hope wins always", "never give up hope", "stay strong", "நம்பிக்கை hope"]
+        vocab = features.build_vocab(docs, min_df=1)
+        features.save_vocab(vocab, tmp_path / "vocab.tsv")
+        loaded = features.load_vocab(tmp_path / "vocab.tsv")
+        assert loaded == vocab
+        assert list(loaded.index) == list(vocab.index)  # index order
+
 
 class TestTfidf:
     def test_all_oov_zero_vector(self):

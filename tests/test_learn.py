@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hopedetect import features, learn
 from hopedetect.corpus import Label
 from hopedetect.errors import (
-    DimMismatch,
+    DimensionMismatch,
     EmptyPredictions,
     RowCountMismatch,
     SingleClass,
@@ -188,6 +188,17 @@ def _ref_predict(tree, x):
 
 
 class TestRandomForest:
+    def test_dense_transpose_owns_contiguous_arrays(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(30, 5))
+        X[np.abs(X) < 0.7] = 0.0
+        XT = learn._transpose(X)
+        for a in (XT.data, XT.indices):
+            assert a.base is None and a.flags.c_contiguous
+        sparse = learn._transpose(csr_from_dense(X))
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(XT, name), getattr(sparse, name))
+
     def test_single_label_all_leaves(self):
         X = np.arange(12.0).reshape(6, 2)
         model = learn.train_random_forest(X, ["A"] * 6, n_trees=3, seed=0)
@@ -378,7 +389,7 @@ class TestPredict:
             kind="logreg", classes=["A", "B"], dim=3, train_seed=0,
             weights=np.zeros((2, 3)), bias=np.zeros(2),
         )
-        with pytest.raises(DimMismatch):
+        with pytest.raises(DimensionMismatch):
             learn.predict(model, np.zeros(2))
 
 
