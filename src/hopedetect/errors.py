@@ -91,3 +91,12 @@ class StageError(HopedetectError):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
         self.cause = cause
+
+
+class MalformedFile(HopedetectError):
+    """A saved model, vocabulary or language profile that cannot be read."""
+
+    def __init__(self, path, line_no, detail):
+        super().__init__(f"{path}: line {line_no}: {detail}")
+        self.path = path
+        self.line_no = line_no

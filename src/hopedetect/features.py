@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     EmptyCorpus,
     EmptyVocabulary,
+    MalformedFile,
     NonNumericValue,
     RowCountMismatch,
 )
@@ -44,8 +45,9 @@ class CsrMatrix:
 
     It supports what the linear trainers need of a feature matrix, the same
     way a dense ndarray does: ``X @ M``, ``D @ X``, ``X.shape``, ``X[i]`` (row
-    i as a dense vector) and ``X[rows]`` (the taken rows, duplicates allowed,
-    as a new matrix). ``np.asarray(X)`` is the dense matrix.
+    i as a dense vector), ``X[a:b]`` (rows a to b as a view of their stored
+    entries) and ``X[rows]`` (the taken rows, duplicates allowed, as a new
+    matrix). ``np.asarray(X)`` is the dense matrix.
     """
 
     # Makes ``ndarray @ CsrMatrix`` return NotImplemented, so Python calls
@@ -71,6 +73,14 @@ class CsrMatrix:
             row = np.zeros(self.shape[1])
             row[self.indices[lo:hi]] = self.data[lo:hi]
             return row
+        if isinstance(key, slice):
+            start, stop, step = key.indices(self.shape[0])
+            if step == 1:
+                # Contiguous rows: a view of their stored entries, no copy.
+                stop = max(start, stop)
+                lo, hi = self.indptr[start], self.indptr[stop]
+                return CsrMatrix(self.data[lo:hi], self.indices[lo:hi],
+                                 self.indptr[start:stop + 1] - lo, self.shape[1])
         rows = np.arange(self.shape[0])[key]
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
@@ -134,17 +144,28 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
+    """Read a file written by ``save_vocab``. A damaged file raises
+    MalformedFile naming the line at fault."""
+    line_no = 1
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(f"# {VOCAB_VERSION}\t"):
-            raise ValueError(f"unrecognized vocabulary header in {path}")
-        meta = dict(part.split("=", 1) for part in header.split("\t")[1:])
-        index, doc_freq = {}, {}
-        for i, line in enumerate(fh):
-            term, df = line.rstrip("\n").split("\t")
-            index[term], doc_freq[i] = i, int(df)
-    return Vocabulary(index=index, doc_freq=doc_freq,
-                      num_docs=int(meta["num_docs"]), min_df=int(meta["min_df"]))
+        try:
+            header = fh.readline().rstrip("\n")
+            if not header.startswith(f"# {VOCAB_VERSION}\t"):
+                raise ValueError(f"not a {VOCAB_VERSION} header")
+            meta = dict(part.split("=", 1) for part in header.split("\t")[1:])
+            if meta.keys() != {"num_docs", "min_df"}:
+                raise ValueError(f"bad {VOCAB_VERSION} header fields")
+            num_docs, min_df = int(meta["num_docs"]), int(meta["min_df"])
+            index, doc_freq = {}, {}
+            for line_no, line in enumerate(fh, start=2):
+                term, df = line.rstrip("\n").split("\t")
+                if not term or term in index or not min_df <= int(df) <= num_docs:
+                    raise ValueError(f"bad term line {line!r}")
+                i = len(index)
+                index[term], doc_freq[i] = i, int(df)
+        except ValueError as e:
+            raise MalformedFile(path, line_no, e) from None
+    return Vocabulary(index=index, doc_freq=doc_freq, num_docs=num_docs, min_df=min_df)
 
 
 def tfidf_vectorize(docs, vocab: Vocabulary) -> CsrMatrix:

@@ -18,7 +18,7 @@ from itertools import repeat
 
 from . import textprep
 from .corpus import DatasetLang
-from .errors import EmptyCorpus, EmptyText, NoProfiles
+from .errors import EmptyCorpus, EmptyText, MalformedFile, NoProfiles
 
 PROFILE_VERSION = "langprofile-v1"
 
@@ -145,11 +145,18 @@ def _escape(gram: str) -> str:
     )
 
 
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+
+
 def _unescape(safe: str) -> str:
+    if "\\" not in safe:
+        return safe
     out, i = [], 0
     while i < len(safe):
         if safe[i] == "\\" and i + 1 < len(safe):
-            out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}[safe[i + 1]])
+            if safe[i + 1] not in _UNESCAPES:
+                raise ValueError(f"unknown escape in {safe!r}")
+            out.append(_UNESCAPES[safe[i + 1]])
             i += 2
         else:
             out.append(safe[i])
@@ -169,21 +176,27 @@ def save_profile(profile: LanguageProfile, path) -> None:
 
 
 def load_profile(path) -> LanguageProfile:
+    """Read a file written by ``save_profile``. A damaged file raises
+    MalformedFile naming the line at fault."""
+    line_no = 1
     with open(path, encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(f"# {PROFILE_VERSION}"):
-            raise ValueError(f"unrecognized profile header in {path}")
-        meta = dict(part.split("=", 1) for part in header.split("\t")[1:])
-        logprob = {}
-        for line in fh:
-            safe, value = line.rstrip("\n").split("\t")
-            logprob[_unescape(safe)] = float(value)
-    if len(logprob) != int(meta["count"]):
-        raise ValueError(f"profile {path} truncated: {len(logprob)} != {meta['count']}")
-    return LanguageProfile(
-        lang=meta["lang"],
-        n=int(meta["n"]),
-        logprob=logprob,
-        smoothing_alpha=float(meta["alpha"]),
-        unseen_logprob=float(meta["unseen"]),
-    )
+        try:
+            header = fh.readline().rstrip("\n")
+            if not header.startswith(f"# {PROFILE_VERSION}\t"):
+                raise ValueError(f"not a {PROFILE_VERSION} header")
+            meta = dict(part.split("=", 1) for part in header.split("\t")[1:])
+            if meta.keys() != {"lang", "n", "alpha", "count", "unseen"}:
+                raise ValueError(f"bad {PROFILE_VERSION} header fields")
+            n, alpha, count = int(meta["n"]), float(meta["alpha"]), int(meta["count"])
+            unseen = float(meta["unseen"])
+            logprob = {}
+            for line_no, line in enumerate(fh, start=2):
+                safe, value = line.rstrip("\n").split("\t")
+                logprob[_unescape(safe)] = float(value)
+            line_no += 1
+            if len(logprob) != count:
+                raise ValueError(f"{len(logprob)} grams, the header says {count}")
+        except ValueError as e:
+            raise MalformedFile(path, line_no, e) from None
+    return LanguageProfile(lang=meta["lang"], n=n, logprob=logprob,
+                           smoothing_alpha=alpha, unseen_logprob=unseen)

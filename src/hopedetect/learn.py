@@ -17,6 +17,7 @@ from .corpus import Label, parse_label, split_positions
 from .errors import (
     DimensionMismatch,
     EmptyPredictions,
+    MalformedFile,
     RowCountMismatch,
     SingleClass,
 )
@@ -29,27 +30,26 @@ CLASS_ORDER = (Label.HOPE, Label.NOT_HOPE, Label.NOT_LANGUAGE)
 
 
 @dataclass
-class TreeNode:
-    feature: int = -1  # -1 marks a leaf
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    label: int = -1  # class index at leaves
-
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-
-@dataclass
 class DecisionTree:
-    root: TreeNode
-    max_depth: int
+    """One tree as parallel lists, its nodes in pre-order. Node i is a leaf
+    voting for class ``label[i]`` when ``feature[i]`` is -1. Otherwise a row
+    with ``x[feature[i]] < threshold[i]`` goes left, to node i + 1, and any
+    other row goes to node ``right[i]``."""
 
-    def predict_one(self, x: np.ndarray) -> int:
-        node = self.root
-        while not node.is_leaf():
-            node = node.left if x[node.feature] < node.threshold else node.right
-        return node.label
+    max_depth: int
+    feature: list[int] = field(default_factory=list)
+    threshold: list[float] = field(default_factory=list)
+    right: list[int] = field(default_factory=list)
+    label: list[int] = field(default_factory=list)
+
+    def add(self, feature: int = -1, threshold: float = 0.0, label: int = -1) -> int:
+        """Append a node and return its index. The caller sets an inner
+        node's ``right`` once its left subtree is in place."""
+        self.feature.append(feature)
+        self.threshold.append(threshold)
+        self.right.append(-1)
+        self.label.append(label)
+        return len(self.feature) - 1
 
 
 @dataclass
@@ -265,28 +265,27 @@ def _best_split(XT: CsrMatrix, y_idx, counts, indices, feats):
     return f, threshold, XT[f][indices] < threshold
 
 
-def _grow_tree(XT: CsrMatrix, y_idx, n_classes, indices, depth, max_depth,
-               n_feats, rng):
+def _grow_tree(tree: DecisionTree, XT: CsrMatrix, y_idx, n_classes, indices,
+               depth, n_feats, rng) -> None:
+    """Append the subtree of the rows ``indices`` to ``tree``, in pre-order."""
     counts = np.bincount(y_idx[indices], minlength=n_classes)
     majority = int(counts.argmax())  # argmax ties fall to the lowest class index
-    if depth >= max_depth or counts.max() == counts.sum():
-        return TreeNode(label=majority)
+    if depth >= tree.max_depth or counts.max() == counts.sum():
+        tree.add(label=majority)
+        return
 
     dim = XT.shape[0]
     feats = rng.permutation(dim)[:n_feats] if n_feats < dim else np.arange(dim)
     # A helper, so that the search's arrays are freed before the recursion.
     split = _best_split(XT, y_idx, counts, indices, np.sort(feats))
     if split is None:
-        return TreeNode(label=majority)
+        tree.add(label=majority)
+        return
     f, threshold, mask = split
-    return TreeNode(
-        feature=f,
-        threshold=threshold,
-        left=_grow_tree(XT, y_idx, n_classes, indices[mask], depth + 1, max_depth,
-                        n_feats, rng),
-        right=_grow_tree(XT, y_idx, n_classes, indices[~mask], depth + 1,
-                         max_depth, n_feats, rng),
-    )
+    node = tree.add(feature=f, threshold=threshold)
+    _grow_tree(tree, XT, y_idx, n_classes, indices[mask], depth + 1, n_feats, rng)
+    tree.right[node] = len(tree.feature)
+    _grow_tree(tree, XT, y_idx, n_classes, indices[~mask], depth + 1, n_feats, rng)
 
 
 def train_random_forest(X, y, n_trees: int = 100, max_depth: int = 16,
@@ -320,9 +319,10 @@ def train_random_forest(X, y, n_trees: int = 100, max_depth: int = 16,
     trees = []
     for _ in range(n_trees):
         sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        root = _grow_tree(XT, y_idx, len(class_names), np.asarray(sample), 0,
-                          max_depth, n_feats, rng)
-        trees.append(DecisionTree(root=root, max_depth=max_depth))
+        tree = DecisionTree(max_depth)
+        _grow_tree(tree, XT, y_idx, len(class_names), np.asarray(sample), 0,
+                   n_feats, rng)
+        trees.append(tree)
     return TrainedModel(
         kind="random_forest", classes=class_names, dim=dim, train_seed=seed,
         hyperparams={"n_trees": n_trees, "max_depth": max_depth,
@@ -335,27 +335,51 @@ def train_random_forest(X, y, n_trees: int = 100, max_depth: int = 16,
 # Prediction and voting
 
 
+def _row_entries(x, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and values of the stored (non-zero) entries of one row: a
+    dense vector, a one-row ndarray or a one-row CsrMatrix."""
+    if isinstance(x, CsrMatrix):
+        shape, cols, vals = x.shape, x.indices, x.data
+    else:
+        vec = np.asarray(x, dtype=float)
+        shape = vec.shape if vec.ndim == 2 else (1,) + vec.shape
+        vec = vec.reshape(-1)
+        cols = np.flatnonzero(vec)
+        vals = vec[cols]
+    if shape != (1, dim):
+        raise DimensionMismatch(f"row of shape {shape} for model dim {dim}")
+    return cols, vals
+
+
 def predict(model: TrainedModel, x) -> tuple[str, dict[str, float]]:
-    """Argmax over class scores; ties fall to the first class in model order."""
-    vec = np.asarray(x, dtype=float)
-    if vec.shape[0] != model.dim:
-        raise DimensionMismatch(f"vector dim {vec.shape[0]} != model dim {model.dim}")
-    if model.kind == "logreg":
-        z = model.weights @ vec + model.bias
-        z -= z.max()
-        p = np.exp(z)
-        raw = p / p.sum()
-    elif model.kind == "linear_svm":
-        raw = model.weights @ vec + model.bias
-    elif model.kind == "random_forest":
-        votes = np.bincount(
-            [t.predict_one(vec) for t in model.trees], minlength=len(model.classes)
-        )
-        raw = votes / votes.sum()
+    """Argmax over class scores; ties fall to the first class in model order.
+
+    ``x`` is one row (see ``_row_entries``), of which only the stored entries
+    are read: trees look up features in a dict of them, and linear models
+    take the dot product over them alone.
+    """
+    cols, vals = _row_entries(x, model.dim)
+    if model.kind == "random_forest":
+        row = dict(zip(cols.tolist(), vals.tolist()))
+        votes = [0] * len(model.classes)
+        for tree in model.trees:
+            feature, threshold, right = tree.feature, tree.threshold, tree.right
+            i = 0
+            while (f := feature[i]) >= 0:
+                i = i + 1 if (row[f] if f in row else 0.0) < threshold[i] else right[i]
+            votes[tree.label[i]] += 1
+        raw = [v / len(model.trees) for v in votes]
+        best = max(range(len(raw)), key=raw.__getitem__)  # first max, as np.argmax
+    elif model.kind in ("logreg", "linear_svm"):
+        raw = model.weights.take(cols, axis=1) @ vals + model.bias
+        if model.kind == "logreg":
+            raw -= raw.max()
+            p = np.exp(raw)
+            raw = p / p.sum()
+        best = int(np.argmax(raw))
     else:
         raise ValueError(f"unknown model kind {model.kind!r}")
-    label = model.classes[int(np.argmax(raw))]
-    return label, {c: float(s) for c, s in zip(model.classes, raw)}
+    return model.classes[best], {c: float(s) for c, s in zip(model.classes, raw)}
 
 
 def majority_vote(predictions, tie_break: str = "MajorityClassPrior") -> str:
@@ -414,7 +438,10 @@ def ensemble_predict(models, x, tie_break: str = "MajorityClassPrior") -> str:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    """Versioned header plus decimal-text parameter payload."""
+    """Versioned header plus decimal-text parameter payload: ``w`` and ``b``
+    lines for a linear model; for a forest, a ``tree`` line per tree and then
+    its nodes in pre-order, ``n -1 <label>`` for a leaf and
+    ``n <feature> <threshold>`` for an inner node."""
     with open(path, "w", encoding="utf-8") as fh:
         hp = " ".join(f"{k}={v!r}" for k, v in sorted(model.hyperparams.items()))
         fh.write(
@@ -428,57 +455,101 @@ def save_model(model: TrainedModel, path) -> None:
         else:
             for tree in model.trees:
                 fh.write(f"tree {tree.max_depth}\n")
-                _write_nodes(fh, tree.root)
-
-def _write_nodes(fh, node: TreeNode) -> None:
-    # Pre-order; leaves first-field -1.
-    if node.is_leaf():
-        fh.write(f"n -1 {node.label}\n")
-    else:
-        fh.write(f"n {node.feature} {node.threshold!r}\n")
-        _write_nodes(fh, node.left)
-        _write_nodes(fh, node.right)
-
-
-def _read_nodes(lines) -> TreeNode:
-    parts = next(lines).split()
-    if parts[1] == "-1":
-        return TreeNode(label=int(parts[2]))
-    node = TreeNode(feature=int(parts[1]), threshold=float(parts[2]))
-    node.left = _read_nodes(lines)
-    node.right = _read_nodes(lines)
-    return node
+                for f, threshold, label in zip(tree.feature, tree.threshold, tree.label):
+                    fh.write(f"n -1 {label}\n" if f < 0 else f"n {f} {threshold!r}\n")
 
 
 def load_model(path) -> TrainedModel:
+    """Read a file written by ``save_model``. A damaged file raises
+    MalformedFile naming the line at fault."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(f"# {MODEL_VERSION}"):
-            raise ValueError(f"unrecognized model header in {path}")
-        meta = dict(part.split("=", 1) for part in header.split("\t")[1:-1])
-        hp = {}
-        for chunk in header.split("\t")[-1].split():
-            k, v = chunk.split("=", 1)
-            hp[k] = _parse_number(v)
-        body = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    kind = meta["kind"]
-    model = TrainedModel(
-        kind=kind, classes=meta["classes"].split(","), dim=int(meta["dim"]),
-        train_seed=int(meta["seed"]), hyperparams=hp,
-    )
-    if kind in ("logreg", "linear_svm"):
-        rows = [np.array([float(v) for v in ln[2:].split()])
-                for ln in body if ln.startswith("w ")]
-        model.weights = np.vstack(rows)
-        bias_line = next(ln for ln in body if ln.startswith("b "))
-        model.bias = np.array([float(v) for v in bias_line[2:].split()])
-    else:
-        it = iter(body)
-        for ln in it:
-            if ln.startswith("tree "):
-                depth = int(ln.split()[1])
-                model.trees.append(DecisionTree(root=_read_nodes(it), max_depth=depth))
+        try:
+            model = _parse_model_header(fh.readline().rstrip("\n"))
+        except ValueError as e:
+            raise MalformedFile(path, 1, e) from None
+        body = [(n, ln.split()) for n, ln in enumerate(fh, start=2) if ln.strip()]
+    end = body[-1][0] + 1 if body else 2  # the line after the last
+    read = _read_trees if model.kind == "random_forest" else _read_linear
+    read(model, body, path, end)
     return model
+
+
+def _parse_model_header(header: str) -> TrainedModel:
+    if not header.startswith(f"# {MODEL_VERSION}\t"):
+        raise ValueError(f"not a {MODEL_VERSION} header")
+    fields = header.split("\t")
+    meta = dict(part.split("=", 1) for part in fields[1:-1])
+    if meta.keys() != {"kind", "dim", "classes", "seed"} or meta["kind"] not in _TRAINERS:
+        raise ValueError(f"bad {MODEL_VERSION} header fields")
+    hp = dict(chunk.split("=", 1) for chunk in fields[-1].split())
+    return TrainedModel(
+        kind=meta["kind"], classes=meta["classes"].split(","), dim=int(meta["dim"]),
+        train_seed=int(meta["seed"]),
+        hyperparams={k: _parse_number(v) for k, v in hp.items()},
+    )
+
+
+def _read_linear(model: TrainedModel, body, path, end) -> None:
+    """Set a linear model's weights and bias from its numbered lines: one
+    ``w`` line per class, then one ``b`` line."""
+    rows, bias = [], None
+    for line_no, (tag, *values) in body:
+        try:
+            if tag not in ("w", "b") or bias is not None:
+                raise ValueError(f"unexpected {tag!r} line")
+            want = model.dim if tag == "w" else len(model.classes)
+            if len(values) != want:
+                raise ValueError(f"{len(values)} values on a {tag} line, expected {want}")
+            if tag == "w":
+                rows.append([float(v) for v in values])
+            elif len(rows) != len(model.classes):
+                raise ValueError(f"{len(rows)} w lines for {len(model.classes)} classes")
+            else:
+                bias = [float(v) for v in values]
+        except ValueError as e:
+            raise MalformedFile(path, line_no, e) from None
+    if bias is None:
+        raise MalformedFile(path, end, "no b line")
+    model.weights, model.bias = np.array(rows), np.array(bias)
+
+
+def _read_trees(model: TrainedModel, body, path, end) -> None:
+    """Append a forest's trees from its numbered lines: a ``tree`` line, then
+    the tree's nodes in pre-order (see ``save_model``)."""
+    tree = None  # the tree being read, until its last leaf
+    open_left = []  # its inner nodes whose left subtree is being read
+    for line_no, (tag, *values) in body:
+        try:
+            if tag not in ("tree", "n") or len(values) != (1 if tag == "tree" else 2):
+                raise ValueError(f"malformed line {' '.join([tag, *values])!r}")
+            if tag == "tree":
+                if tree is not None:
+                    raise ValueError(f"tree {len(model.trees)} ends before its last leaf")
+                tree = DecisionTree(int(values[0]))
+                model.trees.append(tree)
+            elif tree is None:
+                raise ValueError("node line outside a tree")
+            elif values[0] == "-1":
+                label = int(values[1])
+                if not 0 <= label < len(model.classes):
+                    raise ValueError(f"leaf label {label} is not a class index")
+                tree.add(label=label)
+                if open_left:
+                    tree.right[open_left.pop()] = len(tree.feature)
+                else:
+                    tree = None
+            else:
+                f = int(values[0])
+                if not 0 <= f < model.dim:
+                    raise ValueError(f"feature {f} out of range for dim {model.dim}")
+                open_left.append(tree.add(feature=f, threshold=float(values[1])))
+        except ValueError as e:
+            raise MalformedFile(path, line_no, e) from None
+    if tree is not None:
+        raise MalformedFile(path, end, f"tree {len(model.trees)} ends before its last leaf")
+    n_trees = model.hyperparams.get("n_trees", len(model.trees))
+    if not model.trees or len(model.trees) != n_trees:
+        raise MalformedFile(path, end, f"{len(model.trees)} trees for n_trees={n_trees}")
 
 
 def _parse_number(text: str) -> int | float:

@@ -191,7 +191,7 @@ def fit(cfg: PipelineConfig, train_rows) -> FittedPipeline:
     for model, rec in zip(models, records):
         rows = rec["validation_rows"]
         gold = [y[i] for i in rows]
-        pred = [learn.predict(model, X[i])[0] for i in rows]
+        pred = [learn.predict(model, X[i:i + 1])[0] for i in rows]
         cm = metrics.confusion(gold, pred, model.classes)
         rec["validation_weighted_f1"] = metrics.aggregate(cm).weighted.f1
     return FittedPipeline(cfg, profiles, table, vocab, models, records)
@@ -214,7 +214,7 @@ def apply(fitted: FittedPipeline, test_rows) -> list[tuple[Label, str]]:
         if p.gate == "NotLanguage":
             predictions.append((Label.NOT_LANGUAGE, not_lang_alias))
             continue
-        label = Label(learn.ensemble_predict(fitted.models, X[i], cfg.tie_break))
+        label = Label(learn.ensemble_predict(fitted.models, X[i:i + 1], cfg.tie_break))
         predictions.append((label, _OUT_ALIAS[label]))
     return predictions
 

@@ -178,6 +178,18 @@ class TestBundle:
         assert code == 3
         assert "profile-1.profile does not match" in capsys.readouterr().err
 
+    def test_damaged_model_is_an_input_error(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        assert run_cli("train", "--lang", "en", "--epochs", "10", "--out", str(bundle),
+                       str(FIXTURES / "en_train.tsv")) == 0
+        model = bundle / "member-0.model"
+        model.write_text(model.read_text().replace("# model-v1", "# model-v0", 1))
+        code = run_cli("predict", "--lang", "en", "--model", str(bundle),
+                       "--out", str(tmp_path / "p.txt"), str(FIXTURES / "en_test.tsv"))
+        assert code == 2
+        assert "member-0.model: line 1: not a model-v1 header" in capsys.readouterr().err
+        assert not (tmp_path / "p.txt").exists()
+
     def test_language_must_match(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         assert run_cli("train", "--lang", "en", "--epochs", "10", "--out", str(bundle),
@@ -307,6 +319,17 @@ class TestRun:
             str(FIXTURES / "en_train.tsv"), str(FIXTURES / "en_test.tsv"),
         )
         assert code == 3
+
+    def test_damaged_profile_exit_2(self, tmp_path, capsys):
+        profile = tmp_path / "en.profile"
+        langid.save_profile(langid.train_profile(["hope wins"], "en"), profile)
+        profile.write_text(profile.read_text() + "no tab here\n")
+        code = run_cli("run", "--lang", "en", "--out", str(tmp_path / "o"),
+                       "--profiles", str(profile), "--",
+                       str(FIXTURES / "en_train.tsv"), str(FIXTURES / "en_test.tsv"))
+        assert code == 2
+        lines = len(profile.read_text().splitlines())
+        assert f"en.profile: line {lines}: " in capsys.readouterr().err
 
     def _run_on_test_lines(self, tmp_path, lines):
         test = tmp_path / "test.tsv"

@@ -11,6 +11,7 @@ from hopedetect.errors import (
     DimensionMismatch,
     EmptyCorpus,
     EmptyVocabulary,
+    MalformedFile,
     NonNumericValue,
     RowCountMismatch,
 )
@@ -45,6 +46,25 @@ class TestBuildVocab:
         loaded = features.load_vocab(tmp_path / "vocab.tsv")
         assert loaded == vocab
         assert list(loaded.index) == list(vocab.index)  # index order
+
+
+class TestVocabFile:
+    @pytest.mark.parametrize("damage,line_no", [
+        (lambda ls: ["# vocab-v0" + ls[0][len("# vocab-v1"):]] + ls[1:], 1),
+        (lambda ls: ["# vocab-v1\tnum_docs=4\n"] + ls[1:], 1),
+        (lambda ls: ls[:2] + ["strong 1 2\n"] + ls[3:], 3),
+        (lambda ls: ls[:2] + ["strong\tmany\n"] + ls[3:], 3),
+        (lambda ls: ls[:2] + ["strong\t9\n"] + ls[3:], 3),  # more docs than the corpus
+        (lambda ls: ls + [ls[1]], 9),  # a term twice, after the header and 7 terms
+    ])
+    def test_damaged_file_names_its_line(self, tmp_path, damage, line_no):
+        path = tmp_path / "vocab.tsv"
+        features.save_vocab(features.build_vocab(["hope wins", "stay strong", "hope",
+                                                  "never give up"]), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(damage(lines)))
+        with pytest.raises(MalformedFile, match=rf"vocab\.tsv: line {line_no}: "):
+            features.load_vocab(path)
 
 
 class TestTfidf:
@@ -124,6 +144,24 @@ class TestCsrMatrix:
                               *((A[i], B[i]) for i in range(-len(B), len(B)))):
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @given(st.one_of(st.none(), st.integers(-6, 6)), st.one_of(st.none(), st.integers(-6, 6)),
+           st.sampled_from([None, 1, 2, -1]))
+    def test_slices_match_dense(self, start, stop, step):
+        X = features.CsrMatrix([1.0, 2.0, 3.0, 4.0], [0, 2, 1, 0], [0, 1, 1, 3, 4], 3)
+        got = X[start:stop:step]
+        want = np.asarray(X)[start:stop:step]
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(np.asarray(got), want)
+
+    def test_contiguous_slice_is_a_view(self):
+        X = features.CsrMatrix([1.0, 2.0, 3.0, 4.0], [0, 2, 1, 0], [0, 1, 1, 3, 4], 3)
+        row = X[2:3]
+        assert row.shape == (1, 3) and list(row.indptr) == [0, 2]
+        for name in ("data", "indices"):
+            assert np.shares_memory(getattr(row, name), getattr(X, name))
+        assert list(row.indices) == [2, 1] and list(row.data) == [2.0, 3.0]
+        assert X[1:2].data.size == 0 and X[-1:].shape == (1, 3)
 
     def test_dense_copy_is_a_fresh_writable_array(self):
         X = features.CsrMatrix([1.0, 2.0], [0, 2], [0, 1, 1, 2], 3)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hopedetect import langid, textprep
 from hopedetect.corpus import DatasetLang
-from hopedetect.errors import EmptyCorpus, EmptyText, NoProfiles
+from hopedetect.errors import EmptyCorpus, EmptyText, MalformedFile, NoProfiles
 from conftest import all_scalar_values, mixed_script_text, synthetic_sentences
 
 
@@ -174,6 +174,34 @@ class TestProfileRoundTrip:
         langid.save_profile(profile, path)
         loaded = langid.load_profile(path)
         assert loaded == profile
+
+    @given(st.text(alphabet="ab\\\t\n\r", max_size=10))
+    def test_escape_round_trip(self, gram):
+        assert langid._unescape(langid._escape(gram)) == gram
+
+    def test_round_trip_with_escaped_grams(self, tmp_path):
+        profile = langid.train_profile(["a\\b\tc\nd\re\\\\t", "plain"], "xx", n=2)
+        assert {"a\\", "\\b", "\tc", "\nd", "\re", "\\t"} <= set(profile.logprob)
+        path = tmp_path / "xx.profile"
+        langid.save_profile(profile, path)
+        assert langid.load_profile(path) == profile
+
+    @pytest.mark.parametrize("damage,line_no", [
+        (lambda ls: [ls[0].replace("langprofile-v1", "langprofile-v0")] + ls[1:], 1),
+        (lambda ls: [ls[0].replace("\tn=2", "\tn=two")] + ls[1:], 1),
+        (lambda ls: ls[:2] + ["ab\n"] + ls[3:], 3),
+        (lambda ls: ls[:2] + ["ab\t-1.0\textra\n"] + ls[3:], 3),
+        (lambda ls: ls[:2] + ["a\\qb\t-1.0\n"] + ls[3:], 3),  # unknown escape
+        (lambda ls: ls[:-1], None),  # fewer grams than the header's count
+    ])
+    def test_damaged_file_names_its_line(self, tmp_path, damage, line_no):
+        path = tmp_path / "xx.profile"
+        langid.save_profile(langid.train_profile(["hope wins again"], "xx", n=2), path)
+        damaged = damage(path.read_text().splitlines(keepends=True))
+        path.write_text("".join(damaged))
+        line_no = len(damaged) + 1 if line_no is None else line_no
+        with pytest.raises(MalformedFile, match=rf"xx\.profile: line {line_no}: "):
+            langid.load_profile(path)
 
     def test_round_trip_with_tab_and_newline_grams(self, tmp_path):
         profile = langid.train_profile(["a\tb\nc"], "xx", n=2, alpha=0.5)

@@ -1,6 +1,7 @@
 import itertools
 import tempfile
 from collections import Counter
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,15 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopedetect import features, learn
-from hopedetect.corpus import Label
+from hopedetect import corpus, features, learn, textprep
+from hopedetect.corpus import DatasetLang, Label
 from hopedetect.errors import (
     DimensionMismatch,
     EmptyPredictions,
+    HopedetectError,
+    MalformedFile,
     RowCountMismatch,
     SingleClass,
 )
-from conftest import csr_from_dense
+from conftest import FIXTURES, csr_from_dense
 
 
 def _separable_set():
@@ -202,7 +205,7 @@ class TestRandomForest:
     def test_single_label_all_leaves(self):
         X = np.arange(12.0).reshape(6, 2)
         model = learn.train_random_forest(X, ["A"] * 6, n_trees=3, seed=0)
-        assert all(t.root.is_leaf() for t in model.trees)
+        assert all(t.feature == [-1] for t in model.trees)  # each root a leaf
         assert learn.predict(model, X[0])[0] == "A"
 
     def test_matches_reference_tree(self):
@@ -223,7 +226,7 @@ class TestRandomForest:
         model = learn.train_random_forest(X, y, n_trees=9, max_depth=4, seed=1)
         classes = model.classes
         for x in rng.normal(size=(100, 4)):
-            votes = [classes[t.predict_one(x)] for t in model.trees]
+            votes = [learn.predict(replace(model, trees=[t]), x)[0] for t in model.trees]
             label, scores = learn.predict(model, x)
             mode_count = Counter(votes).most_common(1)[0][1]
             assert Counter(votes)[label] == mode_count
@@ -242,8 +245,41 @@ class TestRandomForest:
 
 
 # ---------------------------------------------------------------------------
+# Oracle trees: the node objects and their walk, as trees were stored and
+# walked before the flat pre-order lists.
+
+
+@dataclass
+class _Node:
+    """A tree node, as trees were stored before the flat pre-order lists."""
+
+    feature: int = -1  # -1 marks a leaf
+    threshold: float = 0.0
+    left: "_Node | None" = None
+    right: "_Node | None" = None
+    label: int = -1  # class index at leaves
+
+
+def _node_walk(node: _Node, x) -> int:
+    """The leaf label of dense row x, walking the node objects."""
+    while node.feature >= 0:
+        node = node.left if x[node.feature] < node.threshold else node.right
+    return node.label
+
+
+def _flatten(node: _Node, tree: learn.DecisionTree) -> None:
+    """Append the subtree at ``node`` to ``tree`` in pre-order."""
+    i = tree.add(node.feature, node.threshold, node.label)
+    if node.feature >= 0:
+        _flatten(node.left, tree)
+        tree.right[i] = len(tree.feature)
+        _flatten(node.right, tree)
+
+
+# ---------------------------------------------------------------------------
 # Oracle: the exhaustive threshold scan over a dense copy that the sorted
-# split search replaced, kept as it was apart from names and input checks.
+# split search replaced, kept as it was apart from names and input checks;
+# it builds node objects, flattened for save_model.
 
 
 def _oracle_gini(counts):
@@ -258,7 +294,7 @@ def _oracle_grow_tree(X, y_idx, n_classes, indices, depth, max_depth, n_feats, r
     counts = np.bincount(y_idx[indices], minlength=n_classes)
     majority = int(counts.argmax())
     if depth >= max_depth or counts.max() == counts.sum():
-        return learn.TreeNode(label=majority)
+        return _Node(label=majority)
 
     dim = X.shape[1]
     feats = rng.permutation(dim)[:n_feats] if n_feats < dim else np.arange(dim)
@@ -277,10 +313,10 @@ def _oracle_grow_tree(X, y_idx, n_classes, indices, depth, max_depth, n_feats, r
             if best is None or impurity < best[0] - 1e-12:
                 best = (impurity, f, float(threshold))
     if best is None:
-        return learn.TreeNode(label=majority)
+        return _Node(label=majority)
     _, f, threshold = best
     mask = X[indices, f] < threshold
-    return learn.TreeNode(
+    return _Node(
         feature=int(f),
         threshold=threshold,
         left=_oracle_grow_tree(X, y_idx, n_classes, indices[mask], depth + 1,
@@ -302,18 +338,20 @@ def _oracle_random_forest(X, y, n_trees=100, max_depth=16, feature_frac=None,
         n_feats = max(1, int(np.ceil(feature_frac * dim)))
     rng = np.random.default_rng(seed)
     n = Xm.shape[0]
-    trees = []
+    roots, trees = [], []
     for _ in range(n_trees):
         sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        root = _oracle_grow_tree(Xm, y_idx, len(class_names), np.asarray(sample), 0,
-                                 max_depth, n_feats, rng)
-        trees.append(learn.DecisionTree(root=root, max_depth=max_depth))
-    return learn.TrainedModel(
+        roots.append(_oracle_grow_tree(Xm, y_idx, len(class_names), np.asarray(sample),
+                                       0, max_depth, n_feats, rng))
+        trees.append(learn.DecisionTree(max_depth))
+        _flatten(roots[-1], trees[-1])
+    model = learn.TrainedModel(
         kind="random_forest", classes=class_names, dim=dim, train_seed=seed,
         hyperparams={"n_trees": n_trees, "max_depth": max_depth,
                      "feature_frac": feature_frac},
         trees=trees,
     )
+    return model, roots
 
 
 def _model_bytes(model):
@@ -352,7 +390,7 @@ class TestSplitSearchOracle:
                                min_size=n, max_size=n))
         params = dict(n_trees=n_trees, max_depth=max_depth,
                       feature_frac=feature_frac, seed=seed, bootstrap=bootstrap)
-        expected = _model_bytes(_oracle_random_forest(X, y, **params))
+        expected = _model_bytes(_oracle_random_forest(X, y, **params)[0])
         assert _model_bytes(learn.train_random_forest(X, y, **params)) == expected
         assert _model_bytes(
             learn.train_random_forest(csr_from_dense(X), y, **params)) == expected
@@ -374,6 +412,88 @@ class TestSplitSearchOracle:
         assert sum(learn.predict(model, x)[0] == t for x, t in zip(X, y)) > 20
 
 
+def _round_trip(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.model"
+        learn.save_model(model, path)
+        return learn.load_model(path)
+
+
+class TestFlatTreeOracle:
+    """The flat pre-order trees against the node objects they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 14), dim=st.integers(1, 5),
+           n_classes=st.integers(1, 3), max_depth=st.integers(0, 6),
+           n_trees=st.integers(1, 3), sparse=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_flat_walk_matches_node_walk(self, data, n, dim, n_classes, max_depth,
+                                         n_trees, sparse, seed):
+        X = np.array(data.draw(st.lists(st.lists(_VALUES, min_size=dim,
+                                                 max_size=dim),
+                                        min_size=n, max_size=n)))
+        X = np.hstack([X, np.zeros((n, 1))])
+        y = data.draw(st.lists(st.sampled_from("ABC"[:n_classes]),
+                               min_size=n, max_size=n))
+        params = dict(n_trees=n_trees, max_depth=max_depth, seed=seed)
+        model = learn.train_random_forest(csr_from_dense(X) if sparse else X, y,
+                                          **params)
+        oracle, roots = _oracle_random_forest(X, y, **params)
+        assert model.trees == oracle.trees
+        assert _round_trip(model).trees == model.trees
+
+        # Rows of the training values, zeros and the trees' own thresholds,
+        # each in the column it splits.
+        at: dict[int, list[float]] = {}
+        for tree in model.trees:
+            for f, threshold in zip(tree.feature, tree.threshold):
+                if f >= 0:
+                    at.setdefault(f, []).append(threshold)
+        cells = [st.one_of(_VALUES, st.sampled_from(at[c])) if c in at else _VALUES
+                 for c in range(dim + 1)]
+        rows = np.array(data.draw(st.lists(st.tuples(*cells), min_size=1, max_size=8)))
+        csr = csr_from_dense(rows)
+        for i, x in enumerate(rows):
+            for tree, root in zip(model.trees, roots):
+                one = replace(model, trees=[tree])
+                want = model.classes[_node_walk(root, x)]
+                assert learn.predict(one, x)[0] == want
+                assert learn.predict(one, csr[i:i + 1])[0] == want
+            # The vote as it was counted over the node walks.
+            votes = np.bincount([_node_walk(root, x) for root in roots],
+                                minlength=len(model.classes))
+            raw = votes / votes.sum()
+            want = (model.classes[int(np.argmax(raw))],
+                    {c: float(v) for c, v in zip(model.classes, raw)})
+            assert learn.predict(model, x) == want
+            assert learn.predict(model, csr[i:i + 1]) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["logreg", "linear_svm"]),
+           n_classes=st.integers(2, 3), dim=st.integers(1, 8),
+           seed=st.integers(0, 2**16))
+    def test_linear_scores_from_stored_entries(self, data, kind, n_classes, dim, seed):
+        rng = np.random.default_rng(seed)
+        W, b = rng.normal(size=(n_classes, dim)), rng.normal(size=n_classes)
+        model = learn.TrainedModel(kind=kind, classes=list("ABC"[:n_classes]), dim=dim,
+                                   train_seed=0, weights=W, bias=b)
+        rows = np.array(data.draw(st.lists(st.lists(_VALUES, min_size=dim, max_size=dim),
+                                           min_size=1, max_size=8)))
+        csr = csr_from_dense(rows)
+        for i, x in enumerate(rows):
+            label, scores = learn.predict(model, x)
+            csr_label, csr_scores = learn.predict(model, csr[i:i + 1])
+            assert csr_label == label and list(csr_scores) == model.classes
+            np.testing.assert_allclose(list(csr_scores.values()),
+                                       list(scores.values()), rtol=0, atol=1e-12)
+            # The dense product over the whole row, as predict took it before:
+            # only the summation order of the dot products differs.
+            z = W @ x + b
+            if kind == "logreg":
+                z = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
+            np.testing.assert_allclose(list(scores.values()), z, rtol=0, atol=1e-12)
+
+
 class TestPredict:
     def test_zero_logreg_tie_break(self):
         model = learn.TrainedModel(
@@ -391,6 +511,27 @@ class TestPredict:
         )
         with pytest.raises(DimensionMismatch):
             learn.predict(model, np.zeros(2))
+
+    def test_forest_vote_tie_goes_to_first_class(self):
+        trees = [learn.DecisionTree(1, feature=[-1], threshold=[0.0], right=[-1],
+                                    label=[label]) for label in (1, 0, 2, 1, 0)]
+        model = learn.TrainedModel(kind="random_forest", classes=["A", "B", "C"],
+                                   dim=1, train_seed=0, trees=trees)
+        assert learn.predict(model, np.zeros(1)) == ("A", {"A": 0.4, "B": 0.4, "C": 0.2})
+
+    def test_one_row_forms_agree_and_more_rows_are_refused(self):
+        model = learn.TrainedModel(
+            kind="linear_svm", classes=["A", "B"], dim=3, train_seed=0,
+            weights=np.array([[1.0, 0.0, -1.0], [0.0, 2.0, 0.0]]), bias=np.zeros(2),
+        )
+        X = np.array([[0.5, 0.0, 2.0], [1.0, 1.0, 0.0]])
+        csr = csr_from_dense(X)
+        want = ("B", {"A": -1.5, "B": 0.0})
+        for row in (X[0], X[0:1], csr[0], csr[0:1], csr[[0]]):
+            assert learn.predict(model, row) == want
+        for rows in (X, csr, csr[0:0]):
+            with pytest.raises(DimensionMismatch):
+                learn.predict(model, rows)
 
 
 class TestMajorityVote:
@@ -541,3 +682,84 @@ class TestModelIO:
             {"n_trees": int, "max_depth": int, "feature_frac": float}
         for x in rng.normal(size=(30, 3)):
             assert learn.predict(loaded, x) == learn.predict(model, x)
+
+
+# ---------------------------------------------------------------------------
+# Golden model files: a forest and a logreg model trained on the en fixtures
+# by the code before trees became flat lists, with the labels they gave the
+# en_test.tsv rows.
+
+GOLDEN = FIXTURES / "golden"
+
+
+def _golden_features():
+    """TF-IDF rows and labels of en_train.tsv's Hope/NotHope rows, and the
+    rows of en_test.tsv, as the golden models saw them."""
+    def rows_and_texts(name, labeled):
+        rows = corpus.load_tsv(FIXTURES / name, DatasetLang.ENGLISH, labeled=labeled)
+        return rows, [textprep.normalize_text(r.text) for r in rows]
+
+    train, texts = rows_and_texts("en_train.tsv", True)
+    keep = [i for i, r in enumerate(train) if r.label in (Label.HOPE, Label.NOT_HOPE)]
+    vocab = features.build_vocab([texts[i] for i in keep])
+    X = features.tfidf_vectorize([texts[i] for i in keep], vocab)
+    y = [train[i].label.value for i in keep]
+    _, test_texts = rows_and_texts("en_test.tsv", None)
+    return X, y, features.tfidf_vectorize(test_texts, vocab)
+
+
+def _damaged(damage):
+    """A golden model file with one kind of damage: its name, its text, and
+    the line the error must name."""
+    forest, logreg = ((GOLDEN / f"{name}.model").read_text().splitlines(keepends=True)
+                      for name in ("forest", "logreg"))
+    trees = [i for i, ln in enumerate(forest) if ln.startswith("tree ")]
+    second, last = trees[1], trees[-1]
+    name, lines, line_no = {
+        "bad header": ("forest", [forest[0].replace("model-v1", "model-v0")]
+                       + forest[1:], 1),
+        # The first tree loses its last leaf: the next tree line is the fault.
+        "truncated tree": ("forest", forest[:second - 1] + forest[second:], second),
+        "truncated last tree": ("forest", forest[:-1], len(forest)),
+        "missing tree": ("forest", forest[:last], last + 1),
+        "malformed n line": ("forest", forest[:2] + ["n 34\n"] + forest[3:], 3),
+        "leaf label out of range": ("forest", forest[:-1] + ["n -1 2\n"], len(forest)),
+        "missing b line": ("logreg", logreg[:-1], len(logreg)),
+        "short w line": ("logreg", logreg[:1] + ["w 0.5 0.25\n"] + logreg[2:], 2),
+    }[damage]
+    return name, "".join(lines), line_no
+
+
+class TestGoldenModels:
+    @pytest.mark.parametrize("name", ["forest", "logreg"])
+    def test_save_of_load_is_byte_identical(self, tmp_path, name):
+        path = GOLDEN / f"{name}.model"
+        learn.save_model(learn.load_model(path), tmp_path / "m.model")
+        assert (tmp_path / "m.model").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("name", ["forest", "logreg"])
+    def test_loaded_model_gives_recorded_labels(self, name):
+        T = _golden_features()[2]
+        model = learn.load_model(GOLDEN / f"{name}.model")
+        want = (GOLDEN / f"{name}.labels").read_text().splitlines()
+        assert len(want) == T.shape[0] == 25 and len(set(want)) == 2
+        assert [learn.predict(model, T[i:i + 1])[0] for i in range(25)] == want
+        assert [learn.predict(model, T[i])[0] for i in range(25)] == want
+
+    def test_training_reproduces_the_forest_file(self):
+        # Only the forest: its training is comparisons and sums, while numpy
+        # versions may differ in the last place of the exp the logreg uses.
+        X, y, _ = _golden_features()
+        model = learn.train_random_forest(X, y, n_trees=7, max_depth=6, seed=3)
+        assert _model_bytes(model) == (GOLDEN / "forest.model").read_bytes()
+
+    @pytest.mark.parametrize("damage", [
+        "bad header", "truncated tree", "truncated last tree", "missing tree",
+        "malformed n line", "leaf label out of range", "missing b line", "short w line"])
+    def test_damaged_file_names_its_line(self, tmp_path, damage):
+        name, text, line_no = _damaged(damage)
+        path = tmp_path / f"{name}.model"
+        path.write_text(text)
+        with pytest.raises(MalformedFile, match=rf"{name}\.model: line {line_no}: ") as err:
+            learn.load_model(path)
+        assert isinstance(err.value, HopedetectError)
