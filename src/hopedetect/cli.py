@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
 from pathlib import Path
 
 from . import corpus, langid, learn, metrics, pipeline, textprep, translit
@@ -19,79 +20,39 @@ EXIT_INPUT_ERROR = 2
 EXIT_CONFIG_ERROR = 3
 
 
-# Defaults of the `train` and `run` options; their argparse defaults are
-# None so a config file can fill in anything the user did not pass.
-_PIPELINE_DEFAULTS = {
-    "script_threshold": 0.5, "seed": 0, "k": 1, "fraction_train": 0.9,
-    "tie_break": "MajorityClassPrior", "classifier": "logreg",
-    "lr": 0.1, "epochs": 500, "l2": 1e-4, "svm_c": 1.0,
-    "n_trees": 100, "max_depth": 16, "min_df": 1, "embedding_dim": 768,
-    "scheme": None, "train_embeddings": None, "test_embeddings": None,
-}
-
-
-def _apply_config_file(args):
-    """Fill unset (None) options from key=value lines; flags win."""
-    if args.config:
-        for line_no, line in enumerate(
-            Path(args.config).read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{args.config}:{line_no}: expected key=value")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in _PIPELINE_DEFAULTS:
-                raise ConfigError(f"{args.config}:{line_no}: unknown key {key!r}")
-            if getattr(args, key) is None:
-                default = _PIPELINE_DEFAULTS[key]
-                if isinstance(default, bool):
-                    value = value.strip().lower() in ("1", "true", "yes")
-                elif isinstance(default, int):
-                    value = int(value)
-                elif isinstance(default, float):
-                    value = float(value)
-                else:
-                    value = value.strip()
-                setattr(args, key, value)
-    for key, default in _PIPELINE_DEFAULTS.items():
-        if getattr(args, key) is None:
-            setattr(args, key, default)
-
-
-def _classifier_params(args) -> dict:
-    """Keyword arguments of the trainer of ``args.classifier``; none for an
-    unknown classifier, which ``PipelineConfig.validate`` rejects."""
-    return {
-        "logreg": {"lr": args.lr, "epochs": args.epochs, "l2": args.l2},
-        "linear_svm": {"lr": args.lr, "epochs": args.epochs, "C": args.svm_c},
-        "random_forest": {"n_trees": args.n_trees, "max_depth": args.max_depth},
-    }.get(args.classifier, {})
-
-
 def _pipeline_config(args) -> pipeline.PipelineConfig:
-    """The settings of `train` and `run`: flags, then the config file, then
-    the defaults."""
-    _apply_config_file(args)
-    mode = "embeddings" if args.train_embeddings or args.test_embeddings else "tfidf"
+    """The settings of `train` and `run`: each flag, else its config-file
+    line, parsed as the type of its PipelineConfig field, else the field
+    default."""
+    types = typing.get_type_hints(pipeline.PipelineConfig)
+    settings = {}
+    lines = Path(args.config).read_text(encoding="utf-8").splitlines() if args.config else []
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if not sep:
+            raise ConfigError(f"{args.config}:{line_no}: expected key=value")
+        if key not in args.setting_fields:
+            raise ConfigError(f"{args.config}:{line_no}: unknown key {key!r}")
+        name = args.setting_fields[key]
+        parse = types[name] if types[name] in (int, float) else str.strip
+        try:
+            settings.setdefault(name, parse(value))
+        except ValueError:
+            raise ConfigError(f"{args.config}:{line_no}: bad {key} value "
+                              f"{value.strip()!r} (expected {parse.__name__})") from None
+    for name in args.setting_fields.values():
+        if getattr(args, name) is not None:
+            settings[name] = getattr(args, name)
+    embeddings = settings.get("train_embeddings") or settings.get("test_embeddings")
     return pipeline.PipelineConfig(
         dataset_lang=pipeline.dataset_lang_from_code(args.lang),
         profile_paths=args.profiles,
-        script_threshold=args.script_threshold,
-        scheme_path=args.scheme,
-        feature_mode=mode,
-        train_embeddings=args.train_embeddings,
-        test_embeddings=args.test_embeddings,
-        embedding_dim=args.embedding_dim,
-        min_df=args.min_df,
-        classifier=args.classifier,
-        classifier_params=_classifier_params(args),
-        k=args.k,
-        base_seed=args.seed,
-        fraction_train=args.fraction_train,
-        tie_break=args.tie_break,
+        feature_mode="embeddings" if embeddings else "tfidf",
+        **settings,
     )
 
 
@@ -101,29 +62,33 @@ _PROFILES_HELP = ("language profile files; end the list with -- or put it "
 
 
 def _add_pipeline_flags(p):
-    """The options of `train` and `run`, which both fit the pipeline."""
+    """The options of `train` and `run`, which both fit the pipeline. Each
+    option after --profiles sets the PipelineConfig field of its dest, as
+    does its config-file key: its name without the dashes."""
     p.add_argument("--lang", required=True, choices=["en", "ta", "ml"])
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--profiles", nargs="*", default=[], help=_PROFILES_HELP)
-    p.add_argument("--script-threshold", type=float)
-    p.add_argument("--scheme")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--fraction-train", type=float)
-    p.add_argument("--tie-break",
-                   choices=["MajorityClassPrior", "ClassOrder"])
-    p.add_argument("--classifier",
-                   choices=["logreg", "linear_svm", "random_forest"])
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--svm-c", type=float)
-    p.add_argument("--n-trees", type=int)
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--min-df", type=int)
-    p.add_argument("--train-embeddings")
-    p.add_argument("--test-embeddings")
-    p.add_argument("--embedding-dim", type=int)
+    settings = [
+        p.add_argument("--script-threshold", type=float),
+        p.add_argument("--scheme", dest="scheme_path", metavar="SCHEME"),
+        p.add_argument("--seed", type=int, dest="base_seed", metavar="SEED"),
+        p.add_argument("--k", type=int),
+        p.add_argument("--fraction-train", type=float),
+        p.add_argument("--tie-break", choices=learn.TIE_BREAKS),
+        p.add_argument("--classifier", choices=list(learn._TRAINERS)),
+        p.add_argument("--lr", type=float),
+        p.add_argument("--epochs", type=int),
+        p.add_argument("--l2", type=float),
+        p.add_argument("--svm-c", type=float),
+        p.add_argument("--n-trees", type=int),
+        p.add_argument("--max-depth", type=int),
+        p.add_argument("--min-df", type=int),
+        p.add_argument("--train-embeddings"),
+        p.add_argument("--test-embeddings"),
+        p.add_argument("--embedding-dim", type=int),
+    ]
+    p.set_defaults(setting_fields={
+        a.option_strings[0][2:].replace("-", "_"): a.dest for a in settings})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", nargs="+", required=True)
     p.add_argument("--n-rows", type=int, required=True)
     p.add_argument("--tie-break", default="MajorityClassPrior",
-                   choices=["MajorityClassPrior", "ClassOrder"])
+                   choices=learn.TIE_BREAKS)
     p.add_argument("--out")
 
     p = sub.add_parser("evaluate", help="score predictions against gold labels")

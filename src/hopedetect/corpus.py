@@ -105,9 +105,13 @@ def load_tsv(path, dataset_lang: DatasetLang,
     holds a tab, which an unlabeled row never does.
     """
     rows: list[LabeledComment] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
+    # Decoded line by line, so that a byte that is not UTF-8 names its line.
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError:
+                raise MalformedRow(line_no, "not valid UTF-8") from None
             if line == "":
                 continue
             if labeled is None:

@@ -116,8 +116,6 @@ class CsrMatrix:
 def build_vocab(docs, min_df: int = 1) -> Vocabulary:
     if not docs:
         raise EmptyCorpus("no documents")
-    if min_df < 1:
-        raise ValueError(f"min_df must be >= 1, got {min_df}")
     df: dict[str, int] = {}
     for doc in docs:
         for term in set(doc.split()):

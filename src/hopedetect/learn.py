@@ -15,6 +15,7 @@ import numpy as np
 
 from .corpus import Label, parse_label, split_positions
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     EmptyPredictions,
     MalformedFile,
@@ -27,6 +28,9 @@ MODEL_VERSION = "model-v1"
 
 # Canonical label order used for tie-breaking.
 CLASS_ORDER = (Label.HOPE, Label.NOT_HOPE, Label.NOT_LANGUAGE)
+
+# The tie-break rules of majority_vote.
+TIE_BREAKS = ("MajorityClassPrior", "ClassOrder")
 
 
 @dataclass
@@ -64,22 +68,6 @@ class TrainedModel:
     trees: list[DecisionTree] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class EnsembleConfig:
-    k: int
-    base_seed: int
-    member_kind: str  # a key of _TRAINERS
-    fraction_train: float = 0.9
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"ensemble size must be >= 1, got {self.k}")
-        if self.k % 2 == 0:
-            warnings.warn(
-                f"even ensemble size {self.k}: ties will fall to the tie-break rule"
-            )
-
-
 def _encode_labels(y, classes=None):
     if classes is None:
         classes = sorted(set(y), key=lambda c: str(c))
@@ -94,6 +82,28 @@ def _check_training_input(X: np.ndarray, y_idx: np.ndarray, n_classes: int):
         )
     if n_classes < 2:
         raise SingleClass("training data contains a single class")
+
+
+def _descend(kind, X, class_names, seed, hyperparams, gradient) -> TrainedModel:
+    """A linear model trained by full-batch gradient descent from zero:
+    ``epochs`` steps of size ``lr`` against ``gradient(W, b)``. Weights that
+    are not finite after the last step raise ConfigError."""
+    lr = hyperparams["lr"]
+    W = np.zeros((len(class_names), X.shape[1]))
+    b = np.zeros(len(class_names))
+    # Overflow is reported once, below, rather than as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(hyperparams["epochs"]):
+            gW, gb = gradient(W, b)
+            W -= lr * gW
+            b -= lr * gb
+    if not (np.isfinite(W).all() and np.isfinite(b).all()):
+        raise ConfigError(f"{kind} training diverged with lr={lr!r}: its weights "
+                          "are not finite; use a smaller lr")
+    return TrainedModel(
+        kind=kind, classes=class_names, dim=X.shape[1], train_seed=seed,
+        hyperparams=hyperparams, weights=W, bias=b,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -124,17 +134,9 @@ def train_logreg(X, y, lr: float = 0.1, epochs: int = 500, l2: float = 1e-4,
                  seed: int = 0, classes=None) -> TrainedModel:
     y_idx, class_names = _encode_labels(y, classes)
     _check_training_input(X, y_idx, len(class_names))
-    W = np.zeros((len(class_names), X.shape[1]))
-    b = np.zeros(len(class_names))
-    for _ in range(epochs):
-        gW, gb = logreg_gradient(W, b, X, y_idx, l2)
-        W -= lr * gW
-        b -= lr * gb
-    return TrainedModel(
-        kind="logreg", classes=class_names, dim=X.shape[1], train_seed=seed,
-        hyperparams={"lr": lr, "epochs": epochs, "l2": l2},
-        weights=W, bias=b,
-    )
+    return _descend("logreg", X, class_names, seed,
+                    {"lr": lr, "epochs": epochs, "l2": l2},
+                    lambda W, b: logreg_gradient(W, b, X, y_idx, l2))
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +167,9 @@ def train_linear_svm(X, y, lr: float = 0.01, epochs: int = 500, C: float = 1.0,
     signs = np.where(
         np.arange(len(class_names))[:, None] == y_idx[None, :], 1.0, -1.0
     )
-    W = np.zeros((len(class_names), X.shape[1]))
-    b = np.zeros(len(class_names))
-    for _ in range(epochs):
-        gW, gb = svm_gradient(W, b, X, signs, C)
-        W -= lr * gW
-        b -= lr * gb
-    return TrainedModel(
-        kind="linear_svm", classes=class_names, dim=X.shape[1], train_seed=seed,
-        hyperparams={"lr": lr, "epochs": epochs, "C": C},
-        weights=W, bias=b,
-    )
+    return _descend("linear_svm", X, class_names, seed,
+                    {"lr": lr, "epochs": epochs, "C": C},
+                    lambda W, b: svm_gradient(W, b, X, signs, C))
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +295,6 @@ def train_random_forest(X, y, n_trees: int = 100, max_depth: int = 16,
     The trees are those of an exhaustive threshold scan. feature_frac=None uses the sqrt(dim)/dim rule. ``bootstrap=False`` is a
     test hook that trains every tree on the full sample.
     """
-    if n_trees < 1:
-        raise ValueError(f"n_trees must be >= 1, got {n_trees}")
     XT = _transpose(X)
     y_idx, class_names = _encode_labels(y, classes)
     dim, n = XT.shape
@@ -413,19 +405,23 @@ _TRAINERS = {
 }
 
 
-def train_ensemble(X, y, cfg: EnsembleConfig, **trainer_params):
-    """Train cfg.k members, each on a fresh shuffled split of the rows.
+def train_ensemble(X, y, kind: str, k: int, base_seed: int, fraction_train: float,
+                   **trainer_params):
+    """Train k members of ``kind`` (a key of _TRAINERS), member i on a fresh
+    shuffled split of the rows with seed ``base_seed + i``.
 
     ``X`` is the feature matrix (ndarray or CsrMatrix) and ``y`` the labels,
     row-aligned. Each member trains on its split's rows taken from ``X``.
     Returns (models, member_records) where each record holds the member's
     split seed and validation row positions.
     """
-    trainer = _TRAINERS[cfg.member_kind]
+    if k % 2 == 0:
+        warnings.warn(f"even ensemble size {k}: ties will fall to the tie-break rule")
+    trainer = _TRAINERS[kind]
     models, records = [], []
-    for i in range(cfg.k):
-        member_seed = cfg.base_seed + i
-        train, validation = split_positions(len(y), member_seed, cfg.fraction_train)
+    for i in range(k):
+        member_seed = base_seed + i
+        train, validation = split_positions(len(y), member_seed, fraction_train)
         model = trainer(X[train], [y[j] for j in train], seed=member_seed,
                         **trainer_params)
         models.append(model)

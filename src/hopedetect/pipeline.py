@@ -41,6 +41,8 @@ _SCHEME_CODES = {DatasetLang.TAMIL: "ta", DatasetLang.MALAYALAM: "ml"}
 
 @dataclass
 class PipelineConfig:
+    """Every setting of ``train`` and ``run``; ``validate`` rejects a bad one."""
+
     dataset_lang: DatasetLang
     normalization: textprep.NormalizationConfig = field(
         default_factory=textprep.NormalizationConfig
@@ -54,12 +56,16 @@ class PipelineConfig:
     embedding_dim: int = features.DEFAULT_EMBEDDING_DIM
     min_df: int = 1
     classifier: str = "logreg"
-    classifier_params: dict = field(default_factory=dict)
+    lr: float = 0.1
+    epochs: int = 500
+    l2: float = 1e-4
+    svm_c: float = 1.0
+    n_trees: int = 100
+    max_depth: int = 16
     k: int = 1
     base_seed: int = 0
     fraction_train: float = 0.9
     tie_break: str = "MajorityClassPrior"
-    include_zero_support: bool = True
 
     def validate(self, test_input: bool = True):
         """``test_input=False`` checks only what ``fit`` reads."""
@@ -71,8 +77,22 @@ class PipelineConfig:
             raise ConfigError("embeddings mode requires a test embedding path")
         if self.classifier not in learn._TRAINERS:
             raise ConfigError(f"unknown classifier {self.classifier!r}")
+        if self.tie_break not in learn.TIE_BREAKS:
+            raise ConfigError(f"unknown tie_break {self.tie_break!r}")
+        for name in ("k", "n_trees", "min_df"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if not 0 < self.script_threshold <= 1:
             raise ConfigError(f"script threshold out of range: {self.script_threshold}")
+
+    def trainer_params(self) -> dict:
+        """Keyword arguments of the trainer of ``classifier``."""
+        return {
+            "logreg": {"lr": self.lr, "epochs": self.epochs, "l2": self.l2},
+            "linear_svm": {"lr": self.lr, "epochs": self.epochs, "C": self.svm_c},
+            "random_forest": {"n_trees": self.n_trees, "max_depth": self.max_depth},
+        }[self.classifier]
 
 
 def dataset_lang_from_code(code: str) -> DatasetLang:
@@ -181,11 +201,9 @@ def fit(cfg: PipelineConfig, train_rows) -> FittedPipeline:
         )[binary]
     y = [train_rows[i].label.value for i in binary]
 
-    ens_cfg = learn.EnsembleConfig(
-        k=cfg.k, base_seed=cfg.base_seed, member_kind=cfg.classifier,
-        fraction_train=cfg.fraction_train,
-    )
-    models, records = learn.train_ensemble(X, y, ens_cfg, **cfg.classifier_params)
+    models, records = learn.train_ensemble(
+        X, y, cfg.classifier, cfg.k, cfg.base_seed, cfg.fraction_train,
+        **cfg.trainer_params())
 
     # Per-member validation weighted F1, recorded in the manifest.
     for model, rec in zip(models, records):
@@ -247,7 +265,7 @@ def run_pipeline(cfg: PipelineConfig, train_path, test_path, out_dir):
         pred = [label.value for label, _ in predictions]
         classes = [c.value for c in learn.CLASS_ORDER]
         cm = metrics.confusion(gold, pred, classes)
-        report = metrics.aggregate(cm, cfg.include_zero_support)
+        report = metrics.aggregate(cm)
         (out_dir / "report.txt").write_text(
             metrics.render_report(report, "text"), encoding="utf-8"
         )
@@ -333,6 +351,7 @@ def load_bundle(bundle_dir) -> FittedPipeline:
                    for seed, f1 in map(str.split, pinned["member.seed"])]
     except (KeyError, ValueError) as e:
         raise ConfigError(f"{bundle}: malformed manifest.txt ({e!r})") from None
+    cfg.validate(test_input=False)
     copies = list(zip(profile_paths, profile_sha256))
     if scheme_path is not None:
         copies.append((scheme_path, one["scheme.sha256"]))

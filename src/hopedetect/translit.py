@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .errors import MalformedFile
 from .textprep import indic_script
 
 _BUNDLED_SCHEMES = {"ta": "tamil.tsv", "ml": "malayalam.tsv"}
@@ -31,7 +32,6 @@ def script_of(cp: str) -> str:
 class SchemeTable:
     lang: str
     entries: dict[str, str]
-    max_key_len: int
     # Matches the longest key at a position where a key starts with a Latin
     # letter; built from ``entries`` by make_scheme_table.
     pattern: re.Pattern = field(compare=False, repr=False)
@@ -53,19 +53,22 @@ def make_scheme_table(lang: str, entries: dict[str, str]) -> SchemeTable:
     # "(?!)" never matches: a table without Latin keys changes nothing.
     pattern = re.compile("|".join(f"{re.escape(first)}(?:{'|'.join(rest)})"
                                   for first, rest in rests.items()) or "(?!)")
-    return SchemeTable(lang=lang, entries=dict(entries),
-                       max_key_len=max(map(len, entries)), pattern=pattern)
+    return SchemeTable(lang=lang, entries=dict(entries), pattern=pattern)
 
 
 def load_scheme_table(path, lang: str) -> SchemeTable:
+    """Read a scheme file; a line that is not ``latin<TAB>native`` raises
+    MalformedFile naming it."""
     entries: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            latin, native = line.split("\t")
-            entries[latin] = native
+            fields = line.split("\t")
+            if len(fields) != 2 or not fields[0]:
+                raise MalformedFile(path, line_no, "expected latin<TAB>native")
+            entries[fields[0]] = fields[1]
     return make_scheme_table(lang, entries)
 
 

@@ -160,6 +160,7 @@ def test_06_transliteration_properties():
 
     start = time.monotonic()
     table = translit.bundled_scheme_table("ta")
+    max_key_len = max(map(len, table.entries))
     rng = random.Random(55)
     pools = ["abcdefghijklmnopqrstuvwxyz",
              "கஙசஞடணதநபமயரலவழளறன்ாிீுூஅஆஇ",
@@ -183,14 +184,14 @@ def test_06_transliteration_properties():
                 i += 1
                 continue
             matched = 0
-            for length in range(table.max_key_len, 0, -1):
+            for length in range(max_key_len, 0, -1):
                 if s[i : i + length] in table.entries:
                     matched = length
                     break
             if matched == 0:
                 i += 1
                 continue
-            for longer in range(matched + 1, table.max_key_len + 1):
+            for longer in range(matched + 1, max_key_len + 1):
                 ok &= s[i : i + longer] not in table.entries
             i += matched
     elapsed = time.monotonic() - start

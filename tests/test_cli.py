@@ -23,6 +23,12 @@ class TestStats:
     def test_missing_file_exit_2(self, capsys):
         assert run_cli("stats", "--lang", "en", "/nonexistent.tsv") == 2
 
+    def test_non_utf8_byte_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"fine\tHope_speech\nHope_speech\t\xff\n")
+        assert run_cli("stats", "--lang", "en", str(path)) == 2
+        assert "line 2: not valid UTF-8" in capsys.readouterr().err
+
     def test_bad_lang_rejected(self):
         with pytest.raises(SystemExit):
             run_cli("stats", "--lang", "fr", str(FIXTURES / "en_train.tsv"))
@@ -190,6 +196,18 @@ class TestBundle:
         assert "member-0.model: line 1: not a model-v1 header" in capsys.readouterr().err
         assert not (tmp_path / "p.txt").exists()
 
+    def test_bad_setting_in_manifest_is_refused(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        assert run_cli("train", "--lang", "en", "--epochs", "10", "--out", str(bundle),
+                       str(FIXTURES / "en_train.tsv")) == 0
+        manifest = bundle / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(
+            "tie_break=MajorityClassPrior", "tie_break=bogus"))
+        code = run_cli("predict", "--lang", "en", "--model", str(bundle),
+                       "--out", str(tmp_path / "p.txt"), str(FIXTURES / "en_test.tsv"))
+        assert code == 3
+        assert "unknown tie_break 'bogus'" in capsys.readouterr().err
+
     def test_language_must_match(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         assert run_cli("train", "--lang", "en", "--epochs", "10", "--out", str(bundle),
@@ -273,6 +291,68 @@ class TestRun:
         manifest = (out / "manifest.txt").read_text()
         assert "ensemble_k=3" in manifest
         assert "base_seed=9" in manifest
+
+    def _run_en(self, out, *flags):
+        return run_cli("run", "--lang", "en", *flags, "--out", str(out),
+                       str(FIXTURES / "en_train.tsv"), str(FIXTURES / "en_test.tsv"))
+
+    def test_config_file_equals_flags(self, tmp_path):
+        settings = {"k": "3", "seed": "5", "classifier": "linear_svm", "epochs": "40",
+                    "lr": "0.5", "svm_c": "10", "tie_break": "ClassOrder",
+                    "min_df": "2", "fraction_train": "0.8", "script_threshold": "0.6"}
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
+        flags = [arg for key, value in settings.items()
+                 for arg in (f"--{key.replace('_', '-')}", value)]
+        assert self._run_en(tmp_path / "file", "--config", str(cfg)) == 0
+        assert self._run_en(tmp_path / "flags", *flags) == 0
+        for name in ("manifest.txt", "predictions.txt"):
+            assert (tmp_path / "file" / name).read_bytes() == \
+                (tmp_path / "flags" / name).read_bytes()
+
+    def test_flag_overrides_config_file(self, tmp_path):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("k=3\nepochs=40\n")
+        out = tmp_path / "out"
+        assert self._run_en(out, "--config", str(cfg), "--k", "1") == 0
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "ensemble_k=1" in manifest and "hyperparam.epochs=40" in manifest
+
+    @pytest.mark.parametrize("flags,config,message", [
+        (["--k", "0"], None, "k must be >= 1, got 0"),
+        (["--n-trees", "0"], None, "n_trees must be >= 1, got 0"),
+        (["--min-df", "0"], None, "min_df must be >= 1, got 0"),
+        ([], "k=abc", "pipeline.cfg:2: bad k value 'abc' (expected int)"),
+        ([], "tie_break=bogus", "unknown tie_break 'bogus'"),
+        ([], "base_seed=3", "pipeline.cfg:2: unknown key 'base_seed'"),
+        ([], "scheme_path=x.tsv", "pipeline.cfg:2: unknown key 'scheme_path'"),
+    ])
+    def test_bad_setting_exit_3(self, tmp_path, capsys, flags, config, message):
+        if config is not None:
+            cfg = tmp_path / "pipeline.cfg"
+            cfg.write_text(f"# settings\n{config}\n")
+            flags = [*flags, "--config", str(cfg)]
+        assert self._run_en(tmp_path / "o", *flags) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / "predictions.txt").exists()
+
+    def test_diverged_training_exit_3(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        code = run_cli("train", "--lang", "ml", "--classifier", "linear_svm", "--k", "3",
+                       "--lr", "20", "--svm-c", "1000", "--out", str(bundle),
+                       str(FIXTURES / "ml_train.tsv"))
+        assert code == 3
+        assert "linear_svm training diverged with lr=20.0" in capsys.readouterr().err
+        assert not (bundle / "manifest.txt").exists()
+
+    def test_scheme_line_without_tab_exit_2(self, tmp_path, capsys):
+        scheme = tmp_path / "scheme.tsv"
+        scheme.write_text("ka\tக\nabc\n", encoding="utf-8")
+        code = run_cli("run", "--lang", "ta", "--scheme", str(scheme), "--epochs", "10",
+                       "--out", str(tmp_path / "o"),
+                       str(FIXTURES / "ta_train.tsv"), str(FIXTURES / "ta_train.tsv"))
+        assert code == 2
+        assert "scheme.tsv: line 2: expected latin<TAB>native" in capsys.readouterr().err
 
     def test_manifest_pins_scheme_profiles_and_version(self, tmp_path,
                                                         trained_profiles):
@@ -368,7 +448,7 @@ class TestPipelineInternals:
         cfg = pipeline.PipelineConfig(
             dataset_lang=DatasetLang.TAMIL,
             profile_paths=profile_paths,
-            k=1, classifier_params={"epochs": 30},
+            k=1, epochs=30,
         )
         votes = []
         vote = learn.ensemble_predict

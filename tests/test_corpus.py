@@ -69,6 +69,17 @@ class TestLoadTsv:
         )
         assert [r.label for r in rows] == [None, None]
 
+    def test_non_utf8_byte_past_first_chunk_names_its_line(self, tmp_path):
+        # A text-mode reader decodes 8 KB chunks, so the bad byte sits past
+        # the first one.
+        good = "a comment long enough to fill the first chunk\tHope_speech\n"
+        n_good = 8192 // len(good) + 20
+        path = tmp_path / "data.tsv"
+        path.write_bytes((good * n_good).encode() + b"caf\xe9\tHope_speech\n")
+        with pytest.raises(MalformedRow, match="not valid UTF-8") as err:
+            corpus.load_tsv(path, DatasetLang.ENGLISH)
+        assert err.value.line_no == n_good + 1
+
     def test_crlf(self, tmp_path):
         rows = corpus.load_tsv(
             _write(tmp_path, "a\tHope_speech\r\nb\tNon_hope_speech\r\n"),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hopedetect import corpus, features, learn, textprep
 from hopedetect.corpus import DatasetLang, Label
 from hopedetect.errors import (
+    ConfigError,
     DimensionMismatch,
     EmptyPredictions,
     HopedetectError,
@@ -145,6 +146,48 @@ class TestLinearSvm:
             shifted = {c: s + 5.0 for c, s in scores.items()}
             assert max(shifted, key=lambda c: (shifted[c], -model.classes.index(c))) \
                 == label
+
+
+class TestLinearDescent:
+    """The loop both linear trainers share."""
+
+    @staticmethod
+    def _plain_descent(gradient, shape, lr, epochs):
+        # The reference: one plain loop, written out for each trainer.
+        W, b = np.zeros(shape), np.zeros(shape[0])
+        for _ in range(epochs):
+            gW, gb = gradient(W, b)
+            W -= lr * gW
+            b -= lr * gb
+        return W, b
+
+    @pytest.mark.parametrize("kind", ["logreg", "linear_svm"])
+    def test_weights_equal_plain_descent(self, kind):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(30, 4))
+        y = ["A", "B", "C"] * 10
+        y_idx = np.array([0, 1, 2] * 10)
+        if kind == "logreg":
+            model = learn.train_logreg(X, y, lr=0.3, epochs=40, l2=0.01)
+            W, b = self._plain_descent(
+                lambda W, b: learn.logreg_gradient(W, b, X, y_idx, 0.01), (3, 4), 0.3, 40)
+        else:
+            model = learn.train_linear_svm(X, y, lr=0.2, epochs=40, C=3.0)
+            signs = np.where(np.arange(3)[:, None] == y_idx[None, :], 1.0, -1.0)
+            W, b = self._plain_descent(
+                lambda W, b: learn.svm_gradient(W, b, X, signs, 3.0), (3, 4), 0.2, 40)
+        assert np.array_equal(model.weights, W) and np.array_equal(model.bias, b)
+
+    @pytest.mark.parametrize("train,params", [
+        (learn.train_logreg, {"lr": 1000.0, "l2": 1.0, "epochs": 500}),
+        (learn.train_linear_svm, {"lr": 20.0, "C": 1000.0, "epochs": 500}),
+    ])
+    def test_divergence_raises(self, train, params):
+        X, y = _separable_set()
+        kind = train.__name__.removeprefix("train_")
+        with pytest.raises(ConfigError, match=f"{kind} training diverged with "
+                                              f"lr={params['lr']!r}"):
+            train(X, y, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -575,30 +618,26 @@ class TestEnsemble:
 
     def test_k7_distinct_seeds(self):
         X, y = self._data()
-        cfg = learn.EnsembleConfig(k=7, base_seed=100, member_kind="logreg")
-        models, records = learn.train_ensemble(X, y, cfg, epochs=20)
+        models, records = learn.train_ensemble(X, y, "logreg", 7, 100, 0.9, epochs=20)
         assert len(models) == 7
         assert [r["seed"] for r in records] == list(range(100, 107))
 
     def test_k1_equals_single_model(self):
         X, y = self._data()
-        cfg = learn.EnsembleConfig(k=1, base_seed=0, member_kind="logreg")
-        models, _ = learn.train_ensemble(X, y, cfg, epochs=50)
+        models, _ = learn.train_ensemble(X, y, "logreg", 1, 0, 0.9, epochs=50)
         for x in X[:10]:
             assert learn.ensemble_predict(models, x) == learn.predict(models[0], x)[0]
 
     def test_deterministic_reruns(self):
         X, y = self._data()
-        cfg = learn.EnsembleConfig(k=3, base_seed=9, member_kind="logreg")
-        a, _ = learn.train_ensemble(X, y, cfg, epochs=30)
-        b, _ = learn.train_ensemble(X, y, cfg, epochs=30)
+        a, _ = learn.train_ensemble(X, y, "logreg", 3, 9, 0.9, epochs=30)
+        b, _ = learn.train_ensemble(X, y, "logreg", 3, 9, 0.9, epochs=30)
         for x in X:
             assert learn.ensemble_predict(a, x) == learn.ensemble_predict(b, x)
 
     def test_identical_members_equal_single(self):
         X, y = self._data()
-        cfg = learn.EnsembleConfig(k=1, base_seed=5, member_kind="logreg")
-        models, _ = learn.train_ensemble(X, y, cfg, epochs=30)
+        models, _ = learn.train_ensemble(X, y, "logreg", 1, 5, 0.9, epochs=30)
         clones = models * 5
         for x in X[:20]:
             assert learn.ensemble_predict(clones, x) == learn.predict(models[0], x)[0]
@@ -611,9 +650,9 @@ class TestEnsemble:
     def test_sparse_and_dense_members_agree(self, kind, params):
         X, y = self._data(n=60, dim=6, seed=3)
         X[np.abs(X) < 0.8] = 0.0  # about half the entries
-        cfg = learn.EnsembleConfig(k=3, base_seed=2, member_kind=kind)
-        dense, dense_rec = learn.train_ensemble(X, y, cfg, **params)
-        sparse, sparse_rec = learn.train_ensemble(csr_from_dense(X), y, cfg, **params)
+        dense, dense_rec = learn.train_ensemble(X, y, kind, 3, 2, 0.9, **params)
+        sparse, sparse_rec = learn.train_ensemble(csr_from_dense(X), y, kind, 3, 2, 0.9,
+                                                  **params)
         assert dense_rec == sparse_rec
         for a, b in zip(dense, sparse):
             if kind == "random_forest":
@@ -623,8 +662,9 @@ class TestEnsemble:
                 np.testing.assert_allclose(a.bias, b.bias, rtol=0, atol=1e-12)
 
     def test_even_k_warns(self):
+        X, y = self._data()
         with pytest.warns(UserWarning):
-            learn.EnsembleConfig(k=4, base_seed=0, member_kind="logreg")
+            learn.train_ensemble(X, y, "logreg", 4, 0, 0.9, epochs=1)
 
 
 class TestExternalPredictions:

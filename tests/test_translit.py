@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopedetect import translit
+from hopedetect.errors import MalformedFile
 from hopedetect.translit import (
     bundled_scheme_table,
     load_scheme_table,
@@ -56,7 +57,15 @@ class TestTransliterate:
         path.write_text("# comment\nka\tக\nk\tக்\n", encoding="utf-8")
         table = load_scheme_table(path, "ta")
         assert table.entries == {"ka": "க", "k": "க்"}
-        assert table.max_key_len == 2
+        assert max(map(len, table.entries)) == 2
+
+    @pytest.mark.parametrize("line", ["abc", "a\tb\tc", "\tக"])
+    def test_malformed_line_names_it(self, tmp_path, line):
+        path = tmp_path / "scheme.tsv"
+        path.write_text(f"# comment\nka\tக\n{line}\n", encoding="utf-8")
+        with pytest.raises(MalformedFile, match=r"scheme\.tsv: line 3: ") as err:
+            load_scheme_table(path, "ta")
+        assert err.value.line_no == 3
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
@@ -99,6 +108,7 @@ def test_idempotence_and_passthrough_bulk(lang):
 def test_greedy_replay():
     # Replay: at each consumed position, no longer key could have matched.
     table = bundled_scheme_table("ta")
+    max_key_len = max(map(len, table.entries))
     rng = random.Random(7)
     for _ in range(500):
         s = "".join(rng.choice("kgcjtdnpbmyrlvwzsha iue") for _ in range(20))
@@ -108,7 +118,7 @@ def test_greedy_replay():
                 i += 1
                 continue
             matched = None
-            for length in range(table.max_key_len, 0, -1):
+            for length in range(max_key_len, 0, -1):
                 if s[i : i + length] in table.entries:
                     matched = length
                     break
@@ -116,7 +126,7 @@ def test_greedy_replay():
                 i += 1
                 continue
             # no longer key matches at this position
-            for longer in range(matched + 1, table.max_key_len + 1):
+            for longer in range(matched + 1, max_key_len + 1):
                 assert s[i : i + longer] not in table.entries
             i += matched
 
@@ -127,13 +137,14 @@ def _oracle_transliterate(text: str, table) -> str:
     out: list[str] = []
     i = 0
     n = len(text)
+    max_key_len = max(map(len, table.entries))
     while i < n:
         if script_of(text[i]) != "Latin":
             out.append(text[i])
             i += 1
             continue
         matched = False
-        for length in range(min(table.max_key_len, n - i), 0, -1):
+        for length in range(min(max_key_len, n - i), 0, -1):
             candidate = text[i : i + length]
             if candidate in table.entries:
                 out.append(table.entries[candidate])
