@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import sys
 import typing
-from pathlib import Path
 
 from . import corpus, langid, learn, metrics, pipeline, textprep, translit
-from .errors import ConfigError, HopedetectError
+from .corpus import utf8_lines
+from .errors import ConfigError, HopedetectError, MalformedFile
 
 EXIT_INPUT_ERROR = 2
 EXIT_CONFIG_ERROR = 3
@@ -26,24 +26,26 @@ def _pipeline_config(args) -> pipeline.PipelineConfig:
     default."""
     types = typing.get_type_hints(pipeline.PipelineConfig)
     settings = {}
-    lines = Path(args.config).read_text(encoding="utf-8").splitlines() if args.config else []
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if not sep:
-            raise ConfigError(f"{args.config}:{line_no}: expected key=value")
-        if key not in args.setting_fields:
-            raise ConfigError(f"{args.config}:{line_no}: unknown key {key!r}")
-        name = args.setting_fields[key]
-        parse = types[name] if types[name] in (int, float) else str.strip
-        try:
-            settings.setdefault(name, parse(value))
-        except ValueError:
-            raise ConfigError(f"{args.config}:{line_no}: bad {key} value "
-                              f"{value.strip()!r} (expected {parse.__name__})") from None
+    try:
+        for line_no, line in utf8_lines(args.config) if args.config else ():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            key = key.strip().replace("-", "_")
+            if not sep:
+                raise ConfigError(f"{args.config}:{line_no}: expected key=value")
+            if key not in args.setting_fields:
+                raise ConfigError(f"{args.config}:{line_no}: unknown key {key!r}")
+            name = args.setting_fields[key]
+            parse = types[name] if types[name] in (int, float) else str.strip
+            try:
+                settings.setdefault(name, parse(value))
+            except ValueError:
+                raise ConfigError(f"{args.config}:{line_no}: bad {key} value "
+                                  f"{value.strip()!r} (expected {parse.__name__})") from None
+    except MalformedFile as e:
+        raise ConfigError(f"{args.config}:{e.line_no}: not valid UTF-8") from None
     for name in args.setting_fields.values():
         if getattr(args, name) is not None:
             settings[name] = getattr(args, name)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .errors import (
     BadFraction,
     EmptyFile,
+    MalformedFile,
     MalformedRow,
     TooFewRows,
     UnknownLabel,
@@ -105,13 +106,8 @@ def load_tsv(path, dataset_lang: DatasetLang,
     holds a tab, which an unlabeled row never does.
     """
     rows: list[LabeledComment] = []
-    # Decoded line by line, so that a byte that is not UTF-8 names its line.
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").rstrip("\r\n")
-            except UnicodeDecodeError:
-                raise MalformedRow(line_no, "not valid UTF-8") from None
+    try:
+        for line_no, line in utf8_lines(path):
             if line == "":
                 continue
             if labeled is None:
@@ -131,9 +127,23 @@ def load_tsv(path, dataset_lang: DatasetLang,
             if text.strip() == "":
                 raise MalformedRow(line_no, "empty text field")
             rows.append(LabeledComment(len(rows), text, label, dataset_lang))
+    except MalformedFile as e:
+        raise MalformedRow(e.line_no, "not valid UTF-8") from None
     if not rows:
         raise EmptyFile(f"no data lines in {path}")
     return rows
+
+
+def utf8_lines(path):
+    """(line number, text) of each line of a UTF-8 file, without its line
+    break. Lines are decoded one at a time, so that a byte that is not
+    UTF-8 raises MalformedFile naming its line."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                yield line_no, raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError:
+                raise MalformedFile(path, line_no, "not valid UTF-8") from None
 
 
 def compute_stats(data: list[LabeledComment]) -> DatasetStats:

@@ -94,9 +94,11 @@ class StageError(HopedetectError):
 
 
 class MalformedFile(HopedetectError):
-    """A saved model, vocabulary or language profile that cannot be read."""
+    """A saved model, vocabulary, language profile or scheme table that
+    cannot be read; ``line_no`` is None when no one line is at fault."""
 
     def __init__(self, path, line_no, detail):
-        super().__init__(f"{path}: line {line_no}: {detail}")
+        where = f"line {line_no}: " if line_no is not None else ""
+        super().__init__(f"{path}: {where}{detail}")
         self.path = path
         self.line_no = line_no

@@ -8,11 +8,14 @@ optional ``#`` header lines recording the producer model and layer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice, repeat
 
 import numpy as np
 
+from .corpus import utf8_lines
 from .errors import (
     DimensionMismatch,
     EmptyCorpus,
@@ -90,22 +93,29 @@ class CsrMatrix:
         return CsrMatrix(self.data[take], self.indices[take], indptr, self.shape[1])
 
     def __matmul__(self, other):
-        """``X @ M`` for M of shape (n_cols, m)."""
+        """``X @ M`` for M of shape (n_cols, m), as the transpose of a
+        C-ordered (m, n_rows) array: row j of it is X times column j of M."""
         other = np.asarray(other, dtype=float)
         if other.ndim != 2 or other.shape[0] != self.shape[1]:
             raise ValueError(f"matmul: {self.shape} @ {other.shape}")
-        terms = (col[self.indices] * self.data for col in other.T)
-        return np.stack([np.bincount(self._row_of, weights=t, minlength=self.shape[0])
-                         for t in terms], axis=1)
+        out = np.empty((other.shape[1], self.shape[0]))
+        for j, col in enumerate(other.T):
+            terms = col.take(self.indices)
+            terms *= self.data
+            out[j] = np.bincount(self._row_of, weights=terms, minlength=self.shape[0])
+        return out.T
 
     def __rmatmul__(self, other):
         """``D @ X`` for D of shape (m, n_rows)."""
         other = np.asarray(other, dtype=float)
         if other.ndim != 2 or other.shape[1] != self.shape[0]:
             raise ValueError(f"matmul: {other.shape} @ {self.shape}")
-        terms = (row[self._row_of] * self.data for row in other)
-        return np.stack([np.bincount(self.indices, weights=t, minlength=self.shape[1])
-                         for t in terms])
+        out = np.empty((other.shape[0], self.shape[1]))
+        for j, row in enumerate(other):
+            terms = row.take(self._row_of)
+            terms *= self.data
+            out[j] = np.bincount(self.indices, weights=terms, minlength=self.shape[1])
+        return out
 
     def __array__(self, dtype=None, copy=None):
         dense = np.zeros(self.shape, dtype=float if dtype is None else dtype)
@@ -144,50 +154,117 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 def load_vocab(path) -> Vocabulary:
     """Read a file written by ``save_vocab``. A damaged file raises
     MalformedFile naming the line at fault."""
-    line_no = 1
-    with open(path, encoding="utf-8") as fh:
-        try:
-            header = fh.readline().rstrip("\n")
-            if not header.startswith(f"# {VOCAB_VERSION}\t"):
-                raise ValueError(f"not a {VOCAB_VERSION} header")
-            meta = dict(part.split("=", 1) for part in header.split("\t")[1:])
-            if meta.keys() != {"num_docs", "min_df"}:
-                raise ValueError(f"bad {VOCAB_VERSION} header fields")
-            num_docs, min_df = int(meta["num_docs"]), int(meta["min_df"])
-            index, doc_freq = {}, {}
-            for line_no, line in enumerate(fh, start=2):
-                term, df = line.rstrip("\n").split("\t")
-                if not term or term in index or not min_df <= int(df) <= num_docs:
-                    raise ValueError(f"bad term line {line!r}")
-                i = len(index)
-                index[term], doc_freq[i] = i, int(df)
-        except ValueError as e:
-            raise MalformedFile(path, line_no, e) from None
+    lines = utf8_lines(path)
+    line_no, header = next(lines, (1, ""))
+    try:
+        if not header.startswith(f"# {VOCAB_VERSION}\t"):
+            raise ValueError(f"not a {VOCAB_VERSION} header")
+        meta = dict(part.split("=", 1) for part in header.split("\t")[1:])
+        if meta.keys() != {"num_docs", "min_df"}:
+            raise ValueError(f"bad {VOCAB_VERSION} header fields")
+        num_docs, min_df = int(meta["num_docs"]), int(meta["min_df"])
+        index, doc_freq = {}, {}
+        for line_no, line in lines:
+            term, df = line.split("\t")
+            if not term or term in index or not min_df <= int(df) <= num_docs:
+                raise ValueError(f"bad term line {line!r}")
+            i = len(index)
+            index[term], doc_freq[i] = i, int(df)
+    except ValueError as e:
+        raise MalformedFile(path, line_no, e) from None
     return Vocabulary(index=index, doc_freq=doc_freq, num_docs=num_docs, min_df=min_df)
 
 
 def tfidf_vectorize(docs, vocab: Vocabulary) -> CsrMatrix:
     """One row per doc: tf * ln((1+N)/(1+df)), L2-normalized when nonzero.
 
-    OOV terms are ignored; a doc with no weight left is an empty row.
+    OOV terms are ignored; a doc with no weight left is an empty row. The
+    docs are split and their terms looked up in one Python pass, and the
+    rest is array work, ``_TFIDF_BLOCK`` docs at a time.
     """
-    idf = [math.log((1 + vocab.num_docs) / (1 + vocab.doc_freq[i]))
-           for i in range(len(vocab))]
-    data, indices, indptr = [], [], [0]
-    for doc in docs:
-        tf: dict[int, int] = {}
-        for term in doc.split():
-            i = vocab.index.get(term)
-            if i is not None:
-                tf[i] = tf.get(i, 0) + 1
-        weights = {i: c * idf[i] for i, c in tf.items()}
-        norm = math.sqrt(sum(w * w for w in weights.values()))
-        if norm > 0:
-            for i in sorted(weights):
-                indices.append(i)
-                data.append(weights[i] / norm)
-        indptr.append(len(indices))
-    return CsrMatrix(data, indices, indptr, len(vocab))
+    idf = np.array([math.log((1 + vocab.num_docs) / (1 + vocab.doc_freq[i]))
+                    for i in range(len(vocab))])
+    docs, parts = iter(docs), []
+    while block := [doc.split() for doc in islice(docs, _TFIDF_BLOCK)]:
+        parts.append(_tfidf_block(block, vocab.index.get, idf))
+    if not parts:
+        return CsrMatrix([], [], [0], len(vocab))
+    data, indices, row_nnz = map(np.concatenate, zip(*parts))
+    return CsrMatrix(data, indices, np.concatenate(([0], np.cumsum(row_nnz))), len(vocab))
+
+
+# Docs per block of tfidf_vectorize. Its temporaries are a few arrays per
+# token of the block; with 128 docs they stay below the per-entry Python
+# lists of a per-doc loop on the benchmark's corpora.
+_TFIDF_BLOCK = 128
+
+
+def _tfidf_block(block, get, idf):
+    """(data, indices, stored entries per row) of the rows of ``block``,
+    each a doc's list of terms, whose ids ``get(term, -1)`` gives (-1 out
+    of vocabulary).
+
+    The arithmetic is that of a per-doc loop over Python floats: each
+    weight is count * idf, a row's squared weights are summed by
+    ``_row_sums`` in the order its terms first occur, and the row is divided
+    by the root unless that is 0, which leaves it empty. Entries are sorted
+    by column within their row.
+    """
+    lengths = np.fromiter(map(len, block), np.intp, len(block))
+    ids = np.fromiter(map(get, chain.from_iterable(block), repeat(-1)),
+                      np.intp, int(lengths.sum()))
+    row = np.repeat(np.arange(len(block)), lengths)
+    known = ids >= 0
+    # One key per (row, term), so that sorting orders rows, then columns.
+    key = row[known] * len(idf) + ids[known]
+    key, first, counts = np.unique(key, return_index=True, return_counts=True)
+    row, col = np.divmod(key, len(idf))
+    weight = counts * idf[col]
+    by_occurrence = np.argsort(first)
+    square = weight * weight
+    norm = np.sqrt(_row_sums(row[by_occurrence], square[by_occurrence], len(block)))
+    kept = norm[row] > 0
+    row_nnz = np.bincount(row[kept], minlength=len(block))
+    return weight[kept] / norm[row[kept]], col[kept], row_nnz
+
+
+def _sequential_row_sums(row, values, n_rows):
+    """Each row's values added one after another from 0.0, as Python's
+    ``sum`` adds floats before 3.12. ``row`` is sorted, and each row's
+    values are in the order to add them: np.bincount adds in entry order."""
+    return np.bincount(row, weights=values, minlength=n_rows)
+
+
+def _compensated_row_sums(row, values, n_rows):
+    """Each row's values added as Python's ``sum`` adds floats from 3.12 on:
+    Neumaier's compensated summation, the compensation added at the end
+    when it is finite and nonzero. ``row`` is sorted, and each row's values
+    are in the order to add them.
+
+    The rows are summed together, one term position at a time: the rows
+    are taken longest first, so the rows still going are a prefix.
+    """
+    counts = np.bincount(row, minlength=n_rows)
+    longest_first = np.argsort(-counts, kind="stable")
+    start = (np.cumsum(counts) - counts)[longest_first]
+    counts = counts[longest_first]
+    total, compensation = np.zeros(n_rows), np.zeros(n_rows)
+    for k in range(int(counts.max(initial=0))):
+        m = np.count_nonzero(counts > k)
+        s, x = total[:m], values[start[:m] + k]
+        t = s + x
+        compensation[:m] += np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
+        total[:m] = t
+    sums = np.empty(n_rows)
+    sums[longest_first] = np.where(np.isfinite(compensation),
+                                   total + compensation, total)
+    return sums
+
+
+# The per-doc vectorizer summed each row's squares with Python's sum, whose
+# float arithmetic changed in 3.12; the matrix follows the interpreter.
+_row_sums = (_compensated_row_sums if sys.version_info >= (3, 12)
+             else _sequential_row_sums)
 
 
 def load_embeddings(path, expected_dim: int = DEFAULT_EMBEDDING_DIM,

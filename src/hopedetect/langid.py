@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from . import textprep
-from .corpus import DatasetLang
+from .corpus import DatasetLang, utf8_lines
 from .errors import EmptyCorpus, EmptyText, MalformedFile, NoProfiles
 
 PROFILE_VERSION = "langprofile-v1"
@@ -178,25 +178,24 @@ def save_profile(profile: LanguageProfile, path) -> None:
 def load_profile(path) -> LanguageProfile:
     """Read a file written by ``save_profile``. A damaged file raises
     MalformedFile naming the line at fault."""
-    line_no = 1
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            header = fh.readline().rstrip("\n")
-            if not header.startswith(f"# {PROFILE_VERSION}\t"):
-                raise ValueError(f"not a {PROFILE_VERSION} header")
-            meta = dict(part.split("=", 1) for part in header.split("\t")[1:])
-            if meta.keys() != {"lang", "n", "alpha", "count", "unseen"}:
-                raise ValueError(f"bad {PROFILE_VERSION} header fields")
-            n, alpha, count = int(meta["n"]), float(meta["alpha"]), int(meta["count"])
-            unseen = float(meta["unseen"])
-            logprob = {}
-            for line_no, line in enumerate(fh, start=2):
-                safe, value = line.rstrip("\n").split("\t")
-                logprob[_unescape(safe)] = float(value)
-            line_no += 1
-            if len(logprob) != count:
-                raise ValueError(f"{len(logprob)} grams, the header says {count}")
-        except ValueError as e:
-            raise MalformedFile(path, line_no, e) from None
+    lines = utf8_lines(path)
+    line_no, header = next(lines, (1, ""))
+    try:
+        if not header.startswith(f"# {PROFILE_VERSION}\t"):
+            raise ValueError(f"not a {PROFILE_VERSION} header")
+        meta = dict(part.split("=", 1) for part in header.split("\t")[1:])
+        if meta.keys() != {"lang", "n", "alpha", "count", "unseen"}:
+            raise ValueError(f"bad {PROFILE_VERSION} header fields")
+        n, alpha, count = int(meta["n"]), float(meta["alpha"]), int(meta["count"])
+        unseen = float(meta["unseen"])
+        logprob = {}
+        for line_no, line in lines:
+            safe, value = line.split("\t")
+            logprob[_unescape(safe)] = float(value)
+        line_no += 1
+        if len(logprob) != count:
+            raise ValueError(f"{len(logprob)} grams, the header says {count}")
+    except ValueError as e:
+        raise MalformedFile(path, line_no, e) from None
     return LanguageProfile(lang=meta["lang"], n=n, logprob=logprob,
                            smoothing_alpha=alpha, unseen_logprob=unseen)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Label, parse_label, split_positions
+from .corpus import Label, parse_label, split_positions, utf8_lines
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -106,6 +106,33 @@ def _descend(kind, X, class_names, seed, hyperparams, gradient) -> TrainedModel:
     )
 
 
+# The gradients work on class-major (classes, n) arrays: a reduction over
+# the classes is then one pass per class row, adding the classes left to
+# right, and a class's sum over the rows is a sequential run along its row.
+
+
+def _scores(W, b, X):
+    """Class scores, classes x n: ``X @ W.T + b`` transposed."""
+    scores = (X @ W.T).T
+    scores += b[:, None]
+    return scores
+
+
+def _row_sums(D):
+    """Sum of each row of D, adding its entries in order to 0.0: as
+    ``D.T.sum(axis=0)`` does for a C-ordered D.T. The cumulative sum starts
+    from the first entry instead, which differs only for a row of -0.0s;
+    adding 0.0 makes that sum 0.0 and leaves any other unchanged."""
+    return np.cumsum(D, axis=1)[:, -1] + 0.0
+
+
+def _left_operand(D, X):
+    """D laid out for ``D @ X``. For a dense X, D gets the memory layout of
+    a transposed C-ordered (n, classes) array, the operand of the row-major
+    gradients, so that BLAS takes the same path and adds in the same order."""
+    return D if isinstance(X, CsrMatrix) else np.asfortranarray(D)
+
+
 # ---------------------------------------------------------------------------
 # Softmax regression
 
@@ -120,14 +147,15 @@ def logreg_objective(W, b, X, y_idx, l2):
 
 
 def logreg_gradient(W, b, X, y_idx, l2):
-    z = X @ W.T + b
-    z -= z.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
-    onehot = np.zeros_like(p)
-    onehot[np.arange(len(y_idx)), y_idx] = 1.0
-    delta = (p - onehot) / len(y_idx)
-    return delta.T @ X + l2 * W, delta.sum(axis=0)
+    P = _scores(W, b, X)
+    P -= P.max(axis=0)
+    np.exp(P, out=P)
+    P /= P.sum(axis=0)
+    P[y_idx, np.arange(len(y_idx))] -= 1.0
+    P /= len(y_idx)
+    gW = _left_operand(P, X) @ X
+    gW += l2 * W
+    return gW, _row_sums(P)
 
 
 def train_logreg(X, y, lr: float = 0.1, epochs: int = 500, l2: float = 1e-4,
@@ -154,10 +182,13 @@ def svm_objective(W, b, X, signs, C):
 
 
 def svm_gradient(W, b, X, signs, C):
-    margins = X @ W.T + b
-    active = (signs.T * margins < 1.0).astype(float)  # subgradient choice at the kink
-    coef = -(signs.T * active) / X.shape[0]
-    return C * (coef.T @ X) + W, C * coef.sum(axis=0)
+    margins = _scores(W, b, X)
+    active = (signs * margins < 1.0).astype(float)  # subgradient choice at the kink
+    coef = -(signs * active) / X.shape[0]
+    gW = _left_operand(coef, X) @ X
+    gW *= C
+    gW += W
+    return gW, C * _row_sums(coef)
 
 
 def train_linear_svm(X, y, lr: float = 0.01, epochs: int = 500, C: float = 1.0,
@@ -458,12 +489,12 @@ def save_model(model: TrainedModel, path) -> None:
 def load_model(path) -> TrainedModel:
     """Read a file written by ``save_model``. A damaged file raises
     MalformedFile naming the line at fault."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            model = _parse_model_header(fh.readline().rstrip("\n"))
-        except ValueError as e:
-            raise MalformedFile(path, 1, e) from None
-        body = [(n, ln.split()) for n, ln in enumerate(fh, start=2) if ln.strip()]
+    lines = utf8_lines(path)
+    try:
+        model = _parse_model_header(next(lines, (1, ""))[1])
+    except ValueError as e:
+        raise MalformedFile(path, 1, e) from None
+    body = [(n, ln.split()) for n, ln in lines if ln.strip()]
     end = body[-1][0] + 1 if body else 2  # the line after the last
     read = _read_trees if model.kind == "random_forest" else _read_linear
     read(model, body, path, end)

@@ -217,24 +217,22 @@ def fit(cfg: PipelineConfig, train_rows) -> FittedPipeline:
 
 def apply(fitted: FittedPipeline, test_rows) -> list[tuple[Label, str]]:
     """(label, output alias) of each test row: the gate's NotLanguage, or the
-    ensemble's vote on the row's features."""
+    ensemble's vote on the row's features. Only the rows the gate keeps get
+    features."""
     cfg = fitted.cfg
     test_proc = preprocess_rows(test_rows, cfg, fitted.profiles, fitted.table)
+    kept = [i for i, p in enumerate(test_proc) if p.gate != "NotLanguage"]
     if cfg.feature_mode == "tfidf":
-        X = features.tfidf_vectorize([p.text for p in test_proc], fitted.vocab)
+        X = features.tfidf_vectorize([test_proc[i].text for i in kept], fitted.vocab)
     else:
         X = features.load_embeddings(
             cfg.test_embeddings, cfg.embedding_dim, n_rows=len(test_rows)
-        )
-    not_lang_alias = _NOT_LANG_ALIAS[cfg.dataset_lang]
-    predictions: list[tuple[Label, str]] = []
-    for i, p in enumerate(test_proc):
-        if p.gate == "NotLanguage":
-            predictions.append((Label.NOT_LANGUAGE, not_lang_alias))
-            continue
-        label = Label(learn.ensemble_predict(fitted.models, X[i:i + 1], cfg.tie_break))
-        predictions.append((label, _OUT_ALIAS[label]))
-    return predictions
+        )[kept]
+    labels = [Label.NOT_LANGUAGE] * len(test_proc)
+    for j, i in enumerate(kept):
+        labels[i] = Label(learn.ensemble_predict(fitted.models, X[j:j + 1], cfg.tie_break))
+    aliases = {**_OUT_ALIAS, Label.NOT_LANGUAGE: _NOT_LANG_ALIAS[cfg.dataset_lang]}
+    return [(label, aliases[label]) for label in labels]
 
 
 def write_predictions(predictions, path) -> None:

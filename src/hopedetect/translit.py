@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .corpus import utf8_lines
 from .errors import MalformedFile
 from .textprep import indic_script
 
@@ -58,17 +59,17 @@ def make_scheme_table(lang: str, entries: dict[str, str]) -> SchemeTable:
 
 def load_scheme_table(path, lang: str) -> SchemeTable:
     """Read a scheme file; a line that is not ``latin<TAB>native`` raises
-    MalformedFile naming it."""
+    MalformedFile naming it, as does a file without one entry."""
     entries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or not fields[0]:
-                raise MalformedFile(path, line_no, "expected latin<TAB>native")
-            entries[fields[0]] = fields[1]
+    for line_no, line in utf8_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[0]:
+            raise MalformedFile(path, line_no, "expected latin<TAB>native")
+        entries[fields[0]] = fields[1]
+    if not entries:
+        raise MalformedFile(path, None, "no latin<TAB>native entries")
     return make_scheme_table(lang, entries)
 
 

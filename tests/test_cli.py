@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from hopedetect import cli, corpus, langid, learn, pipeline, textprep, translit
+from hopedetect import cli, corpus, features, langid, learn, pipeline, textprep, translit
 from hopedetect.corpus import DatasetLang, Label
 from conftest import FIXTURES, synthetic_sentences
 
@@ -195,6 +195,20 @@ class TestBundle:
         assert code == 2
         assert "member-0.model: line 1: not a model-v1 header" in capsys.readouterr().err
         assert not (tmp_path / "p.txt").exists()
+
+    @pytest.mark.parametrize("name", ["member-0.model", "vocab.tsv"])
+    def test_non_utf8_byte_in_bundle_names_its_line(self, tmp_path, capsys, name):
+        bundle = tmp_path / "bundle"
+        assert run_cli("train", "--lang", "ml", "--classifier", "random_forest",
+                       "--k", "3", "--out", str(bundle),
+                       str(FIXTURES / "ml_train.tsv")) == 0
+        path = bundle / name
+        lines = len(path.read_bytes().splitlines())
+        path.write_bytes(path.read_bytes() + b"\xff")
+        code = run_cli("predict", "--lang", "ml", "--model", str(bundle),
+                       "--out", str(tmp_path / "p.txt"), str(FIXTURES / "ml_train.tsv"))
+        assert code == 2
+        assert f"{name}: line {lines + 1}: not valid UTF-8" in capsys.readouterr().err
 
     def test_bad_setting_in_manifest_is_refused(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"
@@ -400,6 +414,34 @@ class TestRun:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("content,line_no", [
+        (b"\xff=1\n", 1),
+        (b"k=3\n\xff=1\n", 2),
+        (b"k=3\nseed=4\xff\nepochs=10\n", 2),
+        (b"k=3\r\n# note\r\n\r\nseed=\xff", 4),
+    ])
+    def test_non_utf8_config_exit_3(self, tmp_path, capsys, content, line_no):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(content)
+        code = run_cli("run", "--lang", "ta", "--config", str(cfg),
+                       "--out", str(tmp_path / "o"),
+                       str(FIXTURES / "ta_train.tsv"), str(FIXTURES / "ta_train.tsv"))
+        assert code == 3
+        assert f"c.cfg:{line_no}: not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content,message", [
+        (b"# only\n# comments\n", "scheme.tsv: no latin<TAB>native entries"),
+        (b"# c\nka\t\xff\n", "scheme.tsv: line 2: not valid UTF-8"),
+    ])
+    def test_damaged_scheme_exit_2(self, tmp_path, capsys, content, message):
+        scheme = tmp_path / "scheme.tsv"
+        scheme.write_bytes(content)
+        code = run_cli("run", "--lang", "ta", "--scheme", str(scheme), "--epochs", "10",
+                       "--out", str(tmp_path / "o"),
+                       str(FIXTURES / "ta_train.tsv"), str(FIXTURES / "ta_train.tsv"))
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_damaged_profile_exit_2(self, tmp_path, capsys):
         profile = tmp_path / "en.profile"
         langid.save_profile(langid.train_profile(["hope wins"], "en"), profile)
@@ -470,6 +512,34 @@ class TestPipelineInternals:
         # Only the gate writes not-Tamil, so one vote per other row means no
         # gated row reached the classifier.
         assert len(votes) == sum(p != "not-Tamil" for p in preds)
+
+    def test_apply_vectorizes_only_kept_rows(self, tmp_path, trained_profiles,
+                                             monkeypatch):
+        paths = []
+        for p in trained_profiles:
+            paths.append(str(tmp_path / f"{p.lang}.profile"))
+            langid.save_profile(p, paths[-1])
+        cfg = pipeline.PipelineConfig(dataset_lang=DatasetLang.TAMIL,
+                                      profile_paths=paths, k=3, epochs=30)
+        rows = corpus.load_tsv(FIXTURES / "ta_train.tsv", DatasetLang.TAMIL)
+        fitted = pipeline.fit(cfg, rows)
+        vectorize, seen = features.tfidf_vectorize, []
+
+        def recorded(docs, vocab):
+            seen.append(list(docs))
+            return vectorize(docs, vocab)
+
+        monkeypatch.setattr(features, "tfidf_vectorize", recorded)
+        labels = [label for label, _ in pipeline.apply(fitted, rows)]
+        proc = pipeline.preprocess_rows(rows, cfg, fitted.profiles, fitted.table)
+        kept = [p.text for p in proc if p.gate == "InLanguage"]
+        assert seen == [kept] and 0 < len(kept) < len(rows)
+        # The labels of vectorizing every row and voting on the kept ones.
+        X = vectorize([p.text for p in proc], fitted.vocab)
+        assert labels == [
+            Label.NOT_LANGUAGE if p.gate == "NotLanguage" else
+            Label(learn.ensemble_predict(fitted.models, X[i:i + 1], cfg.tie_break))
+            for i, p in enumerate(proc)]
 
     def test_stage_order(self, trained_profiles, monkeypatch):
         cfg = pipeline.PipelineConfig(dataset_lang=DatasetLang.TAMIL)

@@ -1,5 +1,8 @@
 import math
+import random
+import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hopedetect.errors import (
     NonNumericValue,
     RowCountMismatch,
 )
+from conftest import csr_from_dense
 
 
 class TestBuildVocab:
@@ -66,6 +70,18 @@ class TestVocabFile:
         with pytest.raises(MalformedFile, match=rf"vocab\.tsv: line {line_no}: "):
             features.load_vocab(path)
 
+    @pytest.mark.parametrize("damage,line_no", [
+        (lambda ls: ls + [b"\xff"], 9),  # after the header and 7 terms
+        (lambda ls: ls[:3] + [b"str\xffong\t1\n"] + ls[4:], 4),
+    ])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, damage, line_no):
+        path = tmp_path / "vocab.tsv"
+        features.save_vocab(features.build_vocab(["hope wins", "stay strong", "hope",
+                                                  "never give up"]), path)
+        path.write_bytes(b"".join(damage(path.read_bytes().splitlines(keepends=True))))
+        with pytest.raises(MalformedFile, match=rf"vocab\.tsv: line {line_no}: not valid UTF-8"):
+            features.load_vocab(path)
+
 
 class TestTfidf:
     def test_all_oov_zero_vector(self):
@@ -100,6 +116,138 @@ class TestTfidf:
         X = features.tfidf_vectorize([doc], vocab)
         norm = math.sqrt(sum(w * w for w in X.data))
         assert norm == pytest.approx(1.0) or norm == 0.0
+
+
+def _tfidf_per_doc(docs, vocab, total=sum):
+    """Oracle: the vectorizer as one Python loop per doc. A row's squared
+    weights are summed by ``total``, Python's ``sum`` unless given, in the
+    order its terms first occur."""
+    idf = [math.log((1 + vocab.num_docs) / (1 + vocab.doc_freq[i]))
+           for i in range(len(vocab))]
+    data, indices, indptr = [], [], [0]
+    for doc in docs:
+        tf: dict[int, int] = {}
+        for term in doc.split():
+            i = vocab.index.get(term)
+            if i is not None:
+                tf[i] = tf.get(i, 0) + 1
+        weights = {i: c * idf[i] for i, c in tf.items()}
+        norm = math.sqrt(total(w * w for w in weights.values()))
+        if norm > 0:
+            for i in sorted(weights):
+                indices.append(i)
+                data.append(weights[i] / norm)
+        indptr.append(len(indices))
+    return features.CsrMatrix(data, indices, indptr, len(vocab))
+
+
+def _assert_same_csr(got, want):
+    """The two matrices hold the same entries, bit for bit."""
+    assert got.shape == want.shape
+    assert got.indptr.tolist() == want.indptr.tolist()
+    assert got.indices.tolist() == want.indices.tolist()
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def _added_in_turn(xs):
+    """Python's float ``sum`` before 3.12: one addition after another."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def _added_compensated(xs):
+    """Python's float ``sum`` from 3.12 on: Neumaier's compensated sum, the
+    compensation added at the end when it is finite and nonzero."""
+    total = compensation = 0.0
+    for x in xs:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+_SUM_ORDERS = [
+    pytest.param(features._sequential_row_sums, _added_in_turn, id="before-3.12"),
+    pytest.param(features._compensated_row_sums, _added_compensated, id="3.12-on"),
+]
+_finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
+
+
+class TestRowSums:
+    """The vectorizer's row sums against Python's own float ``sum``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_finite, st.floats(0, 10)), max_size=30))
+    def test_emulation_of_this_python_is_its_sum(self, xs):
+        kernel, emulation = _SUM_ORDERS[sys.version_info >= (3, 12)].values
+        assert float(sum(xs)).hex() == emulation(xs).hex()
+        assert features._row_sums is kernel
+
+    def test_the_two_sums_differ(self):
+        xs = [1.0, 1e-16, 1e-16]
+        assert _added_in_turn(xs) == 1.0
+        assert _added_compensated(xs) == 1.0000000000000002
+
+    @pytest.mark.parametrize("kernel,emulation", _SUM_ORDERS)
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(st.one_of(_finite, st.floats(0, 10)), max_size=9),
+                         max_size=12))
+    def test_kernel_matches_its_python_sum(self, kernel, emulation, rows):
+        row = np.repeat(np.arange(len(rows)), [len(r) for r in rows]).astype(np.intp)
+        values = np.array([x for r in rows for x in r], dtype=float)
+        got = kernel(row, values, len(rows))
+        assert [float(x).hex() for x in got.tolist()] == [emulation(r).hex() for r in rows]
+
+
+class TestTfidfBlocks:
+    """The block-wise array vectorizer against the per-doc loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet="abcde ", min_size=1, max_size=15),
+                    min_size=1, max_size=8),
+           st.lists(st.text(alphabet="abcdefg \t", max_size=30), max_size=12),
+           st.integers(1, 4))
+    def test_matches_per_doc_loop(self, vocab_docs, docs, block):
+        assume(any(d.split() for d in vocab_docs))
+        vocab = features.build_vocab(vocab_docs, min_df=1)
+        # An empty doc, an all-OOV doc with a repeated term, and a doc of
+        # the terms in every vocab doc, whose idf is 0: all empty rows.
+        everywhere = set.intersection(*(set(d.split()) for d in vocab_docs))
+        docs = docs + ["", "ff g ff", " ".join(sorted(everywhere) * 2)]
+        with mock.patch.object(features, "_TFIDF_BLOCK", block):
+            got = features.tfidf_vectorize(iter(docs), vocab)
+        _assert_same_csr(got, _tfidf_per_doc(docs, vocab))
+        assert got.indptr[-1] == got.indptr[-4]
+
+    def test_docs_on_both_sides_of_a_block_boundary(self):
+        rng = random.Random(5)
+        pool = [f"t{i}" for i in range(300)]
+        docs = [" ".join(rng.choices(pool, k=rng.randint(0, 12)))
+                for _ in range(2 * features._TFIDF_BLOCK + 7)]
+        vocab = features.build_vocab(docs[::3], min_df=2)
+        got = features.tfidf_vectorize(docs, vocab)
+        _assert_same_csr(got, _tfidf_per_doc(docs, vocab))
+        assert features.tfidf_vectorize([], vocab).shape == (0, len(vocab))
+
+    @pytest.mark.parametrize("kernel,emulation", _SUM_ORDERS)
+    def test_matches_per_doc_loop_under_either_sum(self, kernel, emulation):
+        # On the one Python that runs the tests, the matrix of the other.
+        rng = random.Random(6)
+        pool = [f"t{i}" for i in range(300)]
+        docs = [" ".join(rng.choices(pool, k=rng.randint(0, 40)))
+                for _ in range(2 * features._TFIDF_BLOCK + 7)]
+        vocab = features.build_vocab(docs[::3], min_df=2)
+        with mock.patch.object(features, "_row_sums", kernel):
+            got = features.tfidf_vectorize(docs, vocab)
+        _assert_same_csr(got, _tfidf_per_doc(docs, vocab, total=emulation))
+        # The two sums give different matrices for these docs.
+        assert _tfidf_per_doc(docs, vocab, total=_added_in_turn).data.tobytes() != \
+            _tfidf_per_doc(docs, vocab, total=_added_compensated).data.tobytes()
 
 
 def _dense_tfidf(docs, vocab):
@@ -170,6 +318,25 @@ class TestCsrMatrix:
         dense[1, 1] = 5.0
         assert np.asarray(X)[1, 1] == 0.0
         assert np.asarray(X[[]]).shape == (0, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 12), st.integers(1, 9), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_products_match_stacked_bincounts(self, n, dim, m, seed):
+        # The products before the preallocated class-major result: one
+        # bincount per column of M (row of D), stacked.
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, dim)) * (rng.random((n, dim)) < 0.4)
+        X = csr_from_dense(A)
+        M, D = rng.normal(size=(dim, m)), rng.normal(size=(m, n))
+        want = np.stack([np.bincount(X._row_of, weights=col[X.indices] * X.data,
+                                     minlength=n) for col in M.T], axis=1)
+        got = X @ M
+        assert got.tobytes() == want.tobytes() and got.T.flags.c_contiguous
+        want = np.stack([np.bincount(X.indices, weights=row[X._row_of] * X.data,
+                                     minlength=dim) for row in D])
+        got = D @ X
+        assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
 
     def test_row_index_built_only_for_products(self):
         X = features.CsrMatrix([1.0, 2.0, 3.0], [0, 2, 1], [0, 1, 1, 3], 3)

@@ -203,6 +203,20 @@ class TestProfileRoundTrip:
         with pytest.raises(MalformedFile, match=rf"xx\.profile: line {line_no}: "):
             langid.load_profile(path)
 
+    @pytest.mark.parametrize("damage,line_no", [
+        (lambda ls: ls + [b"\xff"], None),  # a line after the last gram
+        (lambda ls: ls[:2] + [b"\xffb\t-1.0\n"] + ls[3:], 3),
+    ])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, damage, line_no):
+        path = tmp_path / "xx.profile"
+        langid.save_profile(langid.train_profile(["hope wins again"], "xx", n=2), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(damage(lines)))
+        line_no = len(lines) + 1 if line_no is None else line_no
+        with pytest.raises(MalformedFile,
+                           match=rf"xx\.profile: line {line_no}: not valid UTF-8"):
+            langid.load_profile(path)
+
     def test_round_trip_with_tab_and_newline_grams(self, tmp_path):
         profile = langid.train_profile(["a\tb\nc"], "xx", n=2, alpha=0.5)
         path = tmp_path / "xx.profile"

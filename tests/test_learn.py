@@ -3,6 +3,7 @@ import tempfile
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,6 +189,75 @@ class TestLinearDescent:
         with pytest.raises(ConfigError, match=f"{kind} training diverged with "
                                               f"lr={params['lr']!r}"):
             train(X, y, **params)
+
+
+# ---------------------------------------------------------------------------
+# Row-major gradient oracles: the gradients as computed before class-major
+# scores, on (n, classes) arrays. ``X @ W.T`` is made C-ordered, as it was.
+
+
+def _logreg_gradient_rows(W, b, X, y_idx, l2):
+    z = np.ascontiguousarray(X @ W.T) + b
+    z -= z.max(axis=1, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=1, keepdims=True)
+    onehot = np.zeros_like(p)
+    onehot[np.arange(len(y_idx)), y_idx] = 1.0
+    delta = (p - onehot) / len(y_idx)
+    return delta.T @ X + l2 * W, delta.sum(axis=0)
+
+
+def _svm_gradient_rows(W, b, X, signs, C):
+    margins = np.ascontiguousarray(X @ W.T) + b
+    active = (signs.T * margins < 1.0).astype(float)
+    coef = -(signs.T * active) / X.shape[0]
+    return C * (coef.T @ X) + W, C * coef.sum(axis=0)
+
+
+def _same_bits(got, want):
+    return all(g.shape == w.shape and g.tobytes() == w.tobytes()
+               for g, w in zip(got, want))
+
+
+class TestClassMajorGradients:
+    """The class-major gradients against the row-major oracles, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 9), st.sampled_from([2, 3]),
+           st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_row_major(self, n, dim, n_classes, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, dim)) * (rng.random((n, dim)) < 0.5)
+        W = rng.normal(scale=3.0, size=(n_classes, dim))
+        b = rng.normal(size=n_classes)
+        y_idx = rng.integers(0, n_classes, size=n)
+        signs = np.where(np.arange(n_classes)[:, None] == y_idx[None, :], 1.0, -1.0)
+        for X in (A, csr_from_dense(A)):
+            assert _same_bits(learn.logreg_gradient(W, b, X, y_idx, 0.01),
+                              _logreg_gradient_rows(W, b, X, y_idx, 0.01))
+            assert _same_bits(learn.svm_gradient(W, b, X, signs, 2.0),
+                              _svm_gradient_rows(W, b, X, signs, 2.0))
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("kind", ["logreg", "linear_svm"])
+    def test_training_bit_identical_to_row_major(self, kind, n_classes, dense):
+        # The en fixture's TF-IDF rows, through whole trainings.
+        X, y, _ = _golden_features()
+        if dense:
+            X = np.asarray(X)
+        if n_classes == 3:
+            y = [("A", "B", "C")[i % 3] for i in range(len(y))]
+        y_idx, classes = learn._encode_labels(y)
+        signs = np.where(np.arange(n_classes)[:, None] == y_idx[None, :], 1.0, -1.0)
+        if kind == "logreg":
+            model = learn.train_logreg(X, y, lr=1.0, epochs=30)
+            oracle = lambda W, b: _logreg_gradient_rows(W, b, X, y_idx, 1e-4)
+        else:
+            model = learn.train_linear_svm(X, y, lr=0.5, epochs=30, C=10.0)
+            oracle = lambda W, b: _svm_gradient_rows(W, b, X, signs, 10.0)
+        want = learn._descend(kind, X, classes, 0, model.hyperparams, oracle)
+        assert _same_bits((model.weights, model.bias), (want.weights, want.bias))
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +804,13 @@ GOLDEN = FIXTURES / "golden"
 
 def _golden_features():
     """TF-IDF rows and labels of en_train.tsv's Hope/NotHope rows, and the
-    rows of en_test.tsv, as the golden models saw them."""
+    rows of en_test.tsv, as the golden models saw them.
+
+    The files were written on a Python before 3.12, whose ``sum`` added
+    each row's squared weights one after another; from 3.12 on the matrix
+    follows the compensated ``sum`` and differs in the last bit of some
+    rows, so the rows here are summed the older way on every Python.
+    """
     def rows_and_texts(name, labeled):
         rows = corpus.load_tsv(FIXTURES / name, DatasetLang.ENGLISH, labeled=labeled)
         return rows, [textprep.normalize_text(r.text) for r in rows]
@@ -742,10 +818,11 @@ def _golden_features():
     train, texts = rows_and_texts("en_train.tsv", True)
     keep = [i for i, r in enumerate(train) if r.label in (Label.HOPE, Label.NOT_HOPE)]
     vocab = features.build_vocab([texts[i] for i in keep])
-    X = features.tfidf_vectorize([texts[i] for i in keep], vocab)
-    y = [train[i].label.value for i in keep]
     _, test_texts = rows_and_texts("en_test.tsv", None)
-    return X, y, features.tfidf_vectorize(test_texts, vocab)
+    with mock.patch.object(features, "_row_sums", features._sequential_row_sums):
+        X = features.tfidf_vectorize([texts[i] for i in keep], vocab)
+        T = features.tfidf_vectorize(test_texts, vocab)
+    return X, [train[i].label.value for i in keep], T
 
 
 def _damaged(damage):
@@ -786,6 +863,23 @@ class TestGoldenModels:
         assert [learn.predict(model, T[i:i + 1])[0] for i in range(25)] == want
         assert [learn.predict(model, T[i])[0] for i in range(25)] == want
 
+    def test_tfidf_matrices_match_the_files(self):
+        # Written by the per-doc vectorizer, one row per line, repr floats.
+        X, _, T = _golden_features()
+        for M, name in ((X, "train"), (T, "test")):
+            lines = [" ".join(f"{c}:{v!r}" for c, v in
+                              zip(M[r:r + 1].indices.tolist(), M[r:r + 1].data.tolist()))
+                     for r in range(M.shape[0])]
+            assert "".join(ln + "\n" for ln in lines) == \
+                (GOLDEN / f"tfidf_{name}.rows").read_text()
+
+    def test_training_reproduces_the_svm_file(self):
+        # Like the forest, the SVM's training has no exp: only products, sums
+        # in a fixed order and comparisons.
+        X, y, _ = _golden_features()
+        model = learn.train_linear_svm(X, y, lr=0.5, epochs=60, C=10.0, seed=0)
+        assert _model_bytes(model) == (GOLDEN / "svm.model").read_bytes()
+
     def test_training_reproduces_the_forest_file(self):
         # Only the forest: its training is comparisons and sums, while numpy
         # versions may differ in the last place of the exp the logreg uses.
@@ -803,3 +897,17 @@ class TestGoldenModels:
         with pytest.raises(MalformedFile, match=rf"{name}\.model: line {line_no}: ") as err:
             learn.load_model(path)
         assert isinstance(err.value, HopedetectError)
+
+    @pytest.mark.parametrize("name", ["forest", "logreg", "svm"])
+    @pytest.mark.parametrize("where", ["appended", "line 3"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, name, where):
+        lines = (GOLDEN / f"{name}.model").read_bytes().splitlines(keepends=True)
+        if where == "appended":
+            lines, line_no = lines + [b"\xff\xfe"], len(lines) + 1
+        else:
+            lines[2], line_no = lines[2][:9] + b"\xff" + lines[2][9:], 3
+        path = tmp_path / f"{name}.model"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(MalformedFile,
+                           match=rf"{name}\.model: line {line_no}: not valid UTF-8"):
+            learn.load_model(path)

@@ -67,6 +67,19 @@ class TestTransliterate:
             load_scheme_table(path, "ta")
         assert err.value.line_no == 3
 
+    @pytest.mark.parametrize("content,line_no", [
+        (b"# comment\n\n# another\n", None),
+        (b"# comment\nka\t\xff\n", 2),
+        (b"ka\t\xe0\xae\x95\n\xffa\tb\n", 2),
+    ])
+    def test_damaged_file_is_malformed(self, tmp_path, content, line_no):
+        path = tmp_path / "scheme.tsv"
+        path.write_bytes(content)
+        with pytest.raises(MalformedFile) as err:
+            load_scheme_table(path, "ta")
+        assert err.value.line_no == line_no
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
             make_scheme_table("ta", {})
