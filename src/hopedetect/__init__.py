@@ -1,8 +1,8 @@
 """Hope-speech detection pipeline for code-mixed comment data."""
 
-from .corpus import DatasetLang, Label, LabeledComment, compute_stats, load_tsv, make_split
+from .corpus import DatasetLang, Label, LabeledComment, compute_stats, load_tsv
 from .metrics import aggregate, confusion, render_report
-from .textprep import NormalizationConfig, normalize_text
+from .textprep import normalize_text
 
 __version__ = "0.1.0"
 
@@ -10,12 +10,10 @@ __all__ = [
     "DatasetLang",
     "Label",
     "LabeledComment",
-    "NormalizationConfig",
     "aggregate",
     "compute_stats",
     "confusion",
     "load_tsv",
-    "make_split",
     "normalize_text",
     "render_report",
     "__version__",

@@ -165,18 +165,16 @@ def _cmd_stats(args):
 
 def _cmd_detect_lang(args):
     profiles = [langid.load_profile(p) for p in args.profiles]
-    with open(args.path, encoding="utf-8") as fh:
-        for line in fh:
-            text = textprep.normalize_text(line.rstrip("\n"))
-            if not text:
-                print("??")
-                continue
-            print(langid.detect(text, profiles, args.script_threshold))
+    for _, line in utf8_lines(args.path):
+        text = textprep.normalize_text(line)
+        if not text:
+            print("??")
+            continue
+        print(langid.detect(text, profiles, args.script_threshold))
 
 
 def _cmd_train_profile(args):
-    with open(args.path, encoding="utf-8") as fh:
-        sentences = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    sentences = [line for _, line in utf8_lines(args.path) if line.strip()]
     profile = langid.train_profile(sentences, args.lang, args.n, args.alpha)
     langid.save_profile(profile, args.out)
     print(f"wrote {args.out} ({len(profile.logprob)} n-grams)")
@@ -187,9 +185,8 @@ def _cmd_transliterate(args):
         table = translit.load_scheme_table(args.scheme, args.lang)
     else:
         table = translit.bundled_scheme_table(args.lang)
-    with open(args.path, encoding="utf-8") as fh:
-        for line in fh:
-            print(translit.transliterate(line.rstrip("\n"), table))
+    for _, line in utf8_lines(args.path):
+        print(translit.transliterate(line, table))
 
 
 def _cmd_train(args):

@@ -23,8 +23,7 @@ from .errors import (
     UnlabeledInput,
 )
 
-SPLIT_PLAN_VERSION = "splitplan-v1"
-# PRNG pinned to CPython's Mersenne Twister shuffle; recorded in headers so
+# PRNG pinned to CPython's Mersenne Twister shuffle; recorded in manifests so
 # ensemble members stay reproducible across machines.
 SPLIT_PRNG = "python-random-mt19937"
 
@@ -74,28 +73,6 @@ class DatasetStats:
     counts: dict[Label, int]
     total: int
     hope_to_nothope_ratio: Fraction | None
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    seed: int
-    fraction_train: Fraction
-    assignments: dict[int, str]  # id -> "train" | "validation"
-
-    def train_ids(self) -> list[int]:
-        return sorted(i for i, p in self.assignments.items() if p == "train")
-
-    def validation_ids(self) -> list[int]:
-        return sorted(i for i, p in self.assignments.items() if p == "validation")
-
-    def serialize(self) -> str:
-        lines = [
-            f"# {SPLIT_PLAN_VERSION} prng={SPLIT_PRNG} "
-            f"seed={self.seed} fraction={self.fraction_train}"
-        ]
-        for i in sorted(self.assignments):
-            lines.append(f"{i}\t{self.assignments[i]}")
-        return "\n".join(lines) + "\n"
 
 
 def load_tsv(path, dataset_lang: DatasetLang,
@@ -163,7 +140,9 @@ def split_positions(n: int, seed: int, fraction_train) -> tuple[list[int], list[
     ceil(fraction*n) positions of the seeded shuffle train. Both parts are
     returned sorted, as (train, validation).
     """
-    fraction = _split_fraction(fraction_train)
+    fraction = Fraction(fraction_train).limit_denominator(10**9)
+    if not 0 < fraction < 1:
+        raise BadFraction(f"fraction_train must be in (0,1), got {fraction_train}")
     if n < 2:
         raise TooFewRows(f"need at least 2 rows, got {n}")
     order = list(range(n))
@@ -172,18 +151,3 @@ def split_positions(n: int, seed: int, fraction_train) -> tuple[list[int], list[
     n_train = min(max(n_train, 1), n - 1)  # both partitions non-empty
     return sorted(order[:n_train]), sorted(order[n_train:])
 
-
-def make_split(data: list[LabeledComment], seed: int, fraction_train) -> SplitPlan:
-    """``split_positions`` over the rows, keyed by row id."""
-    train, validation = split_positions(len(data), seed, fraction_train)
-    assignments = {data[p].id: "train" for p in train}
-    assignments.update({data[p].id: "validation" for p in validation})
-    return SplitPlan(seed=seed, fraction_train=_split_fraction(fraction_train),
-                     assignments=assignments)
-
-
-def _split_fraction(fraction_train) -> Fraction:
-    fraction = Fraction(fraction_train).limit_denominator(10**9)
-    if not 0 < fraction < 1:
-        raise BadFraction(f"fraction_train must be in (0,1), got {fraction_train}")
-    return fraction

@@ -8,7 +8,6 @@ optional ``#`` header lines recording the producer model and layer.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -26,7 +25,6 @@ from .errors import (
 )
 
 DEFAULT_EMBEDDING_DIM = 768
-DEFAULT_TOKEN_LIMIT = 512
 VOCAB_VERSION = "vocab-v1"
 
 
@@ -180,7 +178,8 @@ def tfidf_vectorize(docs, vocab: Vocabulary) -> CsrMatrix:
 
     OOV terms are ignored; a doc with no weight left is an empty row. The
     docs are split and their terms looked up in one Python pass, and the
-    rest is array work, ``_TFIDF_BLOCK`` docs at a time.
+    rest is array work and one ``sum`` per row, ``_TFIDF_BLOCK`` docs at a
+    time.
     """
     idf = np.array([math.log((1 + vocab.num_docs) / (1 + vocab.doc_freq[i]))
                     for i in range(len(vocab))])
@@ -194,8 +193,9 @@ def tfidf_vectorize(docs, vocab: Vocabulary) -> CsrMatrix:
 
 
 # Docs per block of tfidf_vectorize. Its temporaries are a few arrays per
-# token of the block; with 128 docs they stay below the per-entry Python
-# lists of a per-doc loop on the benchmark's corpora.
+# token of the block and a list of its squared weights; with 128 docs they
+# stay below the per-entry Python lists of a per-doc loop on the benchmark's
+# corpora.
 _TFIDF_BLOCK = 128
 
 
@@ -205,10 +205,10 @@ def _tfidf_block(block, get, idf):
     of vocabulary).
 
     The arithmetic is that of a per-doc loop over Python floats: each
-    weight is count * idf, a row's squared weights are summed by
-    ``_row_sums`` in the order its terms first occur, and the row is divided
-    by the root unless that is 0, which leaves it empty. Entries are sorted
-    by column within their row.
+    weight is count * idf, a row's squared weights are added by Python's
+    ``sum`` in the order its terms first occur, and the row is divided by
+    the root unless that is 0, which leaves it empty. Entries are sorted by
+    column within their row.
     """
     lengths = np.fromiter(map(len, block), np.intp, len(block))
     ids = np.fromiter(map(get, chain.from_iterable(block), repeat(-1)),
@@ -220,92 +220,37 @@ def _tfidf_block(block, get, idf):
     key, first, counts = np.unique(key, return_index=True, return_counts=True)
     row, col = np.divmod(key, len(idf))
     weight = counts * idf[col]
-    by_occurrence = np.argsort(first)
-    square = weight * weight
-    norm = np.sqrt(_row_sums(row[by_occurrence], square[by_occurrence], len(block)))
+    square = (weight * weight)[np.argsort(first)].tolist()
+    bounds = np.cumsum(np.bincount(row, minlength=len(block))).tolist()
+    norm = np.sqrt([sum(square[lo:hi]) for lo, hi in zip([0] + bounds, bounds)])
     kept = norm[row] > 0
     row_nnz = np.bincount(row[kept], minlength=len(block))
     return weight[kept] / norm[row[kept]], col[kept], row_nnz
-
-
-def _sequential_row_sums(row, values, n_rows):
-    """Each row's values added one after another from 0.0, as Python's
-    ``sum`` adds floats before 3.12. ``row`` is sorted, and each row's
-    values are in the order to add them: np.bincount adds in entry order."""
-    return np.bincount(row, weights=values, minlength=n_rows)
-
-
-def _compensated_row_sums(row, values, n_rows):
-    """Each row's values added as Python's ``sum`` adds floats from 3.12 on:
-    Neumaier's compensated summation, the compensation added at the end
-    when it is finite and nonzero. ``row`` is sorted, and each row's values
-    are in the order to add them.
-
-    The rows are summed together, one term position at a time: the rows
-    are taken longest first, so the rows still going are a prefix.
-    """
-    counts = np.bincount(row, minlength=n_rows)
-    longest_first = np.argsort(-counts, kind="stable")
-    start = (np.cumsum(counts) - counts)[longest_first]
-    counts = counts[longest_first]
-    total, compensation = np.zeros(n_rows), np.zeros(n_rows)
-    for k in range(int(counts.max(initial=0))):
-        m = np.count_nonzero(counts > k)
-        s, x = total[:m], values[start[:m] + k]
-        t = s + x
-        compensation[:m] += np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
-        total[:m] = t
-    sums = np.empty(n_rows)
-    sums[longest_first] = np.where(np.isfinite(compensation),
-                                   total + compensation, total)
-    return sums
-
-
-# The per-doc vectorizer summed each row's squares with Python's sum, whose
-# float arithmetic changed in 3.12; the matrix follows the interpreter.
-_row_sums = (_compensated_row_sums if sys.version_info >= (3, 12)
-             else _sequential_row_sums)
 
 
 def load_embeddings(path, expected_dim: int = DEFAULT_EMBEDDING_DIM,
                     n_rows: int | None = None) -> np.ndarray:
     """One dense vector per line, aligned to dataset row order: rows x dim."""
     vectors: list[list[float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != expected_dim:
-                raise DimensionMismatch(
-                    f"expected {expected_dim} values, got {len(tokens)}", line_no
-                )
-            try:
-                vectors.append([float(t) for t in tokens])
-            except ValueError:
-                bad = next(t for t in tokens if not _is_float(t))
-                raise NonNumericValue(bad, line_no) from None
+    for line_no, line in utf8_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != expected_dim:
+            raise DimensionMismatch(
+                f"expected {expected_dim} values, got {len(tokens)}", line_no
+            )
+        try:
+            vectors.append([float(t) for t in tokens])
+        except ValueError:
+            bad = next(t for t in tokens if not _is_float(t))
+            raise NonNumericValue(bad, line_no) from None
     if n_rows is not None and len(vectors) != n_rows:
         raise RowCountMismatch(
             f"{path}: {len(vectors)} vectors for {n_rows} dataset rows"
         )
     return np.array(vectors, dtype=float).reshape(len(vectors), expected_dim)
-
-
-def save_embeddings(vectors, path, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for vec in vectors:
-            fh.write(" ".join(f"{v:.9g}" for v in vec) + "\n")
-
-
-def validate_token_budget(text: str, limit: int = DEFAULT_TOKEN_LIMIT) -> bool:
-    """True iff the whitespace token count fits the embedding producer's window."""
-    if limit <= 0:
-        raise ValueError(f"limit must be positive, got {limit}")
-    return len(text.split()) <= limit
 
 
 def _is_float(token: str) -> bool:

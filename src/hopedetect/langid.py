@@ -22,8 +22,6 @@ from .errors import EmptyCorpus, EmptyText, MalformedFile, NoProfiles
 
 PROFILE_VERSION = "langprofile-v1"
 
-SUPPORTED_LANGS = ("en", "hi", "ml", "ta")
-
 
 @dataclass(frozen=True)
 class LanguageProfile:

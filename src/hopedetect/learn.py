@@ -68,9 +68,8 @@ class TrainedModel:
     trees: list[DecisionTree] = field(default_factory=list)
 
 
-def _encode_labels(y, classes=None):
-    if classes is None:
-        classes = sorted(set(y), key=lambda c: str(c))
+def _encode_labels(y):
+    classes = sorted(set(y), key=lambda c: str(c))
     lut = {c: i for i, c in enumerate(classes)}
     return np.array([lut[v] for v in y]), [str(c) for c in classes]
 
@@ -159,8 +158,8 @@ def logreg_gradient(W, b, X, y_idx, l2):
 
 
 def train_logreg(X, y, lr: float = 0.1, epochs: int = 500, l2: float = 1e-4,
-                 seed: int = 0, classes=None) -> TrainedModel:
-    y_idx, class_names = _encode_labels(y, classes)
+                 seed: int = 0) -> TrainedModel:
+    y_idx, class_names = _encode_labels(y)
     _check_training_input(X, y_idx, len(class_names))
     return _descend("logreg", X, class_names, seed,
                     {"lr": lr, "epochs": epochs, "l2": l2},
@@ -192,8 +191,8 @@ def svm_gradient(W, b, X, signs, C):
 
 
 def train_linear_svm(X, y, lr: float = 0.01, epochs: int = 500, C: float = 1.0,
-                     seed: int = 0, classes=None) -> TrainedModel:
-    y_idx, class_names = _encode_labels(y, classes)
+                     seed: int = 0) -> TrainedModel:
+    y_idx, class_names = _encode_labels(y)
     _check_training_input(X, y_idx, len(class_names))
     signs = np.where(
         np.arange(len(class_names))[:, None] == y_idx[None, :], 1.0, -1.0
@@ -315,7 +314,7 @@ def _grow_tree(tree: DecisionTree, XT: CsrMatrix, y_idx, n_classes, indices,
 
 def train_random_forest(X, y, n_trees: int = 100, max_depth: int = 16,
                         feature_frac: float | None = None, seed: int = 0,
-                        classes=None, bootstrap: bool = True) -> TrainedModel:
+                        bootstrap: bool = True) -> TrainedModel:
     """Bagged Gini trees with a per-node random feature subset.
 
     ``X`` (ndarray or CsrMatrix) is copied once into columns of its non-zero
@@ -327,7 +326,7 @@ def train_random_forest(X, y, n_trees: int = 100, max_depth: int = 16,
     test hook that trains every tree on the full sample.
     """
     XT = _transpose(X)
-    y_idx, class_names = _encode_labels(y, classes)
+    y_idx, class_names = _encode_labels(y)
     dim, n = XT.shape
     if n != len(y_idx) or n < 1:
         raise DimensionMismatch(f"{n} vectors vs {len(y_idx)} labels")
@@ -592,12 +591,11 @@ def load_external_predictions(paths, n_rows: int):
     matrix = []
     for path in paths:
         labels = []
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                labels.append(parse_label(line, line_no).value)
+        for line_no, line in utf8_lines(path):
+            line = line.strip()
+            if not line:
+                continue
+            labels.append(parse_label(line, line_no).value)
         if len(labels) != n_rows:
             raise RowCountMismatch(f"{path}: {len(labels)} rows, expected {n_rows}")
         matrix.append(labels)

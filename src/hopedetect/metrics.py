@@ -2,7 +2,7 @@
 
 Conventions: 0/0 ratios are 0; weighted averages use gold supports (row
 sums); zero-support classes contribute nothing to weighted metrics and are
-included in macro averaging by default (configurable).
+included in macro averaging.
 """
 
 from __future__ import annotations
@@ -76,16 +76,13 @@ def class_prf(cm: ConfusionMatrix, label) -> ClassMetrics:
     return ClassMetrics(precision=precision, recall=recall, f1=f1, support=tp + fn)
 
 
-def aggregate(cm: ConfusionMatrix, include_zero_support: bool = True) -> EvalReport:
+def aggregate(cm: ConfusionMatrix) -> EvalReport:
     per_class = {c: class_prf(cm, c) for c in cm.classes}
-    macro_pool = [
-        m for m in per_class.values() if include_zero_support or m.support > 0
-    ]
-    n = len(macro_pool)
+    n = len(per_class)
     macro = Aggregate(
-        precision=sum(m.precision for m in macro_pool) / n if n else 0.0,
-        recall=sum(m.recall for m in macro_pool) / n if n else 0.0,
-        f1=sum(m.f1 for m in macro_pool) / n if n else 0.0,
+        precision=sum(m.precision for m in per_class.values()) / n if n else 0.0,
+        recall=sum(m.recall for m in per_class.values()) / n if n else 0.0,
+        f1=sum(m.f1 for m in per_class.values()) / n if n else 0.0,
     )
     total_support = sum(m.support for m in per_class.values())
     if total_support > 0:

@@ -20,9 +20,13 @@ from pathlib import Path
 
 from . import __version__, corpus, features, langid, learn, metrics, textprep, translit
 from .corpus import DatasetLang, Label
-from .errors import ConfigError, HopedetectError, StageError
+from .errors import ConfigError, HopedetectError, MalformedFile, StageError
 
 MANIFEST_VERSION = "manifest-v1"
+
+# The manifest line of textprep.normalize_text's fixed rules. Every bundle
+# holds it, and load_bundle requires it.
+NORMALIZATION = "specials:1,emoji:1,lowercase:1,whitespace:1"
 
 # Canonical output aliases per dataset language.
 _NOT_LANG_ALIAS = {
@@ -44,9 +48,6 @@ class PipelineConfig:
     """Every setting of ``train`` and ``run``; ``validate`` rejects a bad one."""
 
     dataset_lang: DatasetLang
-    normalization: textprep.NormalizationConfig = field(
-        default_factory=textprep.NormalizationConfig
-    )
     profile_paths: list[str] = field(default_factory=list)
     script_threshold: float = 0.5
     scheme_path: str | None = None  # None -> bundled table for ta/ml
@@ -144,7 +145,7 @@ class ProcessedRow:
 def preprocess_rows(rows, cfg: PipelineConfig, profiles, table) -> list[ProcessedRow]:
     out = []
     for row in rows:
-        text = textprep.normalize_text(row.text, cfg.normalization)
+        text = textprep.normalize_text(row.text)
         if profiles and text:
             lang = langid.detect(text, profiles, cfg.script_threshold)
         else:
@@ -313,7 +314,10 @@ def load_bundle(bundle_dir) -> FittedPipeline:
     scheme files must match the sha256 its manifest pins. Only TF-IDF
     bundles load: nothing here computes embeddings of new comments."""
     bundle = Path(bundle_dir)
-    lines = (bundle / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    try:
+        lines = [line for _, line in corpus.utf8_lines(bundle / "manifest.txt")]
+    except MalformedFile as e:
+        raise ConfigError(str(e)) from None
     if not lines or lines[0] != f"# {MANIFEST_VERSION}":
         raise ConfigError(f"{bundle}: manifest.txt is not a {MANIFEST_VERSION} file")
     pinned: dict[str, list[str]] = {}
@@ -329,12 +333,11 @@ def load_bundle(bundle_dir) -> FittedPipeline:
     profile_paths, scheme_path = _bundle_copies(
         bundle, len(profile_sha256), "scheme.sha256" in one)
     try:
-        norm = dict(part.split(":") for part in one["normalization"].split(","))
+        if one["normalization"] != NORMALIZATION:
+            raise ValueError(f"normalization={one['normalization']} is not "
+                             f"{NORMALIZATION}")
         cfg = PipelineConfig(
             dataset_lang=DatasetLang(one["dataset_lang"]),
-            normalization=textprep.NormalizationConfig(*(
-                norm[key] == "1" for key in ("specials", "emoji", "lowercase",
-                                             "whitespace"))),
             profile_paths=profile_paths,
             script_threshold=float(one["script_threshold"]),
             scheme_path=scheme_path,
@@ -368,12 +371,7 @@ def _render_manifest(cfg, train_path, test_path, models, records) -> str:
     add(f"hopedetect_version={__version__}")
     add(f"dataset_lang={cfg.dataset_lang.value}")
     add(f"split_prng={corpus.SPLIT_PRNG}")
-    nc = cfg.normalization
-    add(
-        "normalization="
-        f"specials:{int(nc.strip_specials)},emoji:{int(nc.strip_emoji)},"
-        f"lowercase:{int(nc.lowercase)},whitespace:{int(nc.collapse_whitespace)}"
-    )
+    add(f"normalization={NORMALIZATION}")
     add(f"script_threshold={cfg.script_threshold!r}")
     add(f"feature_mode={cfg.feature_mode}")
     if cfg.feature_mode == "tfidf":

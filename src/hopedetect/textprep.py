@@ -1,13 +1,13 @@
 """Comment normalization: specials, emoji, lowercasing, whitespace.
 
-Rule order is fixed (specials -> emoji -> lowercase -> collapse whitespace)
-because the order changes outputs and pinning it keeps tests exact.
+The rules and their order are fixed (specials -> emoji -> lowercase ->
+collapse whitespace): the order changes outputs, and pinning it keeps tests
+exact.
 Native-script Indic characters pass through untouched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 # Emoji blocks plus variation selectors and ZWJ. Closed, enumerable set.
@@ -26,14 +26,6 @@ def is_emoji(cp: str) -> bool:
     """True iff the code point falls in the configured emoji block list."""
     o = ord(cp)
     return any(lo <= o <= hi for lo, hi in _EMOJI_RANGES)
-
-
-@dataclass(frozen=True)
-class NormalizationConfig:
-    strip_specials: bool = True
-    strip_emoji: bool = True
-    lowercase: bool = True
-    collapse_whitespace: bool = True
 
 
 class IndicScript(NamedTuple):
@@ -85,29 +77,22 @@ class CodePointTable(dict):
         return out
 
 
-def _char_rule(strip_specials: bool, strip_emoji: bool):
+def _char_rule(c: str):
     # The specials pass turns a special into a space, which the emoji pass
     # keeps; the emoji pass deletes what the specials pass kept, such as the
     # dingbat digits (U+2776 and on), which are digits.
-    def decide(c: str):
-        if strip_specials and _is_special(c):
-            return " "
-        if strip_emoji and is_emoji(c):
-            return None
-        return c
-
-    return decide
+    if _is_special(c):
+        return " "
+    if is_emoji(c):
+        return None
+    return c
 
 
-# One table per (strip_specials, strip_emoji) pair, filled as text arrives.
-_CHAR_TABLES = {(s, e): CodePointTable(_char_rule(s, e))
-                for s in (False, True) for e in (False, True)}
+# The specials and emoji passes in one table, filled as text arrives.
+_CHAR_TABLE = CodePointTable(_char_rule)
 
 
-def normalize_text(raw: str, cfg: NormalizationConfig = NormalizationConfig()) -> str:
-    out = raw.translate(_CHAR_TABLES[bool(cfg.strip_specials), bool(cfg.strip_emoji)])
-    if cfg.lowercase:
-        out = out.lower()
-    if cfg.collapse_whitespace:
-        out = " ".join(out.split())
-    return out
+def normalize_text(raw: str) -> str:
+    """``raw`` with specials turned to spaces, emoji deleted, lowercased,
+    and its whitespace runs collapsed to single spaces and trimmed."""
+    return " ".join(raw.translate(_CHAR_TABLE).lower().split())

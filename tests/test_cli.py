@@ -222,6 +222,25 @@ class TestBundle:
         assert code == 3
         assert "unknown tie_break 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new", [
+        ("lowercase:1", "lowercase:0"),
+        ("normalization=specials:1,emoji:1,lowercase:1,whitespace:1\n", ""),
+    ], ids=["changed", "missing"])
+    def test_other_normalization_is_refused(self, tmp_path, capsys, old, new):
+        # Normalization is fixed: a bundle that records other rules, or
+        # none, cannot be predicted with as it was fitted.
+        bundle = tmp_path / "bundle"
+        assert run_cli("train", "--lang", "en", "--epochs", "10", "--out", str(bundle),
+                       str(FIXTURES / "en_train.tsv")) == 0
+        manifest = bundle / "manifest.txt"
+        assert manifest.read_text().count(old) == 1
+        manifest.write_text(manifest.read_text().replace(old, new))
+        code = run_cli("predict", "--lang", "en", "--model", str(bundle),
+                       "--out", str(tmp_path / "p.txt"), str(FIXTURES / "en_test.tsv"))
+        assert code == 3
+        assert "malformed manifest.txt" in capsys.readouterr().err
+        assert not (tmp_path / "p.txt").exists()
+
     def test_language_must_match(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         assert run_cli("train", "--lang", "en", "--epochs", "10", "--out", str(bundle),
@@ -477,6 +496,57 @@ class TestRun:
         assert code == 0
         assert len((out / "predictions.txt").read_text().splitlines()) == 25
         assert not (out / "report.tsv").exists()
+
+
+def _non_utf8_case(tmp_path, command):
+    """(argv, bad file, its bad line, exit code) of ``command`` reading a
+    file whose bad line holds a byte that is not UTF-8."""
+    bad = tmp_path / "bad.txt"
+    en_train, en_test = str(FIXTURES / "en_train.tsv"), str(FIXTURES / "en_test.tsv")
+    if command in ("transliterate", "train-profile", "detect-lang"):
+        bad.write_bytes(b"ka\n\xff\n")
+        profile = tmp_path / "en.profile"
+        langid.save_profile(langid.train_profile(["hope wins"], "en"), profile)
+        argv = {"transliterate": ["transliterate", "--lang", "ta", str(bad)],
+                "train-profile": ["train-profile", "--lang", "ta",
+                                  "--out", str(tmp_path / "p"), str(bad)],
+                "detect-lang": ["detect-lang", "--profiles", str(profile), "--",
+                                str(bad)]}[command]
+        return argv, bad, 2, 2
+    if command == "ensemble-vote":
+        good = tmp_path / "good.txt"
+        good.write_text("Hope_speech\nNon_hope_speech\n")
+        bad.write_bytes(b"Hope_speech\n\xff\n")
+        return ["ensemble-vote", "--predictions", str(good), str(bad),
+                "--n-rows", "2"], bad, 2, 2
+    if command == "evaluate":
+        bad.write_bytes(b"Hope_speech\n" * 2 + b"Hope_\xffspeech\n"
+                        + b"Hope_speech\n" * 22)
+        return ["evaluate", "--lang", "en", en_test, str(bad)], bad, 3, 2
+    if command == "run --train-embeddings":
+        bad.write_bytes(b"# producer: test\n" + b"0.5 0.25\n" * 3 + b"0.5 \xff\n"
+                        + b"0.25 0.5\n" * 48)
+        return ["run", "--lang", "en", "--train-embeddings", str(bad),
+                "--test-embeddings", str(bad), "--embedding-dim", "2",
+                "--out", str(tmp_path / "o"), en_train, en_test], bad, 5, 2
+    bundle = tmp_path / "bundle"
+    assert run_cli("train", "--lang", "en", "--epochs", "10", "--out", str(bundle),
+                   en_train) == 0
+    bad = bundle / "manifest.txt"
+    lines = len(bad.read_bytes().splitlines())
+    bad.write_bytes(bad.read_bytes() + b"\xff")
+    return ["predict", "--lang", "en", "--model", str(bundle),
+            "--out", str(tmp_path / "p.txt"), en_test], bad, lines + 1, 3
+
+
+@pytest.mark.parametrize("command", [
+    "transliterate", "train-profile", "detect-lang", "ensemble-vote", "evaluate",
+    "run --train-embeddings", "predict"])
+def test_non_utf8_input_names_its_line(tmp_path, capsys, command):
+    # Input errors exit 2; a bundle's manifest is its configuration, exit 3.
+    argv, bad, line_no, exit_code = _non_utf8_case(tmp_path, command)
+    assert run_cli(*argv) == exit_code
+    assert f"{bad}: line {line_no}: not valid UTF-8" in capsys.readouterr().err
 
 
 class TestPipelineInternals:

@@ -22,13 +22,6 @@ def _write(tmp_path, content, name="data.tsv"):
     return path
 
 
-def _dummy_rows(n):
-    return [
-        corpus.LabeledComment(i, f"text {i}", Label.NOT_HOPE, DatasetLang.ENGLISH)
-        for i in range(n)
-    ]
-
-
 class TestLoadTsv:
     def test_not_language_row(self, tmp_path):
         path = _write(tmp_path, "Fox News is pure Garbage!\tnot-English\n")
@@ -127,42 +120,34 @@ class TestComputeStats:
 
 
 class TestMakeSplit:
+    """``corpus.split_positions``, the split of every ensemble member."""
+
     def test_half_split_stable(self):
-        data = _dummy_rows(4)
-        a = corpus.make_split(data, seed=7, fraction_train=0.5)
-        b = corpus.make_split(data, seed=7, fraction_train=0.5)
-        assert len(a.train_ids()) == 2 and len(a.validation_ids()) == 2
-        assert a.serialize() == b.serialize()
+        a = corpus.split_positions(4, seed=7, fraction_train=0.5)
+        b = corpus.split_positions(4, seed=7, fraction_train=0.5)
+        assert len(a[0]) == 2 and len(a[1]) == 2
+        assert a == b
 
     def test_different_seeds_differ(self):
-        data = _dummy_rows(100)
-        a = corpus.make_split(data, seed=1, fraction_train=0.7)
-        b = corpus.make_split(data, seed=2, fraction_train=0.7)
-        assert a.assignments != b.assignments
+        a = corpus.split_positions(100, seed=1, fraction_train=0.7)
+        b = corpus.split_positions(100, seed=2, fraction_train=0.7)
+        assert a != b
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 2])
     def test_bad_fraction(self, fraction):
         with pytest.raises(BadFraction):
-            corpus.make_split(_dummy_rows(4), 0, fraction)
+            corpus.split_positions(4, 0, fraction)
 
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
-            corpus.make_split(_dummy_rows(1), 0, 0.5)
+            corpus.split_positions(1, 0, 0.5)
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(2, 200), seed=st.integers(0, 10_000),
            num=st.integers(1, 99))
     def test_partition_exhaustive_disjoint(self, n, seed, num):
-        data = _dummy_rows(n)
-        plan = corpus.make_split(data, seed, Fraction(num, 100))
-        train, val = set(plan.train_ids()), set(plan.validation_ids())
-        assert train | val == set(range(n))
-        assert not train & val
+        train, val = corpus.split_positions(n, seed, Fraction(num, 100))
+        assert train == sorted(train) and val == sorted(val)
+        assert set(train) | set(val) == set(range(n))
+        assert not set(train) & set(val)
         assert train and val
-
-    def test_serialization_header(self):
-        plan = corpus.make_split(_dummy_rows(3), seed=5, fraction_train=0.5)
-        text = plan.serialize()
-        assert text.startswith(f"# {corpus.SPLIT_PLAN_VERSION}")
-        assert f"prng={corpus.SPLIT_PRNG}" in text
-        assert "seed=5" in text

@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 from collections import Counter
 from unittest import mock
 
@@ -118,10 +117,10 @@ class TestTfidf:
         assert norm == pytest.approx(1.0) or norm == 0.0
 
 
-def _tfidf_per_doc(docs, vocab, total=sum):
+def _tfidf_per_doc(docs, vocab):
     """Oracle: the vectorizer as one Python loop per doc. A row's squared
-    weights are summed by ``total``, Python's ``sum`` unless given, in the
-    order its terms first occur."""
+    weights are summed by Python's ``sum`` in the order its terms first
+    occur."""
     idf = [math.log((1 + vocab.num_docs) / (1 + vocab.doc_freq[i]))
            for i in range(len(vocab))]
     data, indices, indptr = [], [], [0]
@@ -132,7 +131,7 @@ def _tfidf_per_doc(docs, vocab, total=sum):
             if i is not None:
                 tf[i] = tf.get(i, 0) + 1
         weights = {i: c * idf[i] for i, c in tf.items()}
-        norm = math.sqrt(total(w * w for w in weights.values()))
+        norm = math.sqrt(sum(w * w for w in weights.values()))
         if norm > 0:
             for i in sorted(weights):
                 indices.append(i)
@@ -147,61 +146,6 @@ def _assert_same_csr(got, want):
     assert got.indptr.tolist() == want.indptr.tolist()
     assert got.indices.tolist() == want.indices.tolist()
     assert got.data.tobytes() == want.data.tobytes()
-
-
-def _added_in_turn(xs):
-    """Python's float ``sum`` before 3.12: one addition after another."""
-    total = 0.0
-    for x in xs:
-        total += x
-    return total
-
-
-def _added_compensated(xs):
-    """Python's float ``sum`` from 3.12 on: Neumaier's compensated sum, the
-    compensation added at the end when it is finite and nonzero."""
-    total = compensation = 0.0
-    for x in xs:
-        t = total + x
-        if abs(total) >= abs(x):
-            compensation += (total - t) + x
-        else:
-            compensation += (x - t) + total
-        total = t
-    return total + compensation if compensation and math.isfinite(compensation) else total
-
-
-_SUM_ORDERS = [
-    pytest.param(features._sequential_row_sums, _added_in_turn, id="before-3.12"),
-    pytest.param(features._compensated_row_sums, _added_compensated, id="3.12-on"),
-]
-_finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
-
-
-class TestRowSums:
-    """The vectorizer's row sums against Python's own float ``sum``."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(_finite, st.floats(0, 10)), max_size=30))
-    def test_emulation_of_this_python_is_its_sum(self, xs):
-        kernel, emulation = _SUM_ORDERS[sys.version_info >= (3, 12)].values
-        assert float(sum(xs)).hex() == emulation(xs).hex()
-        assert features._row_sums is kernel
-
-    def test_the_two_sums_differ(self):
-        xs = [1.0, 1e-16, 1e-16]
-        assert _added_in_turn(xs) == 1.0
-        assert _added_compensated(xs) == 1.0000000000000002
-
-    @pytest.mark.parametrize("kernel,emulation", _SUM_ORDERS)
-    @settings(max_examples=200, deadline=None)
-    @given(rows=st.lists(st.lists(st.one_of(_finite, st.floats(0, 10)), max_size=9),
-                         max_size=12))
-    def test_kernel_matches_its_python_sum(self, kernel, emulation, rows):
-        row = np.repeat(np.arange(len(rows)), [len(r) for r in rows]).astype(np.intp)
-        values = np.array([x for r in rows for x in r], dtype=float)
-        got = kernel(row, values, len(rows))
-        assert [float(x).hex() for x in got.tolist()] == [emulation(r).hex() for r in rows]
 
 
 class TestTfidfBlocks:
@@ -233,22 +177,6 @@ class TestTfidfBlocks:
         got = features.tfidf_vectorize(docs, vocab)
         _assert_same_csr(got, _tfidf_per_doc(docs, vocab))
         assert features.tfidf_vectorize([], vocab).shape == (0, len(vocab))
-
-    @pytest.mark.parametrize("kernel,emulation", _SUM_ORDERS)
-    def test_matches_per_doc_loop_under_either_sum(self, kernel, emulation):
-        # On the one Python that runs the tests, the matrix of the other.
-        rng = random.Random(6)
-        pool = [f"t{i}" for i in range(300)]
-        docs = [" ".join(rng.choices(pool, k=rng.randint(0, 40)))
-                for _ in range(2 * features._TFIDF_BLOCK + 7)]
-        vocab = features.build_vocab(docs[::3], min_df=2)
-        with mock.patch.object(features, "_row_sums", kernel):
-            got = features.tfidf_vectorize(docs, vocab)
-        _assert_same_csr(got, _tfidf_per_doc(docs, vocab, total=emulation))
-        # The two sums give different matrices for these docs.
-        assert _tfidf_per_doc(docs, vocab, total=_added_in_turn).data.tobytes() != \
-            _tfidf_per_doc(docs, vocab, total=_added_compensated).data.tobytes()
-
 
 def _dense_tfidf(docs, vocab):
     """Oracle: the TF-IDF matrix filled densely, cell by cell."""
@@ -379,30 +307,3 @@ class TestEmbeddings:
         path = self._write(tmp_path, ["1 2", "3 4"])
         with pytest.raises(RowCountMismatch):
             features.load_embeddings(path, 2, n_rows=3)
-
-    def test_round_trip_9_significant_digits(self, tmp_path):
-        rng = np.random.default_rng(0)
-        vecs = rng.normal(size=(5, 16))
-        path = tmp_path / "out.txt"
-        features.save_embeddings(vecs, path, header="round trip")
-        loaded = features.load_embeddings(path, 16)
-        for a, b in zip(vecs, loaded):
-            np.testing.assert_allclose(a, b, rtol=1e-8)
-        path2 = tmp_path / "out2.txt"
-        features.save_embeddings(loaded, path2, header="round trip")
-        assert path.read_text() == path2.read_text()
-
-
-class TestTokenBudget:
-    def test_at_limit(self):
-        assert features.validate_token_budget(" ".join(["t"] * 512), 512)
-
-    def test_over_limit(self):
-        assert not features.validate_token_budget(" ".join(["t"] * 513), 512)
-
-    def test_empty(self):
-        assert features.validate_token_budget("", 512)
-
-    def test_bad_limit(self):
-        with pytest.raises(ValueError):
-            features.validate_token_budget("x", 0)

@@ -440,9 +440,9 @@ def _oracle_grow_tree(X, y_idx, n_classes, indices, depth, max_depth, n_feats, r
 
 
 def _oracle_random_forest(X, y, n_trees=100, max_depth=16, feature_frac=None,
-                          seed=0, classes=None, bootstrap=True):
+                          seed=0, bootstrap=True):
     Xm = np.asarray(X, dtype=float)
-    y_idx, class_names = learn._encode_labels(y, classes)
+    y_idx, class_names = learn._encode_labels(y)
     dim = Xm.shape[1]
     if feature_frac is None:
         n_feats = max(1, int(np.ceil(np.sqrt(dim))))
@@ -802,6 +802,14 @@ class TestModelIO:
 GOLDEN = FIXTURES / "golden"
 
 
+def _added_in_turn(xs):
+    """Python's float ``sum`` before 3.12: one addition after another."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def _golden_features():
     """TF-IDF rows and labels of en_train.tsv's Hope/NotHope rows, and the
     rows of en_test.tsv, as the golden models saw them.
@@ -819,7 +827,7 @@ def _golden_features():
     keep = [i for i, r in enumerate(train) if r.label in (Label.HOPE, Label.NOT_HOPE)]
     vocab = features.build_vocab([texts[i] for i in keep])
     _, test_texts = rows_and_texts("en_test.tsv", None)
-    with mock.patch.object(features, "_row_sums", features._sequential_row_sums):
+    with mock.patch.object(features, "sum", _added_in_turn, create=True):
         X = features.tfidf_vectorize([texts[i] for i in keep], vocab)
         T = features.tfidf_vectorize(test_texts, vocab)
     return X, [train[i].label.value for i in keep], T

@@ -154,12 +154,11 @@ class TestAggregate:
         assert report.macro.f1 == pytest.approx(report.weighted.f1, abs=1e-12)
 
     def test_zero_support_flag(self):
+        # A zero-support class counts in the macro average, not the weighted.
         cm = metrics.confusion(["A", "A"], ["A", "A"], ["A", "B"])
-        inc = metrics.aggregate(cm, include_zero_support=True)
-        exc = metrics.aggregate(cm, include_zero_support=False)
-        assert inc.macro.f1 == pytest.approx(0.5)
-        assert exc.macro.f1 == pytest.approx(1.0)
-        assert inc.weighted.f1 == exc.weighted.f1 == pytest.approx(1.0)
+        report = metrics.aggregate(cm)
+        assert report.macro.f1 == pytest.approx(0.5)
+        assert report.weighted.f1 == pytest.approx(1.0)
 
 
 class TestRenderReport:

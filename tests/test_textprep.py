@@ -5,12 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopedetect import textprep
-from hopedetect.textprep import (
-    NormalizationConfig,
-    _is_special,
-    is_emoji,
-    normalize_text,
-)
+from hopedetect.textprep import _is_special, is_emoji, normalize_text
 from conftest import all_scalar_values, mixed_script_text
 
 
@@ -37,13 +32,6 @@ def test_native_script_untouched():
     assert normalize_text(text) == "வணக்கம் நண்பா hope"
 
 
-def test_flags_can_be_disabled():
-    cfg = NormalizationConfig(lowercase=False)
-    assert normalize_text("Hi There!", cfg) == "Hi There"
-    cfg = NormalizationConfig(strip_specials=False, collapse_whitespace=False)
-    assert normalize_text("Hi!", cfg) == "hi!"
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=80))
 def test_idempotent(s):
@@ -67,58 +55,48 @@ def test_script_preserved_and_clean(s):
     assert out == out.strip()
 
 
-def _oracle_normalize_text(raw: str, cfg: NormalizationConfig = NormalizationConfig()) -> str:
-    """normalize_text as one pass per rule over the characters, as it was
-    before the translate table: the oracle for the table."""
-    out = raw
-    if cfg.strip_specials:
-        out = "".join(c if not _is_special(c) else " " for c in out)
-    if cfg.strip_emoji:
-        out = "".join(c for c in out if not is_emoji(c))
-    if cfg.lowercase:
-        out = out.lower()
-    if cfg.collapse_whitespace:
-        out = " ".join(out.split())
-    return out
+def _oracle_char_passes(raw: str) -> str:
+    """The specials pass, then the emoji pass, each one pass over the
+    characters, as they were before the translate table: the oracle for
+    the table."""
+    out = "".join(c if not _is_special(c) else " " for c in raw)
+    return "".join(c for c in out if not is_emoji(c))
 
 
-_FLAG_PAIRS = [(s, e) for s in (False, True) for e in (False, True)]
+def _oracle_normalize_text(raw: str) -> str:
+    return " ".join(_oracle_char_passes(raw).lower().split())
 
 
-@pytest.mark.parametrize("strip_specials,strip_emoji", _FLAG_PAIRS)
-def test_every_code_point_matches_oracle(strip_specials, strip_emoji):
-    # Lowercasing and whitespace collapsing off: each character's own
-    # outcome (kept, space or deleted) shows in the output.
-    cfg = NormalizationConfig(strip_specials=strip_specials, strip_emoji=strip_emoji,
-                              lowercase=False, collapse_whitespace=False)
+def test_every_code_point_matches_oracle():
+    # The table alone, before lowercasing and whitespace collapsing: each
+    # character's own outcome (kept, space or deleted) shows in the output.
     text = all_scalar_values()
     try:
-        assert normalize_text(text, cfg) == _oracle_normalize_text(text, cfg)
+        assert text.translate(textprep._CHAR_TABLE) == _oracle_char_passes(text)
     finally:
         # Filled with every code point the table is large; start empty again.
-        textprep._CHAR_TABLES[strip_specials, strip_emoji].clear()
+        textprep._CHAR_TABLE.clear()
 
 
-@pytest.mark.parametrize("strip_specials,strip_emoji", _FLAG_PAIRS)
-@pytest.mark.parametrize("c,kept_by_specials,emoji", [
-    ("\u2776", True, True),   # dingbat digit one: a digit, and in Dingbats
-    ("\u200d", False, True),  # zero width joiner
-    ("\ufe0f", False, True),  # variation selector 16
-])
-def test_explicit_code_points(c, kept_by_specials, emoji, strip_specials, strip_emoji):
-    cfg = NormalizationConfig(strip_specials=strip_specials, strip_emoji=strip_emoji)
-    if strip_specials and not kept_by_specials:
-        want = "a b"
-    elif strip_emoji and emoji:
-        want = "ab"
-    else:
-        want = f"a{c}b"
-    got = normalize_text(f"A{c}B", cfg)
-    assert got == want == _oracle_normalize_text(f"A{c}B", cfg)
+@pytest.mark.parametrize("c,want", [
+    # Dingbat digit one: a digit, which the specials pass keeps, and in
+    # Dingbats, so the emoji pass deletes it.
+    ("\u2776", "ab"),
+    ("\u200d", "a b"),  # zero width joiner: a special, so a space
+    ("\ufe0f", "a b"),  # variation selector 16: a special, so a space
+], ids=["U+2776", "U+200D", "U+FE0F"])
+def test_explicit_code_points(c, want):
+    got = normalize_text(f"A{c}B")
+    assert got == want == _oracle_normalize_text(f"A{c}B")
+
+
+def test_lowercase_after_specials():
+    # U+0130 is a letter, which the specials pass keeps; lowercasing it adds
+    # U+0307, a combining mark the specials pass would turn into a space.
+    assert normalize_text("\u0130") == "i\u0307" == _oracle_normalize_text("\u0130")
 
 
 @settings(max_examples=300, deadline=None)
-@given(mixed_script_text, st.booleans(), st.booleans(), st.booleans(), st.booleans())
-def test_mixed_script_matches_oracle(s, specials, emoji, lowercase, collapse):
-    cfg = NormalizationConfig(specials, emoji, lowercase, collapse)
-    assert normalize_text(s, cfg) == _oracle_normalize_text(s, cfg)
+@given(mixed_script_text)
+def test_mixed_script_matches_oracle(s):
+    assert normalize_text(s) == _oracle_normalize_text(s)
