@@ -165,12 +165,10 @@ def _cmd_stats(args):
 
 def _cmd_detect_lang(args):
     profiles = [langid.load_profile(p) for p in args.profiles]
-    for _, line in utf8_lines(args.path):
-        text = textprep.normalize_text(line)
-        if not text:
-            print("??")
-            continue
-        print(langid.detect(text, profiles, args.script_threshold))
+    texts = [textprep.normalize_text(line) for _, line in utf8_lines(args.path)]
+    # With profiles only an empty text has no detected language.
+    for lang in langid.detect(texts, profiles, args.script_threshold):
+        print(lang or "??")
 
 
 def _cmd_train_profile(args):

@@ -40,7 +40,8 @@ class DatasetLang(str, Enum):
     MALAYALAM = "Malayalam"
 
 
-# Closed alias table (matched case-insensitively after trimming). Unknown
+# Closed alias table (matched case-insensitively after trimming): the
+# HopeEDI aliases and the canonical names that ensemble-vote writes. Unknown
 # strings are errors, never a fourth class.
 _LABEL_ALIASES = {
     "hope_speech": Label.HOPE,
@@ -49,6 +50,7 @@ _LABEL_ALIASES = {
     "not-tamil": Label.NOT_LANGUAGE,
     "not-malayalam": Label.NOT_LANGUAGE,
     "not-in-intended-language": Label.NOT_LANGUAGE,
+    **{label.value.lower(): label for label in Label},
 }
 
 

@@ -39,14 +39,6 @@ class EmptyCorpus(HopedetectError):
     pass
 
 
-class NoProfiles(HopedetectError):
-    pass
-
-
-class EmptyText(HopedetectError):
-    pass
-
-
 class EmptyVocabulary(HopedetectError):
     pass
 

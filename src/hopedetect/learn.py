@@ -21,6 +21,7 @@ from .errors import (
     MalformedFile,
     RowCountMismatch,
     SingleClass,
+    UnknownLabel,
 )
 from .features import CsrMatrix
 
@@ -587,7 +588,8 @@ def _parse_number(text: str) -> int | float:
 
 
 def load_external_predictions(paths, n_rows: int):
-    """Read k prediction files (one label alias per line) into a k x n matrix."""
+    """Read k prediction files (one label alias or class name per line) into
+    a k x n matrix. A bad label is a MalformedFile naming its file and line."""
     matrix = []
     for path in paths:
         labels = []
@@ -595,7 +597,10 @@ def load_external_predictions(paths, n_rows: int):
             line = line.strip()
             if not line:
                 continue
-            labels.append(parse_label(line, line_no).value)
+            try:
+                labels.append(parse_label(line).value)
+            except UnknownLabel:
+                raise MalformedFile(path, line_no, f"unknown label {line!r}") from None
         if len(labels) != n_rows:
             raise RowCountMismatch(f"{path}: {len(labels)} rows, expected {n_rows}")
         matrix.append(labels)

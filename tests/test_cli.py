@@ -267,6 +267,32 @@ class TestEnsembleVote:
                        "--n-rows", "2") == 0
         assert capsys.readouterr().out.splitlines() == ["Hope", "NotHope"]
 
+    def test_vote_round_trip(self, tmp_path, capsys):
+        # A vote's canonical class names can be scored and voted on again.
+        gold = tmp_path / "gold.txt"
+        gold.write_text("".join(line.split("\t")[1] + "\n" for line in
+                                (FIXTURES / "en_test.tsv").read_text().splitlines()))
+        vote, again = tmp_path / "vote.txt", tmp_path / "again.txt"
+        for out, src in ((vote, gold), (again, vote)):
+            assert run_cli("ensemble-vote", "--predictions", *[str(src)] * 3,
+                           "--n-rows", "25", "--out", str(out)) == 0
+        assert again.read_text() == vote.read_text()
+        assert set(vote.read_text().split()) == {"Hope", "NotHope", "NotLanguage"}
+        capsys.readouterr()
+        assert run_cli("evaluate", "--lang", "en", "--format", "tsv",
+                       str(FIXTURES / "en_test.tsv"), str(vote)) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        scores = dict(zip(header.split("\t"), row.split("\t")))
+        assert scores["macro_f1"] == scores["weighted_f1"] == "1.000"
+
+    def test_bad_label_names_its_file(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("Hope_speech\nNon_hope_speech\n")
+        bad.write_text("Hope_speech\nbogus\n")
+        assert run_cli("ensemble-vote", "--predictions", str(good), str(bad),
+                       "--n-rows", "2") == 2
+        assert f"{bad}: line 2: unknown label 'bogus'" in capsys.readouterr().err
+
 
 class TestRun:
     def test_end_to_end_deterministic(self, tmp_path):
@@ -617,27 +643,40 @@ class TestPipelineInternals:
         table = pipeline._scheme_table(cfg)
         events = []  # (stage, first argument, result), in call order
         for module, name in ((textprep, "normalize_text"),
+                             (langid, "detect"),
                              (langid, "script_fraction"),
                              (translit, "transliterate")):
             def record(*args, _fn=getattr(module, name), _stage=name):
                 result = _fn(*args)
-                events.append((_stage, args[0], result))
+                events.append((_stage, list(args[0]) if _stage == "detect" else args[0],
+                               result))
                 return result
             monkeypatch.setattr(module, name, record)
         for profiles in ([], trained_profiles):
             events.clear()
             proc = pipeline.preprocess_rows(rows, cfg, profiles, table)
-            # Each row: normalize, langid on the normalized text, then (when
-            # the gate keeps it) transliterate that same text.
+            # Every row normalized in order, one detect call on exactly the
+            # normalized texts, then each kept row's text transliterated in
+            # order.
             it = iter(events)
-            for row, p in zip(rows, proc):
+            texts = []
+            for row in rows:
                 stage, arg, text = next(it)
                 assert (stage, arg) == ("normalize_text", row.text)
-                assert next(it)[:2] == ("script_fraction", text)
+                texts.append(text)
+            stage, arg, langs = next(it)
+            assert (stage, arg) == ("detect", texts)
+            assert [p.gate for p in proc] == [
+                langid.assign_language_class(lang, cfg.dataset_lang) for lang in langs]
+            for text, p in zip(texts, proc):
                 if p.gate == "InLanguage":
                     assert next(it) == ("transliterate", text, p.text)
+                else:
+                    assert p.text == text
             assert next(it, None) is None
             assert any(stage == "transliterate" for stage, _, _ in events)
+        # With profiles the gate drops some rows, so some are not transliterated.
+        assert {p.gate for p in proc} == {"InLanguage", "NotLanguage"}
 
     @pytest.mark.parametrize("name,lang", [
         ("ta_train.tsv", DatasetLang.TAMIL), ("ml_train.tsv", DatasetLang.MALAYALAM),

@@ -46,6 +46,11 @@ class TestLoadTsv:
             Label.HOPE, Label.NOT_LANGUAGE, Label.NOT_LANGUAGE,
         ]
 
+    def test_canonical_names_case_insensitive(self, tmp_path):
+        content = "x\tHope\ny\tnothope\nz\tNOTLANGUAGE\n"
+        rows = corpus.load_tsv(_write(tmp_path, content), DatasetLang.ENGLISH)
+        assert [r.label for r in rows] == [Label.HOPE, Label.NOT_HOPE, Label.NOT_LANGUAGE]
+
     def test_unknown_label(self, tmp_path):
         with pytest.raises(UnknownLabel):
             corpus.load_tsv(_write(tmp_path, "x\tmaybe_hope\n"), DatasetLang.ENGLISH)

@@ -1,6 +1,9 @@
 import math
+import sys
 from collections import Counter
-from itertools import permutations
+from dataclasses import replace
+from itertools import chain
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from hopedetect import langid, textprep
 from hopedetect.corpus import DatasetLang
-from hopedetect.errors import EmptyCorpus, EmptyText, MalformedFile, NoProfiles
+from hopedetect.errors import EmptyCorpus, MalformedFile
 from conftest import all_scalar_values, mixed_script_text, synthetic_sentences
 
 
@@ -42,92 +45,167 @@ class TestTrainProfile:
             langid.train_profile([], "en")
 
 
-def _oracle_detect(text: str, profiles, script_threshold: float = 0.5) -> str:
-    """detect's scoring as it was before the gram lists were shared: the
-    oracle for them."""
-    lang = langid.script_language(text, script_threshold)
-    if lang is not None:
-        return lang
-    scores: dict[str, float] = {}
-    for profile in profiles:
-        grams = [text[i : i + profile.n] for i in range(len(text) - profile.n + 1)] or [text]
-        total = sum(profile.logprob.get(g, profile.unseen_logprob) for g in grams)
-        scores[profile.lang] = total / len(grams)
-    best_score = max(scores.values())
-    return min(lang for lang, s in scores.items() if s == best_score)
-
-
-@pytest.fixture(scope="module")
-def mixed_order_profiles():
-    # All trained on English text, so that every profile scores Latin text
-    # closely and the winner depends on each profile's own n.
-    return [langid.train_profile(synthetic_sentences("en", 30, seed=seed), lang, n=n)
-            for seed, (lang, n) in enumerate((("en", 1), ("hi", 2), ("ta", 3), ("ml", 2)))]
-
-
-class TestDetect:
-    def test_script_shortcut_tamil(self, trained_profiles):
-        assert langid.detect("வணக்கம் நண்பா", trained_profiles) == "ta"
-
-    def test_script_shortcut_devanagari(self, trained_profiles):
-        assert langid.detect("नमस्ते दोस्त", trained_profiles) == "hi"
-
-    def test_english_sentence(self, trained_profiles):
-        result = langid.detect(
-            "this is clearly an english sentence about hope", trained_profiles
-        )
-        assert result == "en"
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz க", min_size=1, max_size=30))
-    def test_mixed_orders_match_oracle(self, mixed_order_profiles, text):
-        # Profiles of different n each score their own n-grams, whichever
-        # profile comes first; each ordered pair shows one comparison.
-        for profiles in [mixed_order_profiles, *permutations(mixed_order_profiles, 2)]:
-            assert langid.detect(text, profiles) == _oracle_detect(text, profiles)
-
-    def test_scale_free(self, trained_profiles):
-        text = "some words that could be anywhere"
-        one = langid.detect(text, trained_profiles)
-        two = langid.detect(f"{text} {text}", trained_profiles)
-        assert one == two
-
-    def test_no_profiles(self):
-        with pytest.raises(NoProfiles):
-            langid.detect("hello", [])
-
-    def test_empty_text(self, trained_profiles):
-        with pytest.raises(EmptyText):
-            langid.detect("", trained_profiles)
-
-    def test_mixed_below_threshold_uses_statistics(self, trained_profiles):
-        # One Tamil letter among many Latin ones: shortcut must not fire.
-        result = langid.detect("க this is mostly english text here", trained_profiles)
-        assert result == "en"
-
-
 def _oracle_script_fraction(text: str) -> dict[str, float]:
     """script_fraction as one pass over the characters, as it was before the
-    translate table: the oracle for the table."""
+    tag tables: the oracle for the block code."""
     letters = [c for c in text if c.isalpha()]
     counts = Counter(map(textprep.indic_script, letters))
     # No letters: every count is 0, and so is every fraction.
     return {s.name: counts[s] / max(len(letters), 1) for s in textprep.INDIC_SCRIPTS}
 
 
+def _oracle_detect(text: str, profiles, script_threshold: float = 0.5):
+    """(detected code or None, each code's score) of one comment, as the
+    pipeline gated one comment at a time: the oracle for the column."""
+    fractions = _oracle_script_fraction(text)
+    for script in textprep.INDIC_SCRIPTS:
+        share = fractions[script.name]
+        if share >= script_threshold and share > 0:
+            return script.lang, {}
+    if not profiles or not text:
+        return None, {}
+    scores = _oracle_scores(text, profiles)
+    best_score = max(scores.values())
+    return min(lang for lang, s in scores.items() if s == best_score), scores
+
+
+def _oracle_scores(text: str, profiles) -> dict[str, float]:
+    """Each code's score of one non-empty comment, added up by the builtin
+    ``sum``; of two profiles with one code the later counts."""
+    scores = {}
+    for profile in profiles:
+        grams = [text[i : i + profile.n] for i in range(len(text) - profile.n + 1)] or [text]
+        total = sum(profile.logprob.get(g, profile.unseen_logprob) for g in grams)
+        scores[profile.lang] = total / len(grams)
+    return scores
+
+
+def _assert_matches_oracle(texts, profiles, script_threshold: float = 0.5):
+    got = langid.detect(texts, profiles, script_threshold)
+    assert len(got) == len(texts)
+    for text, lang in zip(texts, got):
+        want, scores = _oracle_detect(text, profiles, script_threshold)
+        if lang == want:
+            continue
+        # From Python 3.12 on, the oracle's sum compensates while detect adds
+        # in turn: the two may pick different profiles only where their
+        # scores agree within a sum's rounding, (grams + 1) * 2**-52 relative.
+        assert sys.version_info >= (3, 12), (text, lang, want)
+        assert lang in scores and math.isclose(
+            scores[lang], scores[want], rel_tol=(len(text) + 1) * 2**-52), (text, lang, want)
+
+
+@pytest.fixture(scope="module")
+def mixed_order_profiles():
+    # Mostly English text, so that every profile scores Latin text closely
+    # and the winner depends on each profile's own n; the last "en" profile
+    # shares its code with the first. Astral and Indic letters occur, so
+    # some of their grams are found.
+    extra = ["a𝒜b 𝒜𝒜 𝒜c", "கa நண்பா ab", "नमस्ते hope"]
+    return [langid.train_profile(synthetic_sentences("en", 30, seed=seed) + extra[:seed],
+                                 lang, n=n)
+            for seed, (lang, n) in enumerate((("en", 1), ("hi", 2), ("ta", 3),
+                                              ("ml", 2), ("en", 3)))]
+
+
+# Latin, Tamil, Devanagari and Malayalam letters, an astral letter, an emoji
+# and a space: mixed-script, shorter-than-n and empty comments all occur.
+_comments = st.lists(st.text(alphabet="abcdeinorst கநणमന𝒜🙂", max_size=12), max_size=12)
+
+
+class TestDetect:
+    def test_script_shortcut_tamil(self, trained_profiles):
+        assert langid.detect(["வணக்கம் நண்பா"], trained_profiles) == ["ta"]
+
+    def test_script_shortcut_devanagari(self, trained_profiles):
+        assert langid.detect(["नमस्ते दोस्त"], trained_profiles) == ["hi"]
+
+    def test_english_sentence(self, trained_profiles):
+        result = langid.detect(
+            ["this is clearly an english sentence about hope"], trained_profiles
+        )
+        assert result == ["en"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=_comments, order=st.permutations(range(5)), k=st.integers(0, 5),
+           block=st.integers(1, 4), threshold=st.sampled_from([0.5, 0.25, 1.0]))
+    def test_mixed_orders_match_oracle(self, mixed_order_profiles, texts, order, k,
+                                       block, threshold):
+        # Profiles of different n each score their own n-grams, whichever
+        # comes first; of the two "en" profiles the later counts. Small
+        # blocks split the column.
+        profiles = [mixed_order_profiles[i] for i in order[:k]]
+        with mock.patch.object(langid, "_DETECT_BLOCK", block):
+            _assert_matches_oracle(texts, profiles, threshold)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(alphabet="abcdeinorst கநणमന𝒜🙂", min_size=1, max_size=40),
+                    min_size=1, max_size=8))
+    def test_scores_are_the_oracle_sums(self, mixed_order_profiles, texts):
+        # Bit for bit where sum adds in turn (before Python 3.12); from 3.12
+        # on sum compensates, and a score may move by its rounding.
+        by_lang = {p.lang: p for p in mixed_order_profiles}
+        ranked = [by_lang[lang] for lang in sorted(by_lang)]
+        cps, lengths, _ = langid._code_points(texts)
+        scores = langid._scores(cps, lengths, ranked)
+        for text, column in zip(texts, scores.T.tolist()):
+            want = _oracle_scores(text, ranked)
+            for profile, got in zip(ranked, column):
+                if sys.version_info < (3, 12):
+                    assert got == want[profile.lang]
+                else:
+                    assert math.isclose(got, want[profile.lang],
+                                        rel_tol=(len(text) + 1) * 2**-53)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(mixed_script_text, max_size=8))
+    def test_mixed_script_matches_oracle(self, trained_profiles, texts):
+        _assert_matches_oracle(texts, trained_profiles)
+        _assert_matches_oracle(texts, [])
+
+    def test_column_longer_than_a_block(self, mixed_order_profiles):
+        texts = [text[: i % 40] for i, text in enumerate(chain.from_iterable(
+            synthetic_sentences(lang, 200, seed=5) for lang in ("en", "ta", "hi")))]
+        assert len(texts) > 2 * langid._DETECT_BLOCK
+        _assert_matches_oracle(texts, mixed_order_profiles)
+        _assert_matches_oracle(texts, mixed_order_profiles[:1])
+
+    def test_tie_goes_to_the_smaller_code(self):
+        profile = langid.train_profile(["hope wins again"], "xx", n=2)
+        twins = [replace(profile, lang=lang) for lang in ("zz", "aa", "mm")]
+        assert langid.detect(["hope", "h", "qq"], twins) == ["aa"] * 3
+
+    def test_scale_free(self, trained_profiles):
+        text = "some words that could be anywhere"
+        one, two = langid.detect([text, f"{text} {text}"], trained_profiles)
+        assert one == two
+
+    def test_no_profiles(self):
+        # Only the script shortcut decides; no other evidence is no language.
+        assert langid.detect(["hello", "வணக்கம்", ""], []) == [None, "ta", None]
+
+    def test_empty_text(self, trained_profiles):
+        assert langid.detect([""], trained_profiles) == [None]
+        assert langid.detect([], trained_profiles) == []
+
+    def test_mixed_below_threshold_uses_statistics(self, trained_profiles):
+        # One Tamil letter among many Latin ones: shortcut must not fire.
+        result = langid.detect(["க this is mostly english text here"], trained_profiles)
+        assert result == ["en"]
+
+
 class TestScriptFraction:
     def test_every_code_point_matches_oracle(self):
         # Eight code points at a time, next to a Tamil and a Latin letter, so
         # that a non-letter, a non-Indic letter and each script's letters
-        # all shift the fractions differently.
+        # all shift the fractions differently; all of them in one column.
         text = all_scalar_values()
-        try:
-            for i in range(0, len(text), 8):
-                chunk = text[i : i + 8] + "கa"
-                assert langid.script_fraction(chunk) == _oracle_script_fraction(chunk)
-        finally:
-            # Filled with every code point the table is large; start empty again.
-            langid._SCRIPT_TAGS.clear()
+        chunks = [text[i : i + 8] + "கa" for i in range(0, len(text), 8)]
+        cps, _, row = langid._code_points(chunks)
+        shares = langid._script_shares(cps, row, len(chunks)).tolist()
+        names = [s.name for s in textprep.INDIC_SCRIPTS]
+        for chunk, got in zip(chunks, shares):
+            assert dict(zip(names, got)) == _oracle_script_fraction(chunk)
 
     @pytest.mark.parametrize("text", ["", "123 !", "\u2776\u200d\ufe0f", "abc",
                                       "கக a", "नमस्ते", "മലയാളം தமிழ் hindi"])
@@ -203,6 +281,28 @@ class TestProfileRoundTrip:
         with pytest.raises(MalformedFile, match=rf"xx\.profile: line {line_no}: "):
             langid.load_profile(path)
 
+    @pytest.mark.parametrize("n", [0, 4, 7])
+    def test_n_outside_1_to_3_names_the_header(self, tmp_path, n):
+        # Grams are packed three code points to an integer at most.
+        path = tmp_path / "xx.profile"
+        langid.save_profile(langid.train_profile(["hope wins again"], "xx", n=2), path)
+        path.write_text(path.read_text().replace("\tn=2\t", f"\tn={n}\t", 1))
+        with pytest.raises(MalformedFile,
+                           match=rf"xx\.profile: line 1: n must be in 1\.\.3, got {n}"):
+            langid.load_profile(path)
+
+    @pytest.mark.parametrize("gram,length", [("abcd", 4), ("a", 1), ("\\t", 1)])
+    def test_gram_of_other_length_names_its_line(self, tmp_path, gram, length):
+        # A gram's length counts its characters after unescaping.
+        path = tmp_path / "xx.profile"
+        langid.save_profile(langid.train_profile(["hope wins again"], "xx", n=2), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = f"{gram}\t-1.0\n"
+        path.write_text("".join(lines))
+        with pytest.raises(MalformedFile, match=rf"xx\.profile: line 4: gram .* has "
+                                                rf"{length} characters, not n=2"):
+            langid.load_profile(path)
+
     @pytest.mark.parametrize("damage,line_no", [
         (lambda ls: ls + [b"\xff"], None),  # a line after the last gram
         (lambda ls: ls[:2] + [b"\xffb\t-1.0\n"] + ls[3:], 3),
@@ -225,10 +325,9 @@ class TestProfileRoundTrip:
 
 
 def test_held_out_accuracy(trained_profiles):
-    correct = total = 0
-    for lang in ("en", "hi", "ta", "ml"):
-        for sent in synthetic_sentences(lang, 100, seed=11, holdout=True):
-            total += 1
-            if langid.detect(sent, trained_profiles) == lang:
-                correct += 1
-    assert correct / total >= 0.95
+    langs = ("en", "hi", "ta", "ml")
+    texts = [sent for lang in langs
+             for sent in synthetic_sentences(lang, 100, seed=11, holdout=True)]
+    gold = [lang for lang in langs for _ in range(100)]
+    got = langid.detect(texts, trained_profiles)
+    assert sum(map(str.__eq__, got, gold)) / len(gold) >= 0.95
