@@ -13,11 +13,14 @@ import sys
 import typing
 
 from . import corpus, langid, learn, metrics, pipeline, textprep, translit
-from .corpus import utf8_lines
+from .corpus import DatasetLang, utf8_lines
 from .errors import ConfigError, HopedetectError, MalformedFile
 
 EXIT_INPUT_ERROR = 2
 EXIT_CONFIG_ERROR = 3
+
+# The dataset language of each --lang code.
+_LANGS = {lang.code: lang for lang in DatasetLang}
 
 
 def _pipeline_config(args) -> pipeline.PipelineConfig:
@@ -49,13 +52,8 @@ def _pipeline_config(args) -> pipeline.PipelineConfig:
     for name in args.setting_fields.values():
         if getattr(args, name) is not None:
             settings[name] = getattr(args, name)
-    embeddings = settings.get("train_embeddings") or settings.get("test_embeddings")
-    return pipeline.PipelineConfig(
-        dataset_lang=pipeline.dataset_lang_from_code(args.lang),
-        profile_paths=args.profiles,
-        feature_mode="embeddings" if embeddings else "tfidf",
-        **settings,
-    )
+    return pipeline.PipelineConfig(dataset_lang=_LANGS[args.lang],
+                                   profile_paths=args.profiles, **settings)
 
 
 # The list takes every argument up to the next option, positionals included.
@@ -67,7 +65,7 @@ def _add_pipeline_flags(p):
     """The options of `train` and `run`, which both fit the pipeline. Each
     option after --profiles sets the PipelineConfig field of its dest, as
     does its config-file key: its name without the dashes."""
-    p.add_argument("--lang", required=True, choices=["en", "ta", "ml"])
+    p.add_argument("--lang", required=True, choices=_LANGS)
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--profiles", nargs="*", default=[], help=_PROFILES_HELP)
     settings = [
@@ -87,7 +85,6 @@ def _add_pipeline_flags(p):
         p.add_argument("--min-df", type=int),
         p.add_argument("--train-embeddings"),
         p.add_argument("--test-embeddings"),
-        p.add_argument("--embedding-dim", type=int),
     ]
     p.set_defaults(setting_fields={
         a.option_strings[0][2:].replace("-", "_"): a.dest for a in settings})
@@ -100,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="class distribution of a labeled TSV")
-    p.add_argument("--lang", required=True, choices=["en", "ta", "ml"])
     p.add_argument("path")
 
     p = sub.add_parser("detect-lang", help="per-line language detection")
@@ -116,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="one training sentence per line")
 
     p = sub.add_parser("transliterate", help="Latin runs to native script")
-    p.add_argument("--lang", required=True, choices=["ta", "ml"])
+    p.add_argument("--lang", required=True,
+                   choices=[lang.code for lang in translit.BUNDLED_SCHEMES])
     p.add_argument("--scheme", help="custom scheme TSV (default: bundled)")
     p.add_argument("path")
 
@@ -126,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
 
     p = sub.add_parser("predict", help="label a TSV with a saved bundle")
-    p.add_argument("--lang", required=True, choices=["en", "ta", "ml"])
+    p.add_argument("--lang", required=True, choices=_LANGS)
     p.add_argument("--model", required=True, help="bundle directory from train")
     p.add_argument("--out", required=True)
     p.add_argument("path")
@@ -139,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("evaluate", help="score predictions against gold labels")
-    p.add_argument("--lang", required=True, choices=["en", "ta", "ml"])
     p.add_argument("--format", default="text", choices=["text", "tsv", "json"])
     p.add_argument("gold")
     p.add_argument("predictions")
@@ -153,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_stats(args):
-    rows = corpus.load_tsv(args.path, pipeline.dataset_lang_from_code(args.lang))
+    rows = corpus.load_tsv(args.path)
     stats = corpus.compute_stats(rows)
     for label in learn.CLASS_ORDER:
         print(f"{label.value}\t{stats.counts[label]}")
@@ -180,16 +176,16 @@ def _cmd_train_profile(args):
 
 def _cmd_transliterate(args):
     if args.scheme:
-        table = translit.load_scheme_table(args.scheme, args.lang)
+        table = translit.load_scheme_table(args.scheme)
     else:
-        table = translit.bundled_scheme_table(args.lang)
+        table = translit.bundled_scheme_table(_LANGS[args.lang])
     for _, line in utf8_lines(args.path):
         print(translit.transliterate(line, table))
 
 
 def _cmd_train(args):
     cfg = _pipeline_config(args)
-    rows = pipeline.load_rows("load-train", args.path, cfg.dataset_lang, labeled=True)
+    rows = pipeline.load_rows("load-train", args.path, labeled=True)
     fitted = pipeline.fit(cfg, rows)
     pipeline.save_bundle(fitted, args.path, args.out)
     print(f"wrote {args.out} ({cfg.k} {cfg.classifier} members, "
@@ -198,11 +194,11 @@ def _cmd_train(args):
 
 def _cmd_predict(args):
     fitted = pipeline.load_bundle(args.model)
-    lang = pipeline.dataset_lang_from_code(args.lang)
+    lang = _LANGS[args.lang]
     if lang is not fitted.cfg.dataset_lang:
         raise ConfigError(f"{args.model} was fitted on {fitted.cfg.dataset_lang.value} "
                           f"data, not {lang.value}")
-    rows = pipeline.load_rows("load-test", args.path, lang, labeled=None)
+    rows = pipeline.load_rows("load-test", args.path, labeled=None)
     predictions = pipeline.apply(fitted, rows)
     pipeline.write_predictions(predictions, args.out)
     print(f"wrote {args.out} ({len(predictions)} predictions)")
@@ -225,8 +221,7 @@ def _cmd_ensemble_vote(args):
 
 
 def _cmd_evaluate(args):
-    lang = pipeline.dataset_lang_from_code(args.lang)
-    gold_rows = corpus.load_tsv(args.gold, lang)
+    gold_rows = corpus.load_tsv(args.gold)
     pred = learn.load_external_predictions([args.predictions], len(gold_rows))[0]
     gold = [r.label.value for r in gold_rows]
     classes = [c.value for c in learn.CLASS_ORDER]

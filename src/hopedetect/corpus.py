@@ -35,9 +35,18 @@ class Label(str, Enum):
 
 
 class DatasetLang(str, Enum):
-    ENGLISH = "English"
-    TAMIL = "Tamil"
-    MALAYALAM = "Malayalam"
+    """The HopeEDI datasets: each one's name in manifests (the value), its
+    ``--lang`` code, and the alias of its not-in-language class in the
+    dataset and in predictions."""
+
+    ENGLISH = "English", "en", "not-English"
+    TAMIL = "Tamil", "ta", "not-Tamil"
+    MALAYALAM = "Malayalam", "ml", "not-malayalam"
+
+    def __new__(cls, name: str, code: str, not_alias: str):
+        lang = str.__new__(cls, name)
+        lang._value_, lang.code, lang.not_alias = name, code, not_alias
+        return lang
 
 
 # Closed alias table (matched case-insensitively after trimming): the
@@ -46,9 +55,7 @@ class DatasetLang(str, Enum):
 _LABEL_ALIASES = {
     "hope_speech": Label.HOPE,
     "non_hope_speech": Label.NOT_HOPE,
-    "not-english": Label.NOT_LANGUAGE,
-    "not-tamil": Label.NOT_LANGUAGE,
-    "not-malayalam": Label.NOT_LANGUAGE,
+    **{lang.not_alias.lower(): Label.NOT_LANGUAGE for lang in DatasetLang},
     "not-in-intended-language": Label.NOT_LANGUAGE,
     **{label.value.lower(): label for label in Label},
 }
@@ -67,7 +74,6 @@ class LabeledComment:
     id: int
     text: str
     label: Label | None  # None == unlabeled (test data)
-    dataset_lang: DatasetLang
 
 
 @dataclass(frozen=True)
@@ -77,8 +83,7 @@ class DatasetStats:
     hope_to_nothope_ratio: Fraction | None
 
 
-def load_tsv(path, dataset_lang: DatasetLang,
-             labeled: bool | None = True) -> list[LabeledComment]:
+def load_tsv(path, *, labeled: bool | None = True) -> list[LabeledComment]:
     """Read one comment per line, in file order, ids starting at 0.
 
     ``labeled=None`` decides from the file: labeled when the first data line
@@ -105,7 +110,7 @@ def load_tsv(path, dataset_lang: DatasetLang,
                 text, label = line, None
             if text.strip() == "":
                 raise MalformedRow(line_no, "empty text field")
-            rows.append(LabeledComment(len(rows), text, label, dataset_lang))
+            rows.append(LabeledComment(len(rows), text, label))
     except MalformedFile as e:
         raise MalformedRow(e.line_no, "not valid UTF-8") from None
     if not rows:

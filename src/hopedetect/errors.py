@@ -52,7 +52,7 @@ class DimensionMismatch(HopedetectError):
 
 class NonNumericValue(HopedetectError):
     def __init__(self, token, line_no):
-        super().__init__(f"line {line_no}: non-numeric value {token!r}")
+        super().__init__(f"line {line_no}: {token!r} is not a finite number")
         self.line_no = line_no
 
 

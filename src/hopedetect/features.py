@@ -24,7 +24,6 @@ from .errors import (
     RowCountMismatch,
 )
 
-DEFAULT_EMBEDDING_DIM = 768
 VOCAB_VERSION = "vocab-v1"
 
 
@@ -178,8 +177,7 @@ def tfidf_vectorize(docs, vocab: Vocabulary) -> CsrMatrix:
 
     OOV terms are ignored; a doc with no weight left is an empty row. The
     docs are split and their terms looked up in one Python pass, and the
-    rest is array work and one ``sum`` per row, ``_TFIDF_BLOCK`` docs at a
-    time.
+    rest is array work, ``_TFIDF_BLOCK`` docs at a time.
     """
     idf = np.array([math.log((1 + vocab.num_docs) / (1 + vocab.doc_freq[i]))
                     for i in range(len(vocab))])
@@ -193,9 +191,8 @@ def tfidf_vectorize(docs, vocab: Vocabulary) -> CsrMatrix:
 
 
 # Docs per block of tfidf_vectorize. Its temporaries are a few arrays per
-# token of the block and a list of its squared weights; with 128 docs they
-# stay below the per-entry Python lists of a per-doc loop on the benchmark's
-# corpora.
+# token of the block; with 128 docs they stay below the per-entry Python
+# lists of a per-doc loop on the benchmark's corpora.
 _TFIDF_BLOCK = 128
 
 
@@ -205,10 +202,10 @@ def _tfidf_block(block, get, idf):
     of vocabulary).
 
     The arithmetic is that of a per-doc loop over Python floats: each
-    weight is count * idf, a row's squared weights are added by Python's
-    ``sum`` in the order its terms first occur, and the row is divided by
-    the root unless that is 0, which leaves it empty. Entries are sorted by
-    column within their row.
+    weight is count * idf, a row's squared weights are added one after
+    another from 0.0 in the order its terms first occur, and the row is
+    divided by the root unless that is 0, which leaves it empty. Entries are
+    sorted by column within their row.
     """
     lengths = np.fromiter(map(len, block), np.intp, len(block))
     ids = np.fromiter(map(get, chain.from_iterable(block), repeat(-1)),
@@ -220,42 +217,46 @@ def _tfidf_block(block, get, idf):
     key, first, counts = np.unique(key, return_index=True, return_counts=True)
     row, col = np.divmod(key, len(idf))
     weight = counts * idf[col]
-    square = (weight * weight)[np.argsort(first)].tolist()
-    bounds = np.cumsum(np.bincount(row, minlength=len(block))).tolist()
-    norm = np.sqrt([sum(square[lo:hi]) for lo, hi in zip([0] + bounds, bounds)])
+    # np.bincount adds each row's weights in the order it meets them.
+    order = np.argsort(first)
+    norm = np.sqrt(np.bincount(row[order], weights=(weight * weight)[order],
+                               minlength=len(block)))
     kept = norm[row] > 0
     row_nnz = np.bincount(row[kept], minlength=len(block))
     return weight[kept] / norm[row[kept]], col[kept], row_nnz
 
 
-def load_embeddings(path, expected_dim: int = DEFAULT_EMBEDDING_DIM,
+def load_embeddings(path, dim: int | None = None,
                     n_rows: int | None = None) -> np.ndarray:
-    """One dense vector per line, aligned to dataset row order: rows x dim."""
+    """One dense vector of finite values per line, aligned to dataset row
+    order: rows x dim. Without ``dim`` the first vector sets the width."""
     vectors: list[list[float]] = []
     for line_no, line in utf8_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if len(tokens) != expected_dim:
-            raise DimensionMismatch(
-                f"expected {expected_dim} values, got {len(tokens)}", line_no
-            )
+        if dim is None:
+            dim = len(tokens)
+        if len(tokens) != dim:
+            raise DimensionMismatch(f"expected {dim} values, got {len(tokens)}", line_no)
         try:
-            vectors.append([float(t) for t in tokens])
+            vector = [float(t) for t in tokens]
+            if not all(map(math.isfinite, vector)):
+                raise ValueError
         except ValueError:
-            bad = next(t for t in tokens if not _is_float(t))
+            bad = next(t for t in tokens if not _is_finite(t))
             raise NonNumericValue(bad, line_no) from None
+        vectors.append(vector)
     if n_rows is not None and len(vectors) != n_rows:
         raise RowCountMismatch(
             f"{path}: {len(vectors)} vectors for {n_rows} dataset rows"
         )
-    return np.array(vectors, dtype=float).reshape(len(vectors), expected_dim)
+    return np.array(vectors, dtype=float).reshape(len(vectors), dim or 0)
 
 
-def _is_float(token: str) -> bool:
+def _is_finite(token: str) -> bool:
     try:
-        float(token)
-        return True
+        return math.isfinite(float(token))
     except ValueError:
         return False

@@ -161,9 +161,7 @@ def detect(texts, profiles, script_threshold: float = 0.5) -> list[str | None]:
 
     The texts go ``_DETECT_BLOCK`` at a time through array passes; each
     text's log-probabilities are added one after another from 0.0 in gram
-    order, as Python's ``sum`` adds floats before 3.12. From 3.12 on ``sum``
-    compensates, so a per-comment ``sum`` could pick another profile only
-    where the two best scores agree within a sum's rounding.
+    order, so the scores are the same on every Python.
     """
     by_lang = {profile.lang: profile for profile in profiles}
     ranked = [by_lang[lang] for lang in sorted(by_lang)]
@@ -229,9 +227,10 @@ def assign_language_class(lang: str | None, dataset_lang: DatasetLang) -> str:
     """
     if lang is None:
         return "InLanguage"
+    english = DatasetLang.ENGLISH.code
     if dataset_lang == DatasetLang.ENGLISH:
-        return "InLanguage" if lang == "en" else "NotLanguage"
-    return "NotLanguage" if lang in ("en", "hi") else "InLanguage"
+        return "InLanguage" if lang == english else "NotLanguage"
+    return "NotLanguage" if lang in (english, "hi") else "InLanguage"
 
 
 def _escape(gram: str) -> str:
@@ -273,6 +272,13 @@ def save_profile(profile: LanguageProfile, path) -> None:
             fh.write(f"{_escape(gram)}\t{profile.logprob[gram]!r}\n")
 
 
+def _logprob(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"log-probability {text!r} is not finite")
+    return value
+
+
 def load_profile(path) -> LanguageProfile:
     """Read a file written by ``save_profile``. A damaged file raises
     MalformedFile naming the line at fault."""
@@ -285,7 +291,7 @@ def load_profile(path) -> LanguageProfile:
         if meta.keys() != {"lang", "n", "alpha", "count", "unseen"}:
             raise ValueError(f"bad {PROFILE_VERSION} header fields")
         n, alpha, count = int(meta["n"]), float(meta["alpha"]), int(meta["count"])
-        unseen = float(meta["unseen"])
+        unseen = _logprob(meta["unseen"])
         if not 1 <= n <= 3:
             raise ValueError(f"n must be in 1..3, got {n}")
         logprob = {}
@@ -294,7 +300,7 @@ def load_profile(path) -> LanguageProfile:
             gram = _unescape(safe)
             if len(gram) != n:
                 raise ValueError(f"gram {gram!r} has {len(gram)} characters, not n={n}")
-            logprob[gram] = float(value)
+            logprob[gram] = _logprob(value)
         line_no += 1
         if len(logprob) != count:
             raise ValueError(f"{len(logprob)} grams, the header says {count}")

@@ -28,33 +28,23 @@ MANIFEST_VERSION = "manifest-v1"
 # holds it, and load_bundle requires it.
 NORMALIZATION = "specials:1,emoji:1,lowercase:1,whitespace:1"
 
-# Canonical output aliases per dataset language.
-_NOT_LANG_ALIAS = {
-    DatasetLang.ENGLISH: "not-English",
-    DatasetLang.TAMIL: "not-Tamil",
-    DatasetLang.MALAYALAM: "not-malayalam",
-}
+# Output aliases of the classifier's labels; NotLanguage is written as its
+# dataset's DatasetLang.not_alias.
 _OUT_ALIAS = {Label.HOPE: "Hope_speech", Label.NOT_HOPE: "Non_hope_speech"}
-
-_LANG_CODES = {"en": DatasetLang.ENGLISH, "ta": DatasetLang.TAMIL,
-               "ml": DatasetLang.MALAYALAM}
-
-# Transliteration only applies to the Indic datasets.
-_SCHEME_CODES = {DatasetLang.TAMIL: "ta", DatasetLang.MALAYALAM: "ml"}
 
 
 @dataclass
 class PipelineConfig:
-    """Every setting of ``train`` and ``run``; ``validate`` rejects a bad one."""
+    """Every setting of ``train`` and ``run``; ``validate`` rejects a bad one.
+    Given train embeddings, the pipeline classifies them in place of TF-IDF
+    features, and their width is that of the file's first vector."""
 
     dataset_lang: DatasetLang
     profile_paths: list[str] = field(default_factory=list)
     script_threshold: float = 0.5
-    scheme_path: str | None = None  # None -> bundled table for ta/ml
-    feature_mode: str = "tfidf"  # "tfidf" | "embeddings"
+    scheme_path: str | None = None  # None -> the bundled table, if any
     train_embeddings: str | None = None
     test_embeddings: str | None = None
-    embedding_dim: int = features.DEFAULT_EMBEDDING_DIM
     min_df: int = 1
     classifier: str = "logreg"
     lr: float = 0.1
@@ -68,13 +58,16 @@ class PipelineConfig:
     fraction_train: float = 0.9
     tie_break: str = "MajorityClassPrior"
 
+    @property
+    def feature_mode(self) -> str:
+        return "tfidf" if self.train_embeddings is None else "embeddings"
+
     def validate(self, test_input: bool = True):
         """``test_input=False`` checks only what ``fit`` reads."""
-        if self.feature_mode not in ("tfidf", "embeddings"):
-            raise ConfigError(f"unknown feature mode {self.feature_mode!r}")
-        if self.feature_mode == "embeddings" and not self.train_embeddings:
+        embeddings = (self.train_embeddings, self.test_embeddings) != (None, None)
+        if embeddings and not self.train_embeddings:
             raise ConfigError("embeddings mode requires a train embedding path")
-        if self.feature_mode == "embeddings" and test_input and not self.test_embeddings:
+        if embeddings and test_input and not self.test_embeddings:
             raise ConfigError("embeddings mode requires a test embedding path")
         if self.classifier not in learn._TRAINERS:
             raise ConfigError(f"unknown classifier {self.classifier!r}")
@@ -96,13 +89,6 @@ class PipelineConfig:
         }[self.classifier]
 
 
-def dataset_lang_from_code(code: str) -> DatasetLang:
-    try:
-        return _LANG_CODES[code]
-    except KeyError:
-        raise ConfigError(f"unknown language code {code!r} (use en/ta/ml)") from None
-
-
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -116,30 +102,27 @@ def _load_profiles(cfg: PipelineConfig):
 
 
 def _scheme_table(cfg: PipelineConfig):
-    code = _SCHEME_CODES.get(cfg.dataset_lang)
-    if code is None:
+    # Only the datasets with a bundled table are transliterated.
+    if cfg.dataset_lang not in translit.BUNDLED_SCHEMES:
         return None
     if cfg.scheme_path:
-        return translit.load_scheme_table(cfg.scheme_path, code)
-    return translit.bundled_scheme_table(code)
+        return translit.load_scheme_table(cfg.scheme_path)
+    return translit.bundled_scheme_table(cfg.dataset_lang)
 
 
 def _scheme_bytes(cfg: PipelineConfig) -> bytes | None:
     """The file ``_scheme_table`` reads, or None when it reads none."""
-    code = _SCHEME_CODES.get(cfg.dataset_lang)
-    if code is None:
+    if cfg.dataset_lang not in translit.BUNDLED_SCHEMES:
         return None
     if cfg.scheme_path:
         return Path(cfg.scheme_path).read_bytes()
-    return translit.bundled_scheme_file(code).read_bytes()
+    return translit.bundled_scheme_file(cfg.dataset_lang).read_bytes()
 
 
 @dataclass
 class ProcessedRow:
-    id: int
     text: str  # normalized (and transliterated, when applicable)
     gate: str  # "InLanguage" | "NotLanguage"
-    gold: Label | None
 
 
 def preprocess_rows(rows, cfg: PipelineConfig, profiles, table) -> list[ProcessedRow]:
@@ -148,14 +131,14 @@ def preprocess_rows(rows, cfg: PipelineConfig, profiles, table) -> list[Processe
     texts = [textprep.normalize_text(row.text) for row in rows]
     langs = langid.detect(texts, profiles, cfg.script_threshold)
     out = []
-    for i, (row, lang) in enumerate(zip(rows, langs)):
+    for i, lang in enumerate(langs):
         gate = langid.assign_language_class(lang, cfg.dataset_lang)
         if gate == "InLanguage" and table is not None:
             # Replaced in place, so that the normalized text is freed now:
             # kept to the end, the column of them added 0.9 MB to the peak
             # RSS of the benchmark's Tamil stream.
             texts[i] = translit.transliterate(texts[i], table)
-        out.append(ProcessedRow(id=row.id, text=texts[i], gate=gate, gold=row.label))
+        out.append(ProcessedRow(texts[i], gate))
     return out
 
 
@@ -173,10 +156,10 @@ class FittedPipeline:
     records: list[dict]
 
 
-def load_rows(stage: str, path, lang: DatasetLang, labeled: bool | None):
+def load_rows(stage: str, path, *, labeled: bool | None):
     """``corpus.load_tsv``, with input errors wrapped as a StageError."""
     try:
-        return corpus.load_tsv(path, lang, labeled=labeled)
+        return corpus.load_tsv(path, labeled=labeled)
     except (HopedetectError, OSError) as e:
         raise StageError(stage, e) from e
 
@@ -199,9 +182,7 @@ def fit(cfg: PipelineConfig, train_rows) -> FittedPipeline:
         vocab = features.build_vocab(texts, cfg.min_df)
         X = features.tfidf_vectorize(texts, vocab)
     else:
-        X = features.load_embeddings(
-            cfg.train_embeddings, cfg.embedding_dim, n_rows=len(train_rows)
-        )[binary]
+        X = features.load_embeddings(cfg.train_embeddings, n_rows=len(train_rows))[binary]
     y = [train_rows[i].label.value for i in binary]
 
     models, records = learn.train_ensemble(
@@ -228,13 +209,13 @@ def apply(fitted: FittedPipeline, test_rows) -> list[tuple[Label, str]]:
     if cfg.feature_mode == "tfidf":
         X = features.tfidf_vectorize([test_proc[i].text for i in kept], fitted.vocab)
     else:
-        X = features.load_embeddings(
-            cfg.test_embeddings, cfg.embedding_dim, n_rows=len(test_rows)
-        )[kept]
+        # The width the models were fitted on.
+        X = features.load_embeddings(cfg.test_embeddings, fitted.models[0].dim,
+                                     n_rows=len(test_rows))[kept]
     labels = [Label.NOT_LANGUAGE] * len(test_proc)
     for j, i in enumerate(kept):
         labels[i] = Label(learn.ensemble_predict(fitted.models, X[j:j + 1], cfg.tie_break))
-    aliases = {**_OUT_ALIAS, Label.NOT_LANGUAGE: _NOT_LANG_ALIAS[cfg.dataset_lang]}
+    aliases = {**_OUT_ALIAS, Label.NOT_LANGUAGE: cfg.dataset_lang.not_alias}
     return [(label, aliases[label]) for label in labels]
 
 
@@ -253,8 +234,8 @@ def run_pipeline(cfg: PipelineConfig, train_path, test_path, out_dir):
     cfg.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_rows = load_rows("load-train", train_path, cfg.dataset_lang, labeled=True)
-    test_rows = load_rows("load-test", test_path, cfg.dataset_lang, labeled=None)
+    train_rows = load_rows("load-train", train_path, labeled=True)
+    test_rows = load_rows("load-test", test_path, labeled=None)
 
     fitted = fit(cfg, train_rows)
     predictions = apply(fitted, test_rows)
@@ -379,7 +360,7 @@ def _render_manifest(cfg, train_path, test_path, models, records) -> str:
     if cfg.feature_mode == "tfidf":
         add(f"min_df={cfg.min_df}")
     else:
-        add(f"embedding_dim={cfg.embedding_dim}")
+        add(f"embedding_dim={models[0].dim}")
     add(f"classifier={cfg.classifier}")
     for model in models[:1]:
         for key in sorted(model.hyperparams):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .corpus import DatasetLang
+
 # Emoji blocks plus variation selectors and ZWJ. Closed, enumerable set.
 _EMOJI_RANGES = (
     (0x1F600, 0x1F64F),  # Emoticons
@@ -39,8 +41,8 @@ class IndicScript(NamedTuple):
 # script shortcut breaks ties between scripts in this order.
 INDIC_SCRIPTS = (
     IndicScript("Devanagari", "hi", 0x0900, 0x097F),
-    IndicScript("Malayalam", "ml", 0x0D00, 0x0D7F),
-    IndicScript("Tamil", "ta", 0x0B80, 0x0BFF),
+    IndicScript("Malayalam", DatasetLang.MALAYALAM.code, 0x0D00, 0x0D7F),
+    IndicScript("Tamil", DatasetLang.TAMIL.code, 0x0B80, 0x0BFF),
 )
 
 

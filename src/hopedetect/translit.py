@@ -13,11 +13,12 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .corpus import utf8_lines
+from .corpus import DatasetLang, utf8_lines
 from .errors import MalformedFile
 from .textprep import indic_script
 
-_BUNDLED_SCHEMES = {"ta": "tamil.tsv", "ml": "malayalam.tsv"}
+# The scheme file shipped for each dataset whose comments are transliterated.
+BUNDLED_SCHEMES = {DatasetLang.TAMIL: "tamil.tsv", DatasetLang.MALAYALAM: "malayalam.tsv"}
 
 
 def script_of(cp: str) -> str:
@@ -31,14 +32,13 @@ def script_of(cp: str) -> str:
 
 @dataclass(frozen=True)
 class SchemeTable:
-    lang: str
     entries: dict[str, str]
     # Matches the longest key at a position where a key starts with a Latin
     # letter; built from ``entries`` by make_scheme_table.
     pattern: re.Pattern = field(compare=False, repr=False)
 
 
-def make_scheme_table(lang: str, entries: dict[str, str]) -> SchemeTable:
+def make_scheme_table(entries: dict[str, str]) -> SchemeTable:
     if not entries:
         raise ValueError("scheme table has no entries")
     if any(k == "" for k in entries):
@@ -54,10 +54,10 @@ def make_scheme_table(lang: str, entries: dict[str, str]) -> SchemeTable:
     # "(?!)" never matches: a table without Latin keys changes nothing.
     pattern = re.compile("|".join(f"{re.escape(first)}(?:{'|'.join(rest)})"
                                   for first, rest in rests.items()) or "(?!)")
-    return SchemeTable(lang=lang, entries=dict(entries), pattern=pattern)
+    return SchemeTable(entries=dict(entries), pattern=pattern)
 
 
-def load_scheme_table(path, lang: str) -> SchemeTable:
+def load_scheme_table(path) -> SchemeTable:
     """Read a scheme file; a line that is not ``latin<TAB>native`` raises
     MalformedFile naming it, as does a file without one entry."""
     entries: dict[str, str] = {}
@@ -70,19 +70,19 @@ def load_scheme_table(path, lang: str) -> SchemeTable:
         entries[fields[0]] = fields[1]
     if not entries:
         raise MalformedFile(path, None, "no latin<TAB>native entries")
-    return make_scheme_table(lang, entries)
+    return make_scheme_table(entries)
 
 
-def bundled_scheme_file(lang: str):
-    """Scheme table file shipped with the package ('ta' or 'ml'), as an
+def bundled_scheme_file(lang: DatasetLang):
+    """Scheme table file shipped for a dataset of BUNDLED_SCHEMES, as an
     ``importlib.resources`` traversable."""
-    return resources.files("hopedetect.data").joinpath(_BUNDLED_SCHEMES[lang])
+    return resources.files("hopedetect.data").joinpath(BUNDLED_SCHEMES[lang])
 
 
-def bundled_scheme_table(lang: str) -> SchemeTable:
-    """Scheme table shipped with the package ('ta' or 'ml')."""
+def bundled_scheme_table(lang: DatasetLang) -> SchemeTable:
+    """Scheme table shipped for a dataset of BUNDLED_SCHEMES."""
     with resources.as_file(bundled_scheme_file(lang)) as path:
-        return load_scheme_table(path, lang)
+        return load_scheme_table(path)
 
 
 def transliterate(text: str, table: SchemeTable) -> str:

@@ -159,7 +159,7 @@ def test_06_transliteration_properties():
     from hopedetect import translit
 
     start = time.monotonic()
-    table = translit.bundled_scheme_table("ta")
+    table = translit.bundled_scheme_table(DatasetLang.TAMIL)
     max_key_len = max(map(len, table.entries))
     rng = random.Random(55)
     pools = ["abcdefghijklmnopqrstuvwxyz",
@@ -201,9 +201,7 @@ def test_06_transliteration_properties():
 def test_07_loader_fidelity():
     ok = True
     for name, (hope, nothope, notlang) in FIXTURE_COUNTS.items():
-        lang = {"en": DatasetLang.ENGLISH, "ta": DatasetLang.TAMIL,
-                "ml": DatasetLang.MALAYALAM}[name[:2]]
-        stats = corpus.compute_stats(corpus.load_tsv(FIXTURES / name, lang))
+        stats = corpus.compute_stats(corpus.load_tsv(FIXTURES / name))
         ok &= stats.counts[Label.HOPE] == hope
         ok &= stats.counts[Label.NOT_HOPE] == nothope
         ok &= stats.counts[Label.NOT_LANGUAGE] == notlang
@@ -220,7 +218,7 @@ def test_07_loader_fidelity():
             if os.path.exists(path):
                 labeled = split != "test"
                 en_total += len(
-                    corpus.load_tsv(path, DatasetLang.ENGLISH, labeled=labeled)
+                    corpus.load_tsv(path, labeled=labeled)
                 )
         ok &= en_total == 28451
         detail = f"fixtures + HopeEDI (english total {en_total})"

@@ -14,24 +14,26 @@ def run_cli(*argv):
 
 class TestStats:
     def test_fixture(self, capsys):
-        assert run_cli("stats", "--lang", "en", str(FIXTURES / "en_train.tsv")) == 0
+        assert run_cli("stats", str(FIXTURES / "en_train.tsv")) == 0
         out = capsys.readouterr().out
         assert "Hope\t20" in out
         assert "NotHope\t30" in out
         assert "total\t52" in out
 
     def test_missing_file_exit_2(self, capsys):
-        assert run_cli("stats", "--lang", "en", "/nonexistent.tsv") == 2
+        assert run_cli("stats", "/nonexistent.tsv") == 2
 
     def test_non_utf8_byte_names_its_line(self, tmp_path, capsys):
         path = tmp_path / "bad.tsv"
         path.write_bytes(b"fine\tHope_speech\nHope_speech\t\xff\n")
-        assert run_cli("stats", "--lang", "en", str(path)) == 2
+        assert run_cli("stats", str(path)) == 2
         assert "line 2: not valid UTF-8" in capsys.readouterr().err
 
-    def test_bad_lang_rejected(self):
+    def test_bad_lang_rejected(self, capsys):
+        # Every dataset's labels read alike, so stats takes no --lang.
         with pytest.raises(SystemExit):
-            run_cli("stats", "--lang", "fr", str(FIXTURES / "en_train.tsv"))
+            run_cli("stats", "--lang", "en", str(FIXTURES / "en_train.tsv"))
+        assert "unrecognized arguments: --lang" in capsys.readouterr().err
 
 
 class TestTrainProfileAndDetect:
@@ -82,7 +84,7 @@ class TestTrainPredictEvaluate:
         preds = tmp_path / "preds.txt"
         assert run_cli("predict", "--lang", "en", "--model", str(model_path),
                        "--out", str(preds), train) == 0
-        assert run_cli("evaluate", "--lang", "en", "--format", "tsv",
+        assert run_cli("evaluate", "--format", "tsv",
                        train, str(preds)) == 0
         out = capsys.readouterr().out
         assert "weighted_f1" in out
@@ -92,8 +94,7 @@ class TestTrainPredictEvaluate:
         emb = tmp_path / "train.emb"
         emb.write_text("0.5 0.25\n" * n_vectors)
         code = run_cli("train", "--lang", "en", "--classifier", "random_forest",
-                       "--train-embeddings", str(emb), "--embedding-dim", "2",
-                       "--out", str(tmp_path / "rf.model"),
+                       "--train-embeddings", str(emb), "--out", str(tmp_path / "rf.model"),
                        str(FIXTURES / "en_train.tsv"))
         assert code == 2
         assert f"{n_vectors} vectors for 52 dataset rows" in capsys.readouterr().err
@@ -148,7 +149,7 @@ class TestBundle:
         assert (bundle / "manifest.txt").read_text().splitlines() == \
             [line for line in run_manifest if not line.startswith("input.test.")]
         if lang == "ta":
-            rows = corpus.load_tsv(test, DatasetLang.TAMIL)
+            rows = corpus.load_tsv(test)
             lines = predicted.decode().splitlines()
             gold_not_tamil = [r.id for r in rows if r.label is Label.NOT_LANGUAGE]
             assert gold_not_tamil and all(lines[i] == "not-Tamil" for i in gold_not_tamil)
@@ -164,7 +165,7 @@ class TestBundle:
         emb.write_text("0.5 0.25\n0.25 0.5\n" * 26)
         bundle = tmp_path / "bundle"
         assert run_cli("train", "--lang", "en", "--train-embeddings", str(emb),
-                       "--embedding-dim", "2", "--epochs", "10", "--out", str(bundle),
+                       "--epochs", "10", "--out", str(bundle),
                        str(FIXTURES / "en_train.tsv")) == 0
         code = run_cli("predict", "--lang", "en", "--model", str(bundle),
                        "--out", str(tmp_path / "p.txt"), str(FIXTURES / "en_test.tsv"))
@@ -279,7 +280,7 @@ class TestEnsembleVote:
         assert again.read_text() == vote.read_text()
         assert set(vote.read_text().split()) == {"Hope", "NotHope", "NotLanguage"}
         capsys.readouterr()
-        assert run_cli("evaluate", "--lang", "en", "--format", "tsv",
+        assert run_cli("evaluate", "--format", "tsv",
                        str(FIXTURES / "en_test.tsv"), str(vote)) == 0
         header, row = capsys.readouterr().out.splitlines()
         scores = dict(zip(header.split("\t"), row.split("\t")))
@@ -326,17 +327,38 @@ class TestRun:
         code = run_cli(
             "run", "--lang", "en", "--seed", "1", "--epochs", "40",
             "--train-embeddings", str(tmp_path / "train.emb"),
-            "--test-embeddings", str(tmp_path / "test.emb"),
-            "--embedding-dim", "8", "--out", str(out),
+            "--test-embeddings", str(tmp_path / "test.emb"), "--out", str(out),
             str(FIXTURES / "en_train.tsv"), str(FIXTURES / "en_test.tsv"),
         )
         assert code == 0
         manifest = (out / "manifest.txt").read_text()
-        assert "feature_mode=embeddings" in manifest
+        # The width is read from the train file's first vector.
+        assert "feature_mode=embeddings\nembedding_dim=8\n" in manifest
         for name in ("train", "test"):
             digest = pipeline.sha256_file(tmp_path / f"{name}.emb")
             assert f"input.{name}_embeddings.sha256={digest}" in manifest
         assert len((out / "predictions.txt").read_text().splitlines()) == 25
+
+    @pytest.mark.parametrize("which,line_no,width", [("test", 2, 4), ("train", 4, 7)])
+    def test_embedding_width_mismatch_names_its_line(self, tmp_path, capsys,
+                                                     which, line_no, width):
+        # The train file's first vector sets the width: a narrower test file,
+        # or a short later train vector, is an input error at its line.
+        rows = {"train": ["0.5 " * 8] * 52, "test": ["0.25 " * 8] * 25}
+        if which == "test":
+            rows["test"] = ["0.25 " * width] * 25
+        else:
+            rows["train"][line_no - 2] = "0.5 " * width
+        for name, lines in rows.items():
+            (tmp_path / f"{name}.emb").write_text("# producer: test\n" + "\n".join(lines))
+        out = tmp_path / "out"
+        code = run_cli("run", "--lang", "en", "--epochs", "10",
+                       "--train-embeddings", str(tmp_path / "train.emb"),
+                       "--test-embeddings", str(tmp_path / "test.emb"), "--out", str(out),
+                       str(FIXTURES / "en_train.tsv"), str(FIXTURES / "en_test.tsv"))
+        assert code == 2
+        assert f"line {line_no}: expected 8 values, got {width}" in capsys.readouterr().err
+        assert not (out / "predictions.txt").exists()
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "pipeline.cfg"
@@ -385,6 +407,7 @@ class TestRun:
         ([], "tie_break=bogus", "unknown tie_break 'bogus'"),
         ([], "base_seed=3", "pipeline.cfg:2: unknown key 'base_seed'"),
         ([], "scheme_path=x.tsv", "pipeline.cfg:2: unknown key 'scheme_path'"),
+        ([], "embedding_dim=8", "pipeline.cfg:2: unknown key 'embedding_dim'"),
     ])
     def test_bad_setting_exit_3(self, tmp_path, capsys, flags, config, message):
         if config is not None:
@@ -548,13 +571,13 @@ def _non_utf8_case(tmp_path, command):
     if command == "evaluate":
         bad.write_bytes(b"Hope_speech\n" * 2 + b"Hope_\xffspeech\n"
                         + b"Hope_speech\n" * 22)
-        return ["evaluate", "--lang", "en", en_test, str(bad)], bad, 3, 2
+        return ["evaluate", en_test, str(bad)], bad, 3, 2
     if command == "run --train-embeddings":
         bad.write_bytes(b"# producer: test\n" + b"0.5 0.25\n" * 3 + b"0.5 \xff\n"
                         + b"0.25 0.5\n" * 48)
         return ["run", "--lang", "en", "--train-embeddings", str(bad),
-                "--test-embeddings", str(bad), "--embedding-dim", "2",
-                "--out", str(tmp_path / "o"), en_train, en_test], bad, 5, 2
+                "--test-embeddings", str(bad), "--out", str(tmp_path / "o"),
+                en_train, en_test], bad, 5, 2
     bundle = tmp_path / "bundle"
     assert run_cli("train", "--lang", "en", "--epochs", "10", "--out", str(bundle),
                    en_train) == 0
@@ -600,7 +623,7 @@ class TestPipelineInternals:
             cfg, FIXTURES / "ta_train.tsv", FIXTURES / "ta_train.tsv", tmp_path / "out"
         )
         preds = (tmp_path / "out" / "predictions.txt").read_text().splitlines()
-        rows = corpus.load_tsv(FIXTURES / "ta_train.tsv", DatasetLang.TAMIL)
+        rows = corpus.load_tsv(FIXTURES / "ta_train.tsv")
         # the pure-English row must come out as not-Tamil without classification
         english_ids = [r.id for r in rows if r.label is Label.NOT_LANGUAGE]
         for rid in english_ids:
@@ -617,7 +640,7 @@ class TestPipelineInternals:
             langid.save_profile(p, paths[-1])
         cfg = pipeline.PipelineConfig(dataset_lang=DatasetLang.TAMIL,
                                       profile_paths=paths, k=3, epochs=30)
-        rows = corpus.load_tsv(FIXTURES / "ta_train.tsv", DatasetLang.TAMIL)
+        rows = corpus.load_tsv(FIXTURES / "ta_train.tsv")
         fitted = pipeline.fit(cfg, rows)
         vectorize, seen = features.tfidf_vectorize, []
 
@@ -639,7 +662,7 @@ class TestPipelineInternals:
 
     def test_stage_order(self, trained_profiles, monkeypatch):
         cfg = pipeline.PipelineConfig(dataset_lang=DatasetLang.TAMIL)
-        rows = corpus.load_tsv(FIXTURES / "ta_train.tsv", DatasetLang.TAMIL)
+        rows = corpus.load_tsv(FIXTURES / "ta_train.tsv")
         table = pipeline._scheme_table(cfg)
         events = []  # (stage, first argument, result), in call order
         for module, name in ((textprep, "normalize_text"),
@@ -685,8 +708,8 @@ class TestPipelineInternals:
         # Without profiles, romanized comments carry no evidence of English,
         # so none of the gold Hope/NotHope rows may be gated; Devanagari
         # script still is.
-        rows = corpus.load_tsv(FIXTURES / name, lang)
-        rows.append(corpus.LabeledComment(len(rows), "नमस्ते दोस्त", None, lang))
+        rows = corpus.load_tsv(FIXTURES / name)
+        rows.append(corpus.LabeledComment(len(rows), "नमस्ते दोस्त", None))
         cfg = pipeline.PipelineConfig(dataset_lang=lang)
         proc = pipeline.preprocess_rows(rows, cfg, [], pipeline._scheme_table(cfg))
         gold = [p.gate for p, r in zip(proc, rows)
@@ -707,8 +730,10 @@ class TestPipelineInternals:
                                   FIXTURES / "en_test.tsv", tmp_path / "out")
 
     def test_embeddings_mode_requires_paths(self):
-        cfg = pipeline.PipelineConfig(
-            dataset_lang=DatasetLang.ENGLISH, feature_mode="embeddings"
-        )
-        with pytest.raises(pipeline.ConfigError):
-            cfg.validate()
+        # Train embeddings select the mode; test embeddings alone are refused.
+        for paths, missing in (({"train_embeddings": "train.emb"}, "test"),
+                               ({"test_embeddings": "test.emb"}, "train")):
+            cfg = pipeline.PipelineConfig(dataset_lang=DatasetLang.ENGLISH, **paths)
+            with pytest.raises(pipeline.ConfigError,
+                               match=f"requires a {missing} embedding path"):
+                cfg.validate()

@@ -25,45 +25,53 @@ def _write(tmp_path, content, name="data.tsv"):
 class TestLoadTsv:
     def test_not_language_row(self, tmp_path):
         path = _write(tmp_path, "Fox News is pure Garbage!\tnot-English\n")
-        rows = corpus.load_tsv(path, DatasetLang.ENGLISH)
+        rows = corpus.load_tsv(path)
         assert rows[0].label is Label.NOT_LANGUAGE
         assert rows[0].text == "Fox News is pure Garbage!"
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyFile):
-            corpus.load_tsv(_write(tmp_path, ""), DatasetLang.ENGLISH)
+            corpus.load_tsv(_write(tmp_path, ""))
 
     def test_three_rows_keep_order(self, tmp_path):
         content = "a\tHope_speech\nb\tNon_hope_speech\nc\tnot-English\n"
-        rows = corpus.load_tsv(_write(tmp_path, content), DatasetLang.ENGLISH)
+        rows = corpus.load_tsv(_write(tmp_path, content))
         assert [r.id for r in rows] == [0, 1, 2]
         assert [r.text for r in rows] == ["a", "b", "c"]
 
     def test_label_aliases_case_insensitive(self, tmp_path):
         content = "x\tHOPE_SPEECH\ny\tnot-in-intended-language\nz\tNot-Malayalam\n"
-        rows = corpus.load_tsv(_write(tmp_path, content), DatasetLang.MALAYALAM)
+        rows = corpus.load_tsv(_write(tmp_path, content))
         assert [r.label for r in rows] == [
             Label.HOPE, Label.NOT_LANGUAGE, Label.NOT_LANGUAGE,
         ]
 
     def test_canonical_names_case_insensitive(self, tmp_path):
         content = "x\tHope\ny\tnothope\nz\tNOTLANGUAGE\n"
-        rows = corpus.load_tsv(_write(tmp_path, content), DatasetLang.ENGLISH)
+        rows = corpus.load_tsv(_write(tmp_path, content))
         assert [r.label for r in rows] == [Label.HOPE, Label.NOT_HOPE, Label.NOT_LANGUAGE]
+
+    def test_every_dataset_alias_parses_as_not_language(self):
+        # The alias run writes for a gated row reads back as NotLanguage.
+        for lang in DatasetLang:
+            assert corpus.parse_label(lang.not_alias) is Label.NOT_LANGUAGE
+
+    def test_language_argument_is_refused(self, tmp_path):
+        path = _write(tmp_path, "a\tHope_speech\n")
+        with pytest.raises(TypeError):
+            corpus.load_tsv(path, DatasetLang.ENGLISH)
 
     def test_unknown_label(self, tmp_path):
         with pytest.raises(UnknownLabel):
-            corpus.load_tsv(_write(tmp_path, "x\tmaybe_hope\n"), DatasetLang.ENGLISH)
+            corpus.load_tsv(_write(tmp_path, "x\tmaybe_hope\n"))
 
     def test_embedded_tab_rejected(self, tmp_path):
         with pytest.raises(MalformedRow):
-            corpus.load_tsv(
-                _write(tmp_path, "a\tb\tHope_speech\n"), DatasetLang.ENGLISH
-            )
+            corpus.load_tsv(_write(tmp_path, "a\tb\tHope_speech\n"))
 
     def test_unlabeled_mode(self, tmp_path):
         rows = corpus.load_tsv(
-            _write(tmp_path, "one\ntwo\n"), DatasetLang.ENGLISH, labeled=False
+            _write(tmp_path, "one\ntwo\n"), labeled=False
         )
         assert [r.label for r in rows] == [None, None]
 
@@ -75,23 +83,19 @@ class TestLoadTsv:
         path = tmp_path / "data.tsv"
         path.write_bytes((good * n_good).encode() + b"caf\xe9\tHope_speech\n")
         with pytest.raises(MalformedRow, match="not valid UTF-8") as err:
-            corpus.load_tsv(path, DatasetLang.ENGLISH)
+            corpus.load_tsv(path)
         assert err.value.line_no == n_good + 1
 
     def test_crlf(self, tmp_path):
         rows = corpus.load_tsv(
-            _write(tmp_path, "a\tHope_speech\r\nb\tNon_hope_speech\r\n"),
-            DatasetLang.ENGLISH,
-        )
+            _write(tmp_path, "a\tHope_speech\r\nb\tNon_hope_speech\r\n"))
         assert len(rows) == 2 and rows[1].text == "b"
 
 
 class TestComputeStats:
     def test_fixture_counts(self):
         for name, (hope, nothope, notlang) in FIXTURE_COUNTS.items():
-            lang = {"en": DatasetLang.ENGLISH, "ta": DatasetLang.TAMIL,
-                    "ml": DatasetLang.MALAYALAM}[name[:2]]
-            stats = corpus.compute_stats(corpus.load_tsv(FIXTURES / name, lang))
+            stats = corpus.compute_stats(corpus.load_tsv(FIXTURES / name))
             assert stats.counts[Label.HOPE] == hope
             assert stats.counts[Label.NOT_HOPE] == nothope
             assert stats.counts[Label.NOT_LANGUAGE] == notlang
@@ -104,7 +108,7 @@ class TestComputeStats:
         for label, count in [(Label.HOPE, 1962), (Label.NOT_HOPE, 20778),
                              (Label.NOT_LANGUAGE, 22)]:
             rows += [
-                corpus.LabeledComment(len(rows) + i, "x", label, DatasetLang.ENGLISH)
+                corpus.LabeledComment(len(rows) + i, "x", label)
                 for i in range(count)
             ]
         stats = corpus.compute_stats(rows)
@@ -113,13 +117,13 @@ class TestComputeStats:
         assert abs(float(stats.hope_to_nothope_ratio) - 0.094) < 5e-4
 
     def test_ratio_absent_without_nothope(self):
-        rows = [corpus.LabeledComment(0, "x", Label.HOPE, DatasetLang.ENGLISH)]
+        rows = [corpus.LabeledComment(0, "x", Label.HOPE)]
         stats = corpus.compute_stats(rows)
         assert stats.counts[Label.HOPE] == 1
         assert stats.hope_to_nothope_ratio is None
 
     def test_unlabeled_rejected(self):
-        rows = [corpus.LabeledComment(0, "x", None, DatasetLang.ENGLISH)]
+        rows = [corpus.LabeledComment(0, "x", None)]
         with pytest.raises(corpus.UnlabeledInput):
             corpus.compute_stats(rows)
 

@@ -119,7 +119,7 @@ class TestTfidf:
 
 def _tfidf_per_doc(docs, vocab):
     """Oracle: the vectorizer as one Python loop per doc. A row's squared
-    weights are summed by Python's ``sum`` in the order its terms first
+    weights are added one after another in the order its terms first
     occur."""
     idf = [math.log((1 + vocab.num_docs) / (1 + vocab.doc_freq[i]))
            for i in range(len(vocab))]
@@ -131,7 +131,10 @@ def _tfidf_per_doc(docs, vocab):
             if i is not None:
                 tf[i] = tf.get(i, 0) + 1
         weights = {i: c * idf[i] for i, c in tf.items()}
-        norm = math.sqrt(sum(w * w for w in weights.values()))
+        square = 0.0
+        for w in weights.values():
+            square += w * w
+        norm = math.sqrt(square)
         if norm > 0:
             for i in sorted(weights):
                 indices.append(i)
@@ -302,6 +305,21 @@ class TestEmbeddings:
         path = self._write(tmp_path, ["0.1 abc 0.3"])
         with pytest.raises(NonNumericValue):
             features.load_embeddings(path, 3)
+
+    def test_width_of_the_first_vector(self, tmp_path):
+        path = self._write(tmp_path, ["# producer: test", "1 2 3", "4 5 6"])
+        assert features.load_embeddings(path).shape == (2, 3)
+
+    def test_ragged_file_names_its_first_short_line(self, tmp_path):
+        path = self._write(tmp_path, ["# producer: test", "1 2 3", "4 5", "6"])
+        with pytest.raises(DimensionMismatch, match="line 3: expected 3 values, got 2"):
+            features.load_embeddings(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_value_names_its_line(self, tmp_path, value):
+        path = self._write(tmp_path, ["1 2", f"3 {value}"])
+        with pytest.raises(NonNumericValue, match=f"line 2: '{value}' is not a finite"):
+            features.load_embeddings(path)
 
     def test_row_count_mismatch(self, tmp_path):
         path = self._write(tmp_path, ["1 2", "3 4"])

@@ -3,7 +3,6 @@ import tempfile
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopedetect import corpus, features, learn, textprep
-from hopedetect.corpus import DatasetLang, Label
+from hopedetect.corpus import Label
 from hopedetect.errors import (
     ConfigError,
     DimensionMismatch,
@@ -802,34 +801,19 @@ class TestModelIO:
 GOLDEN = FIXTURES / "golden"
 
 
-def _added_in_turn(xs):
-    """Python's float ``sum`` before 3.12: one addition after another."""
-    total = 0.0
-    for x in xs:
-        total += x
-    return total
-
-
 def _golden_features():
     """TF-IDF rows and labels of en_train.tsv's Hope/NotHope rows, and the
-    rows of en_test.tsv, as the golden models saw them.
-
-    The files were written on a Python before 3.12, whose ``sum`` added
-    each row's squared weights one after another; from 3.12 on the matrix
-    follows the compensated ``sum`` and differs in the last bit of some
-    rows, so the rows here are summed the older way on every Python.
-    """
+    rows of en_test.tsv, as the golden models saw them."""
     def rows_and_texts(name, labeled):
-        rows = corpus.load_tsv(FIXTURES / name, DatasetLang.ENGLISH, labeled=labeled)
+        rows = corpus.load_tsv(FIXTURES / name, labeled=labeled)
         return rows, [textprep.normalize_text(r.text) for r in rows]
 
     train, texts = rows_and_texts("en_train.tsv", True)
     keep = [i for i, r in enumerate(train) if r.label in (Label.HOPE, Label.NOT_HOPE)]
     vocab = features.build_vocab([texts[i] for i in keep])
     _, test_texts = rows_and_texts("en_test.tsv", None)
-    with mock.patch.object(features, "sum", _added_in_turn, create=True):
-        X = features.tfidf_vectorize([texts[i] for i in keep], vocab)
-        T = features.tfidf_vectorize(test_texts, vocab)
+    X = features.tfidf_vectorize([texts[i] for i in keep], vocab)
+    T = features.tfidf_vectorize(test_texts, vocab)
     return X, [train[i].label.value for i in keep], T
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopedetect import translit
+from hopedetect.corpus import DatasetLang
 from hopedetect.errors import MalformedFile
 from hopedetect.translit import (
     bundled_scheme_table,
@@ -13,6 +14,8 @@ from hopedetect.translit import (
     script_of,
     transliterate,
 )
+
+_BY_CODE = {lang.code: lang for lang in DatasetLang}
 
 
 class TestScriptOf:
@@ -31,31 +34,31 @@ class TestScriptOf:
 
 class TestTransliterate:
     def test_longest_match_wins(self):
-        table = make_scheme_table("ta", {"ka": "க", "k": "க்"})
+        table = make_scheme_table({"ka": "க", "k": "க்"})
         assert transliterate("ka", table) == "க"
         assert transliterate("k", table) == "க்"
 
     def test_native_passthrough(self):
-        table = bundled_scheme_table("ta")
+        table = bundled_scheme_table(DatasetLang.TAMIL)
         text = "வணக்கம் நண்பா"
         assert transliterate(text, table) == text
 
     def test_empty(self):
-        assert transliterate("", bundled_scheme_table("ta")) == ""
+        assert transliterate("", bundled_scheme_table(DatasetLang.TAMIL)) == ""
 
     def test_unmatched_latin_passthrough(self):
-        table = make_scheme_table("ta", {"ka": "க"})
+        table = make_scheme_table({"ka": "க"})
         assert transliterate("xkay", table) == "xகy"
 
     def test_digits_and_whitespace_pass(self):
-        table = bundled_scheme_table("ml")
+        table = bundled_scheme_table(DatasetLang.MALAYALAM)
         out = transliterate("nalla 123  kalam", table)
         assert "123" in out and "  " in out
 
     def test_spec_file_round(self, tmp_path):
         path = tmp_path / "scheme.tsv"
         path.write_text("# comment\nka\tக\nk\tக்\n", encoding="utf-8")
-        table = load_scheme_table(path, "ta")
+        table = load_scheme_table(path)
         assert table.entries == {"ka": "க", "k": "க்"}
         assert max(map(len, table.entries)) == 2
 
@@ -64,7 +67,7 @@ class TestTransliterate:
         path = tmp_path / "scheme.tsv"
         path.write_text(f"# comment\nka\tக\n{line}\n", encoding="utf-8")
         with pytest.raises(MalformedFile, match=r"scheme\.tsv: line 3: ") as err:
-            load_scheme_table(path, "ta")
+            load_scheme_table(path)
         assert err.value.line_no == 3
 
     @pytest.mark.parametrize("content,line_no", [
@@ -76,13 +79,13 @@ class TestTransliterate:
         path = tmp_path / "scheme.tsv"
         path.write_bytes(content)
         with pytest.raises(MalformedFile) as err:
-            load_scheme_table(path, "ta")
+            load_scheme_table(path)
         assert err.value.line_no == line_no
         assert str(err.value).startswith(f"{path}: ")
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            make_scheme_table("ta", {})
+            make_scheme_table({})
 
 
 def _mixed_strings(n, seed):
@@ -103,8 +106,8 @@ def _mixed_strings(n, seed):
 
 @pytest.mark.parametrize("lang", ["ta", "ml"])
 def test_idempotence_and_passthrough_bulk(lang):
-    table = bundled_scheme_table(lang)
-    target = {"ta": "Tamil", "ml": "Malayalam"}[lang]
+    table = bundled_scheme_table(_BY_CODE[lang])
+    target = _BY_CODE[lang].value
     for s in _mixed_strings(2000, seed=42):
         once = transliterate(s, table)
         assert transliterate(once, table) == once
@@ -120,7 +123,7 @@ def test_idempotence_and_passthrough_bulk(lang):
 
 def test_greedy_replay():
     # Replay: at each consumed position, no longer key could have matched.
-    table = bundled_scheme_table("ta")
+    table = bundled_scheme_table(DatasetLang.TAMIL)
     max_key_len = max(map(len, table.entries))
     rng = random.Random(7)
     for _ in range(500):
@@ -185,7 +188,7 @@ _TEXT = st.text(alphabet=st.one_of(_KEY_CHARS, st.sampled_from("cz\u0bbeമ\n"))
                        min_size=1, max_size=12),
        _TEXT)
 def test_custom_tables_match_oracle(entries, text):
-    table = make_scheme_table("ta", entries)
+    table = make_scheme_table(entries)
     assert transliterate(text, table) == _oracle_transliterate(text, table)
 
 
@@ -196,7 +199,7 @@ def test_custom_tables_match_oracle(entries, text):
     st.text(max_size=40),
 ))
 def test_bundled_tables_match_oracle(lang, text):
-    table = bundled_scheme_table(lang)
+    table = bundled_scheme_table(_BY_CODE[lang])
     assert transliterate(text, table) == _oracle_transliterate(text, table)
 
 
@@ -212,13 +215,13 @@ def test_bundled_tables_match_oracle(lang, text):
     ({"À": "1", "Àɏ": "2", "ɏa": "3"}, "ÀɏaÀɏÀ"),
 ])
 def test_explicit_tables_match_oracle(entries, text):
-    table = make_scheme_table("ta", entries)
+    table = make_scheme_table(entries)
     assert transliterate(text, table) == _oracle_transliterate(text, table)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=50))
 def test_idempotence_property(s):
-    table = bundled_scheme_table("ta")
+    table = bundled_scheme_table(DatasetLang.TAMIL)
     once = transliterate(s, table)
     assert transliterate(once, table) == once
