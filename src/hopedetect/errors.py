@@ -44,15 +44,21 @@ class EmptyVocabulary(HopedetectError):
 
 
 class DimensionMismatch(HopedetectError):
-    def __init__(self, detail, line_no=None):
+    """Shapes that do not fit; ``path`` and ``line_no`` name the vector file
+    and line at fault, when there is one."""
+
+    def __init__(self, detail, line_no=None, path=None):
         where = f"line {line_no}: " if line_no is not None else ""
+        where = f"{path}: {where}" if path is not None else where
         super().__init__(where + detail)
+        self.path = path
         self.line_no = line_no
 
 
 class NonNumericValue(HopedetectError):
-    def __init__(self, token, line_no):
-        super().__init__(f"line {line_no}: {token!r} is not a finite number")
+    def __init__(self, path, token, line_no):
+        super().__init__(f"{path}: line {line_no}: {token!r} is not a finite number")
+        self.path = path
         self.line_no = line_no
 
 

@@ -239,14 +239,15 @@ def load_embeddings(path, dim: int | None = None,
         if dim is None:
             dim = len(tokens)
         if len(tokens) != dim:
-            raise DimensionMismatch(f"expected {dim} values, got {len(tokens)}", line_no)
+            raise DimensionMismatch(f"expected {dim} values, got {len(tokens)}",
+                                    line_no, path)
         try:
             vector = [float(t) for t in tokens]
             if not all(map(math.isfinite, vector)):
                 raise ValueError
         except ValueError:
             bad = next(t for t in tokens if not _is_finite(t))
-            raise NonNumericValue(bad, line_no) from None
+            raise NonNumericValue(path, bad, line_no) from None
         vectors.append(vector)
     if n_rows is not None and len(vectors) != n_rows:
         raise RowCountMismatch(

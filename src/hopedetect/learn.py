@@ -57,6 +57,35 @@ class DecisionTree:
         return len(self.feature) - 1
 
 
+@dataclass(frozen=True)
+class ZeroPaths:
+    """A forest's trees on the path of a row that stores no entry, every
+    ``x[f]`` 0.0: tree t ends in a leaf voting ``label[t]``, and ``votes``
+    counts those votes per class. Any other row follows that path up to the
+    first node that tests a feature it stores; ``first_test[f]`` holds
+    (t, node) for each tree t whose zero path tests feature f, at the first
+    such node. A tree that none of a row's features reach votes ``label[t]``.
+    """
+
+    label: list[int]
+    votes: list[int]
+    first_test: dict[int, list[tuple[int, int]]]
+
+    @classmethod
+    def of(cls, trees: list[DecisionTree], n_classes: int) -> ZeroPaths:
+        label, votes, first_test = [], [0] * n_classes, {}
+        for t, tree in enumerate(trees):
+            tested, i = set(), 0
+            while (f := tree.feature[i]) >= 0:
+                if f not in tested:
+                    tested.add(f)
+                    first_test.setdefault(f, []).append((t, i))
+                i = i + 1 if 0.0 < tree.threshold[i] else tree.right[i]
+            label.append(tree.label[i])
+            votes[tree.label[i]] += 1
+        return cls(label, votes, first_test)
+
+
 @dataclass
 class TrainedModel:
     kind: str  # "logreg" | "linear_svm" | "random_forest"
@@ -67,6 +96,17 @@ class TrainedModel:
     weights: np.ndarray | None = None  # classes x dim
     bias: np.ndarray | None = None
     trees: list[DecisionTree] = field(default_factory=list)
+    # A forest's zero paths, indexed once its trees are complete: on
+    # construction, or by load_model once it has read them.
+    zero_paths: ZeroPaths | None = field(default=None, init=False, repr=False,
+                                         compare=False)
+
+    def __post_init__(self):
+        self.index_trees()
+
+    def index_trees(self) -> None:
+        if self.kind == "random_forest":
+            self.zero_paths = ZeroPaths.of(self.trees, len(self.classes))
 
 
 def _encode_labels(y):
@@ -247,15 +287,24 @@ def _best_split(XT: CsrMatrix, y_idx, counts, indices, feats):
     """
     n, n_classes = len(indices), len(counts)
     copies = np.bincount(indices, minlength=XT.shape[1])  # bootstrap duplicates
-    sampled = XT[feats]
-    hit = copies[sampled.indices] > 0
-    # The row of an entry in ``sampled`` is its column's slot in ``feats``.
-    slot, rows, value = sampled._row_of[hit], sampled.indices[hit], sampled.data[hit]
-    # Class counts of each stored entry, and of each column's zeros.
+    # Positions in XT of the sampled columns' entries, column after column;
+    # an entry's slot is its column's position in ``feats``.
+    starts = XT.indptr[feats]
+    lengths = XT.indptr[feats + 1] - starts
+    ends = np.cumsum(lengths)
+    at = np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1])
+    slot = np.repeat(np.arange(len(feats)), lengths)
+    rows = XT.indices[at]
+    hit = copies[rows] > 0
+    slot, rows, value = slot[hit], rows[hit], XT.data[at[hit]]
+    # Class counts of each stored entry at the node, and of each column's
+    # zeros: the node's counts less those of the column's entries.
+    weight, cls = copies[rows], y_idx[rows]
     stored = np.zeros((len(rows), n_classes), dtype=np.int64)
-    stored[np.arange(len(rows)), y_idx[rows]] = copies[rows]
-    zeros = np.repeat(counts[None], len(feats), axis=0)
-    np.subtract.at(zeros, slot, stored)
+    stored[np.arange(len(rows)), cls] = weight
+    in_column = np.bincount(slot * n_classes + cls, weights=weight,
+                            minlength=len(feats) * n_classes)
+    zeros = counts - in_column.astype(np.int64).reshape(len(feats), n_classes)
     has_zeros = zeros.any(axis=1)
     # Items of every column, sorted by column, then by value.
     slot = np.concatenate((slot, np.flatnonzero(has_zeros)))
@@ -319,12 +368,13 @@ def train_random_forest(X, y, n_trees: int = 100, max_depth: int = 16,
     """Bagged Gini trees with a per-node random feature subset.
 
     ``X`` (ndarray or CsrMatrix) is copied once into columns of its non-zero
-    entries; it is never densified. Each node reads only the entries of its
+    entries; it is never densified. Each node gathers the entries of its
     sampled columns that fall in its rows (bootstrap copies counted), sorts
     them by column and value with each column's zeros as one more value, and
     scores every candidate threshold at once from cumulative class counts.
-    The trees are those of an exhaustive threshold scan. feature_frac=None uses the sqrt(dim)/dim rule. ``bootstrap=False`` is a
-    test hook that trains every tree on the full sample.
+    The trees are those of an exhaustive threshold scan.
+    ``feature_frac=None`` uses the sqrt(dim)/dim rule. ``bootstrap=False``
+    is a test hook that trains every tree on the full sample.
     """
     XT = _transpose(X)
     y_idx, class_names = _encode_labels(y)
@@ -378,18 +428,35 @@ def predict(model: TrainedModel, x) -> tuple[str, dict[str, float]]:
     """Argmax over class scores; ties fall to the first class in model order.
 
     ``x`` is one row (see ``_row_entries``), of which only the stored entries
-    are read: trees look up features in a dict of them, and linear models
-    take the dot product over them alone.
+    are read. A forest starts from the votes of its trees' zero paths (see
+    ``ZeroPaths``) and walks only the trees whose zero path tests a stored
+    feature, from the first node that does, looking features up in a dict
+    of the entries; linear models take the dot product over the entries
+    alone.
     """
     cols, vals = _row_entries(x, model.dim)
     if model.kind == "random_forest":
         row = dict(zip(cols.tolist(), vals.tolist()))
-        votes = [0] * len(model.classes)
-        for tree in model.trees:
+        zero = model.zero_paths
+        votes = zero.votes.copy()
+        # Walk each tree from the first node of its zero path that tests a
+        # feature the row stores. A row that stores as many features as the
+        # index holds (a dense embedding) reaches nearly every tree, so it
+        # walks them all from the root.
+        if len(row) < len(zero.first_test):
+            start = {}
+            for f in row.keys() & zero.first_test.keys():  # iterates the row, the smaller
+                for t, node in zero.first_test[f]:
+                    if start.get(t, node) >= node:
+                        start[t] = node
+        else:
+            start = dict.fromkeys(range(len(model.trees)), 0)
+        for t, i in start.items():
+            tree = model.trees[t]
             feature, threshold, right = tree.feature, tree.threshold, tree.right
-            i = 0
             while (f := feature[i]) >= 0:
-                i = i + 1 if (row[f] if f in row else 0.0) < threshold[i] else right[i]
+                i = i + 1 if row.get(f, 0.0) < threshold[i] else right[i]
+            votes[zero.label[t]] -= 1
             votes[tree.label[i]] += 1
         raw = [v / len(model.trees) for v in votes]
         best = max(range(len(raw)), key=raw.__getitem__)  # first max, as np.argmax
@@ -498,6 +565,7 @@ def load_model(path) -> TrainedModel:
     end = body[-1][0] + 1 if body else 2  # the line after the last
     read = _read_trees if model.kind == "random_forest" else _read_linear
     read(model, body, path, end)
+    model.index_trees()
     return model
 
 

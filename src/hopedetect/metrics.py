@@ -76,22 +76,32 @@ def class_prf(cm: ConfusionMatrix, label) -> ClassMetrics:
     return ClassMetrics(precision=precision, recall=recall, f1=f1, support=tp + fn)
 
 
+def _add(values) -> float:
+    """The values added one after another from 0.0. The builtin ``sum``
+    compensates its rounding from Python 3.12 on, which would make a report
+    depend on the interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def aggregate(cm: ConfusionMatrix) -> EvalReport:
     per_class = {c: class_prf(cm, c) for c in cm.classes}
     n = len(per_class)
     macro = Aggregate(
-        precision=sum(m.precision for m in per_class.values()) / n if n else 0.0,
-        recall=sum(m.recall for m in per_class.values()) / n if n else 0.0,
-        f1=sum(m.f1 for m in per_class.values()) / n if n else 0.0,
+        precision=_add(m.precision for m in per_class.values()) / n if n else 0.0,
+        recall=_add(m.recall for m in per_class.values()) / n if n else 0.0,
+        f1=_add(m.f1 for m in per_class.values()) / n if n else 0.0,
     )
     total_support = sum(m.support for m in per_class.values())
     if total_support > 0:
         weighted = Aggregate(
-            precision=sum(m.precision * m.support for m in per_class.values())
+            precision=_add(m.precision * m.support for m in per_class.values())
             / total_support,
-            recall=sum(m.recall * m.support for m in per_class.values())
+            recall=_add(m.recall * m.support for m in per_class.values())
             / total_support,
-            f1=sum(m.f1 * m.support for m in per_class.values()) / total_support,
+            f1=_add(m.f1 * m.support for m in per_class.values()) / total_support,
         )
     else:
         weighted = Aggregate(0.0, 0.0, 0.0)

@@ -357,7 +357,22 @@ class TestRun:
                        "--test-embeddings", str(tmp_path / "test.emb"), "--out", str(out),
                        str(FIXTURES / "en_train.tsv"), str(FIXTURES / "en_test.tsv"))
         assert code == 2
-        assert f"line {line_no}: expected 8 values, got {width}" in capsys.readouterr().err
+        # The message names the file at fault, train or test.
+        assert (f"{tmp_path / f'{which}.emb'}: line {line_no}: expected 8 values, "
+                f"got {width}") in capsys.readouterr().err
+        assert not (out / "predictions.txt").exists()
+
+    def test_non_finite_test_embedding_names_its_file(self, tmp_path, capsys):
+        train, test = tmp_path / "train.emb", tmp_path / "test.emb"
+        train.write_text("0.5 0.25\n" * 52)
+        test.write_text("0.5 0.25\n" * 2 + "0.5 nan\n" + "0.5 0.25\n" * 22)
+        out = tmp_path / "out"
+        code = run_cli("run", "--lang", "en", "--epochs", "10",
+                       "--train-embeddings", str(train), "--test-embeddings", str(test),
+                       "--out", str(out),
+                       str(FIXTURES / "en_train.tsv"), str(FIXTURES / "en_test.tsv"))
+        assert code == 2
+        assert f"{test}: line 3: 'nan' is not a finite number" in capsys.readouterr().err
         assert not (out / "predictions.txt").exists()
 
     def test_config_file(self, tmp_path):

@@ -295,6 +295,7 @@ class TestEmbeddings:
         with pytest.raises(DimensionMismatch) as exc:
             features.load_embeddings(path, 768)
         assert exc.value.line_no == 1
+        assert str(exc.value) == f"{path}: line 1: expected 768 values, got 767"
 
     def test_zero_vector_accepted(self, tmp_path):
         path = self._write(tmp_path, [" ".join("0" for _ in range(4))])
@@ -303,8 +304,9 @@ class TestEmbeddings:
 
     def test_non_numeric(self, tmp_path):
         path = self._write(tmp_path, ["0.1 abc 0.3"])
-        with pytest.raises(NonNumericValue):
+        with pytest.raises(NonNumericValue) as exc:
             features.load_embeddings(path, 3)
+        assert str(exc.value) == f"{path}: line 1: 'abc' is not a finite number"
 
     def test_width_of_the_first_vector(self, tmp_path):
         path = self._write(tmp_path, ["# producer: test", "1 2 3", "4 5 6"])

@@ -606,6 +606,114 @@ class TestFlatTreeOracle:
             np.testing.assert_allclose(list(scores.values()), z, rtol=0, atol=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# Oracle: the forest vote as every tree's walk counted it, before a forest
+# walked only the trees whose zero path a row's stored features reach.
+
+
+def _walk_votes(model, x):
+    """(label, scores) of dense row x, walking every tree from its root."""
+    votes = [0] * len(model.classes)
+    for tree in model.trees:
+        i = 0
+        while tree.feature[i] >= 0:
+            i = i + 1 if x[tree.feature[i]] < tree.threshold[i] else tree.right[i]
+        votes[tree.label[i]] += 1
+    raw = [v / len(model.trees) for v in votes]
+    best = max(range(len(raw)), key=raw.__getitem__)
+    return model.classes[best], dict(zip(model.classes, raw))
+
+
+# Thresholds at, below and just above zero, and either side of -0.0.
+_THRESHOLDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1.0, -0.25, 0.25, 1.0]),
+    st.floats(-3.0, 3.0, allow_nan=False),
+)
+_CELLS = st.one_of(st.sampled_from([-0.0, np.nan, -1.0, 0.25]), _THRESHOLDS)
+
+
+def _random_tree(data, dim, n_classes, max_depth):
+    """A tree of random shape, features, thresholds and labels, grown in
+    pre-order as the trainer and load_model grow theirs."""
+    tree = learn.DecisionTree(max_depth)
+
+    def grow(depth):
+        if depth == max_depth or data.draw(st.integers(0, 3)) == 0:
+            tree.add(label=data.draw(st.integers(0, n_classes - 1)))
+            return
+        node = tree.add(feature=data.draw(st.integers(0, dim - 1)),
+                        threshold=data.draw(_THRESHOLDS))
+        grow(depth + 1)
+        tree.right[node] = len(tree.feature)
+        grow(depth + 1)
+
+    grow(0)
+    return tree
+
+
+class TestZeroPathOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 12), n_classes=st.integers(1, 3),
+           max_depth=st.integers(0, 5), n_trees=st.integers(1, 7))
+    def test_zero_path_vote_matches_every_tree_walked(self, data, dim, n_classes,
+                                                      max_depth, n_trees):
+        trees = [_random_tree(data, dim, n_classes, max_depth) for _ in range(n_trees)]
+        model = learn.TrainedModel(kind="random_forest",
+                                   classes=list("ABC"[:n_classes]), dim=dim,
+                                   train_seed=0, trees=trees)
+        for _ in range(data.draw(st.integers(1, 6))):
+            # Mostly sparse rows, some dense: cells drawn at random columns.
+            x = np.zeros(dim)
+            for col in data.draw(st.lists(st.integers(0, dim - 1), unique=True)):
+                x[col] = data.draw(_CELLS)
+            want = _walk_votes(model, x)
+            assert learn.predict(model, x) == want
+            assert learn.predict(model, x[None]) == want
+            # The row as CSR, storing its non-zero cells and, explicitly,
+            # some of its zeros.
+            zeros = np.flatnonzero(x == 0)
+            explicit = data.draw(st.lists(st.sampled_from(zeros), unique=True)
+                                 if len(zeros) else st.just([]))
+            cols = np.union1d(np.flatnonzero(x != 0), np.array(explicit, dtype=int))
+            csr = features.CsrMatrix(x[cols], cols, [0, len(cols)], dim)
+            assert learn.predict(model, csr) == want
+
+    def test_zero_paths_follow_the_trees(self):
+        # Tree 0 tests feature 2 at node 0 and feature 0 at node 1 on its
+        # zero path (0.0 < 0.5 goes left, 0.0 < 0.0 does not); tree 1 is a
+        # single leaf; tree 2 tests feature 1 twice, at nodes 0 and 1.
+        trees = [learn.DecisionTree(2, feature=[2, 0, -1, -1, -1],
+                                    threshold=[0.5, 0.0, 0.0, 0.0, 0.0],
+                                    right=[4, 3, -1, -1, -1], label=[-1, -1, 0, 1, 0]),
+                 learn.DecisionTree(0, feature=[-1], threshold=[0.0], right=[-1],
+                                    label=[1]),
+                 learn.DecisionTree(2, feature=[1, 1, -1, -1, -1],
+                                    threshold=[0.5, 0.25, 0.0, 0.0, 0.0],
+                                    right=[4, 3, -1, -1, -1], label=[-1, -1, 0, 1, 1])]
+        model = learn.TrainedModel(kind="random_forest", classes=["A", "B"], dim=3,
+                                   train_seed=0, trees=trees)
+        assert model.zero_paths == learn.ZeroPaths(
+            label=[1, 1, 0], votes=[1, 2],
+            first_test={2: [(0, 0)], 0: [(0, 1)], 1: [(2, 0)]})
+        assert learn.predict(model, np.zeros(3))[0] == "B"
+        # Walked from node 1 of tree 0 and node 0 of tree 2; both turn at node 1.
+        assert learn.predict(model, np.array([-2.0, 0.3, 0.0])) == \
+            ("B", {"A": 1 / 3, "B": 2 / 3})
+        assert replace(model, trees=trees[1:]).zero_paths.votes == [1, 1]
+
+    def test_loaded_forest_predicts_like_the_trained_one(self, tmp_path):
+        X, y, T = _golden_features()
+        model = learn.train_random_forest(X, y, n_trees=15, max_depth=8, seed=5)
+        learn.save_model(model, tmp_path / "m.model")
+        loaded = learn.load_model(tmp_path / "m.model")
+        assert loaded.zero_paths == model.zero_paths
+        for M in (X, T):
+            for i in range(M.shape[0]):
+                want = _walk_votes(model, M[i])
+                assert learn.predict(model, M[i:i + 1]) == want
+                assert learn.predict(loaded, M[i:i + 1]) == want
+
+
 class TestPredict:
     def test_zero_logreg_tie_break(self):
         model = learn.TrainedModel(

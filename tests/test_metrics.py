@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -152,6 +153,19 @@ class TestAggregate:
         pred = [rng.choice(["A", "B"]) for _ in gold]
         report = metrics.aggregate(metrics.confusion(gold, pred, ["A", "B"]))
         assert report.macro.f1 == pytest.approx(report.weighted.f1, abs=1e-12)
+
+    def test_scores_are_added_in_order_from_zero(self, monkeypatch):
+        # 0.1 + 0.2 + 0.3 added in order is 0.6000000000000001; a compensated
+        # sum (the builtin sum from Python 3.12 on, or math.fsum) gives 0.6.
+        values = {"A": 0.1, "B": 0.2, "C": 0.3}
+        monkeypatch.setattr(metrics, "class_prf", lambda cm, c: metrics.ClassMetrics(
+            precision=values[c], recall=values[c], f1=values[c], support=1))
+        cm = metrics.ConfusionMatrix(classes=list(values), counts=[[1, 0, 0]] * 3)
+        report = metrics.aggregate(cm)
+        in_order = (0.1 + 0.2 + 0.3) / 3
+        assert in_order != math.fsum(values.values()) / 3
+        assert report.macro == metrics.Aggregate(in_order, in_order, in_order)
+        assert report.weighted == report.macro
 
     def test_zero_support_flag(self):
         # A zero-support class counts in the macro average, not the weighted.
