@@ -161,7 +161,7 @@ def _cmd_stats(args):
 
 def _cmd_detect_lang(args):
     profiles = [langid.load_profile(p) for p in args.profiles]
-    texts = [textprep.normalize_text(line) for _, line in utf8_lines(args.path)]
+    texts = textprep.normalize_text([line for _, line in utf8_lines(args.path)])
     # With profiles only an empty text has no detected language.
     for lang in langid.detect(texts, profiles, args.script_threshold):
         print(lang or "??")

@@ -61,15 +61,17 @@ _LABEL_ALIASES = {
 }
 
 
-def parse_label(raw: str, line_no: int | None = None) -> Label:
+def parse_label(raw: str, line_no: int | None = None, path=None) -> Label:
+    """The class of a label alias or class name; ``line_no`` and ``path``
+    name where it was read, for the error."""
     key = raw.strip().lower()
     try:
         return _LABEL_ALIASES[key]
     except KeyError:
-        raise UnknownLabel(raw, line_no) from None
+        raise UnknownLabel(raw, line_no, path) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledComment:
     id: int
     text: str
@@ -87,7 +89,8 @@ def load_tsv(path, *, labeled: bool | None = True) -> list[LabeledComment]:
     """Read one comment per line, in file order, ids starting at 0.
 
     ``labeled=None`` decides from the file: labeled when the first data line
-    holds a tab, which an unlabeled row never does.
+    holds a tab, which an unlabeled row never does. Every error names the
+    file first.
     """
     rows: list[LabeledComment] = []
     try:
@@ -100,34 +103,56 @@ def load_tsv(path, *, labeled: bool | None = True) -> list[LabeledComment]:
                 fields = line.split("\t")
                 if len(fields) != 2:
                     raise MalformedRow(
-                        line_no, f"expected 2 tab-separated fields, got {len(fields)}"
-                    )
+                        path, line_no,
+                        f"expected 2 tab-separated fields, got {len(fields)}")
                 text, raw_label = fields
-                label = parse_label(raw_label, line_no)
+                label = parse_label(raw_label, line_no, path)
             else:
                 if "\t" in line:
-                    raise MalformedRow(line_no, "unexpected tab in unlabeled row")
+                    raise MalformedRow(path, line_no, "unexpected tab in unlabeled row")
                 text, label = line, None
             if text.strip() == "":
-                raise MalformedRow(line_no, "empty text field")
+                raise MalformedRow(path, line_no, "empty text field")
             rows.append(LabeledComment(len(rows), text, label))
-    except MalformedFile as e:
-        raise MalformedRow(e.line_no, "not valid UTF-8") from None
+    except MalformedRow:
+        raise
+    except MalformedFile as e:  # from utf8_lines
+        raise MalformedRow(path, e.line_no, "not valid UTF-8") from None
     if not rows:
-        raise EmptyFile(f"no data lines in {path}")
+        raise EmptyFile(f"{path}: no data lines")
     return rows
+
+
+# Bytes of whole lines that utf8_lines reads and decodes at a time.
+_CHUNK = 1 << 16
 
 
 def utf8_lines(path):
     """(line number, text) of each line of a UTF-8 file, without its line
-    break. Lines are decoded one at a time, so that a byte that is not
-    UTF-8 raises MalformedFile naming its line."""
+    break. Lines are read and decoded about 64 KB at a time; a byte that is
+    not UTF-8 raises MalformedFile naming its line."""
+    line_no = 0  # lines before the chunk
     with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+        while chunk := fh.readlines(_CHUNK):
             try:
-                yield line_no, raw.decode("utf-8").rstrip("\r\n")
+                text = b"".join(chunk).decode("utf-8")
             except UnicodeDecodeError:
-                raise MalformedFile(path, line_no, "not valid UTF-8") from None
+                # No UTF-8 sequence holds a newline byte, so the chunk fails
+                # to decode where one of its lines does.
+                for i, raw in enumerate(chunk, start=line_no + 1):
+                    try:
+                        raw.decode("utf-8")
+                    except UnicodeDecodeError:
+                        raise MalformedFile(path, i, "not valid UTF-8") from None
+            # A line ends at its first "\n", the file's last line maybe at
+            # no "\n"; what is left of its break is a run of "\r".
+            lines = text.split("\n")
+            if text.endswith("\n"):
+                lines.pop()
+            if "\r" in text:
+                lines = [line.rstrip("\r") for line in lines]
+            yield from enumerate(lines, start=line_no + 1)
+            line_no += len(chunk)
 
 
 def compute_stats(data: list[LabeledComment]) -> DatasetStats:

@@ -5,17 +5,17 @@ class HopedetectError(Exception):
     """Base class for every error raised by this package."""
 
 
-class MalformedRow(HopedetectError):
-    def __init__(self, line_no, detail):
-        super().__init__(f"line {line_no}: {detail}")
-        self.line_no = line_no
+def _where(path, line_no) -> str:
+    """``PATH: line N: ``, or as much of it as is known."""
+    where = f"line {line_no}: " if line_no is not None else ""
+    return f"{path}: {where}" if path is not None else where
 
 
 class UnknownLabel(HopedetectError):
-    def __init__(self, raw, line_no=None):
-        where = f"line {line_no}: " if line_no is not None else ""
-        super().__init__(f"{where}unknown label {raw!r}")
+    def __init__(self, raw, line_no=None, path=None):
+        super().__init__(f"{_where(path, line_no)}unknown label {raw!r}")
         self.raw = raw
+        self.path = path
         self.line_no = line_no
 
 
@@ -48,9 +48,7 @@ class DimensionMismatch(HopedetectError):
     and line at fault, when there is one."""
 
     def __init__(self, detail, line_no=None, path=None):
-        where = f"line {line_no}: " if line_no is not None else ""
-        where = f"{path}: {where}" if path is not None else where
-        super().__init__(where + detail)
+        super().__init__(_where(path, line_no) + detail)
         self.path = path
         self.line_no = line_no
 
@@ -96,7 +94,10 @@ class MalformedFile(HopedetectError):
     cannot be read; ``line_no`` is None when no one line is at fault."""
 
     def __init__(self, path, line_no, detail):
-        where = f"line {line_no}: " if line_no is not None else ""
-        super().__init__(f"{path}: {where}{detail}")
+        super().__init__(f"{_where(path, line_no)}{detail}")
         self.path = path
         self.line_no = line_no
+
+
+class MalformedRow(MalformedFile):
+    """A line of a data file that is not a comment row."""

@@ -21,7 +21,6 @@ from .errors import (
     MalformedFile,
     RowCountMismatch,
     SingleClass,
-    UnknownLabel,
 )
 from .features import CsrMatrix
 
@@ -657,7 +656,7 @@ def _parse_number(text: str) -> int | float:
 
 def load_external_predictions(paths, n_rows: int):
     """Read k prediction files (one label alias or class name per line) into
-    a k x n matrix. A bad label is a MalformedFile naming its file and line."""
+    a k x n matrix. A bad label is an UnknownLabel naming its file and line."""
     matrix = []
     for path in paths:
         labels = []
@@ -665,10 +664,7 @@ def load_external_predictions(paths, n_rows: int):
             line = line.strip()
             if not line:
                 continue
-            try:
-                labels.append(parse_label(line).value)
-            except UnknownLabel:
-                raise MalformedFile(path, line_no, f"unknown label {line!r}") from None
+            labels.append(parse_label(line, line_no, path).value)
         if len(labels) != n_rows:
             raise RowCountMismatch(f"{path}: {len(labels)} rows, expected {n_rows}")
         matrix.append(labels)

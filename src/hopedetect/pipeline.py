@@ -119,16 +119,16 @@ def _scheme_bytes(cfg: PipelineConfig) -> bytes | None:
     return translit.bundled_scheme_file(cfg.dataset_lang).read_bytes()
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcessedRow:
     text: str  # normalized (and transliterated, when applicable)
     gate: str  # "InLanguage" | "NotLanguage"
 
 
 def preprocess_rows(rows, cfg: PipelineConfig, profiles, table) -> list[ProcessedRow]:
-    """Normalize every row, detect the language of the whole column, and
-    transliterate the text of each row the gate keeps."""
-    texts = [textprep.normalize_text(row.text) for row in rows]
+    """Normalize the column of the rows' texts, detect the language of each
+    text, and transliterate the text of each row the gate keeps."""
+    texts = textprep.normalize_text([row.text for row in rows])
     langs = langid.detect(texts, profiles, cfg.script_threshold)
     out = []
     for i, lang in enumerate(langs):

@@ -4,11 +4,18 @@ The rules and their order are fixed (specials -> emoji -> lowercase ->
 collapse whitespace): the order changes outputs, and pinning it keeps tests
 exact.
 Native-script Indic characters pass through untouched.
+
+``normalize_text`` takes a whole column of comments. The specials and emoji
+passes decide each code point once, in a tag table, and run as array passes
+over blocks of comments; only lowercasing and the whitespace collapse run
+per comment.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+import numpy as np
 
 from .corpus import DatasetLang
 
@@ -61,40 +68,88 @@ def _is_special(cp: str) -> bool:
     return indic_script(cp) is None
 
 
-class CodePointTable(dict):
-    """A ``str.translate`` table that decides each code point once.
+class CodePointTable:
+    """A tag from 1 to 255 for each Unicode code point, decided once.
 
-    ``decide(ch)`` gives what the character ``ch`` becomes: a string, or
-    None to delete it. The table calls it the first time ``translate`` meets
-    a code point and keeps the answer, so it holds one entry per distinct
-    code point seen and the per-character work stays in C.
+    ``decide(ch)`` gives the tag of the character ``ch``. The table calls it
+    the first time a lookup meets a code point and keeps the answer, 0
+    standing for "not decided yet"; ``np.zeros`` leaves the pages of code
+    points never seen unwritten.
     """
 
     def __init__(self, decide):
-        super().__init__()
+        self._tags = np.zeros(0x110000, np.uint8)
         self._decide = decide
 
-    def __missing__(self, cp: int):
-        out = self[cp] = self._decide(chr(cp))
-        return out
+    def __getitem__(self, cps):
+        """The tags of the code points in the integer array ``cps``."""
+        tags = self._tags[cps]
+        if not tags.all():
+            for cp in set(cps[tags == 0].tolist()):
+                self._tags[cp] = self._decide(chr(cp))
+            tags = self._tags[cps]
+        return tags
 
 
-def _char_rule(c: str):
+def _code_points(texts: list[str]):
+    """The texts' code points end to end (``<u4``, read-only), and each
+    text's length."""
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    utf32 = "".join(texts).encode("utf-32-le", "surrogatepass")
+    return np.frombuffer(utf32, "<u4"), lengths
+
+
+_KEEP, _SPACE, _DELETE = 1, 2, 3
+
+
+def _char_rule(c: str) -> int:
     # The specials pass turns a special into a space, which the emoji pass
     # keeps; the emoji pass deletes what the specials pass kept, such as the
-    # dingbat digits (U+2776 and on), which are digits.
+    # dingbat digits (U+2776 and on), which are digits. A surrogate is a
+    # special, so none is left to decode.
     if _is_special(c):
-        return " "
+        return _SPACE
     if is_emoji(c):
-        return None
-    return c
+        return _DELETE
+    return _KEEP
 
 
 # The specials and emoji passes in one table, filled as text arrives.
-_CHAR_TABLE = CodePointTable(_char_rule)
+_CHAR_TAGS = CodePointTable(_char_rule)
+
+# Comments per block of normalize_text: a block's temporaries are a few
+# arrays the size of its code points.
+_BLOCK = 128
 
 
-def normalize_text(raw: str) -> str:
-    """``raw`` with specials turned to spaces, emoji deleted, lowercased,
-    and its whitespace runs collapsed to single spaces and trimmed."""
-    return " ".join(raw.translate(_CHAR_TABLE).lower().split())
+def _char_passes(texts: list[str]) -> tuple[str, list[int]]:
+    """The specials and emoji passes over ``texts``: their results end to
+    end, and the position where each one ends."""
+    cps, lengths = _code_points(texts)
+    tags = _CHAR_TAGS[cps]
+    ends = np.cumsum(lengths)
+    out = np.where(tags == _SPACE, np.uint32(0x20), cps)
+    deleted = np.flatnonzero(tags == _DELETE)
+    if len(deleted):
+        out = np.delete(out, deleted)
+        # Each end moves back by the deleted code points before it.
+        ends -= np.searchsorted(deleted, ends)
+    return out.astype("<u4", copy=False).tobytes().decode("utf-32-le"), ends.tolist()
+
+
+def normalize_text(raws: list[str]) -> list[str]:
+    """Each comment of ``raws`` with specials turned to spaces, emoji
+    deleted, lowercased, and its whitespace runs collapsed to single spaces
+    and trimmed.
+
+    The comments go ``_BLOCK`` at a time through the specials and emoji
+    passes; lowercasing, which may change a comment's length, then runs on
+    each comment alone."""
+    out = []
+    for i in range(0, len(raws), _BLOCK):
+        text, ends = _char_passes(raws[i : i + _BLOCK])
+        start = 0
+        for end in ends:
+            out.append(" ".join(text[start:end].lower().split()))
+            start = end
+    return out

@@ -27,7 +27,7 @@ class TestStats:
         path = tmp_path / "bad.tsv"
         path.write_bytes(b"fine\tHope_speech\nHope_speech\t\xff\n")
         assert run_cli("stats", str(path)) == 2
-        assert "line 2: not valid UTF-8" in capsys.readouterr().err
+        assert f"input error: {path}: line 2: not valid UTF-8" in capsys.readouterr().err
 
     def test_bad_lang_rejected(self, capsys):
         # Every dataset's labels read alike, so stats takes no --lang.
@@ -88,6 +88,14 @@ class TestTrainPredictEvaluate:
                        train, str(preds)) == 0
         out = capsys.readouterr().out
         assert "weighted_f1" in out
+
+    def test_bad_gold_label_names_its_file(self, tmp_path, capsys):
+        gold, preds = tmp_path / "gold.tsv", tmp_path / "preds.txt"
+        gold.write_text("hope wins\tHope_speech\nperhaps\tmaybe\n")
+        preds.write_text("Hope_speech\nHope_speech\n")
+        assert run_cli("evaluate", str(gold), str(preds)) == 2
+        assert (f"input error: {gold}: line 2: unknown label 'maybe'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("n_vectors", [3, 53])
     def test_train_embeddings_row_count_checked(self, tmp_path, capsys, n_vectors):
@@ -551,7 +559,8 @@ class TestRun:
         code, _ = self._run_on_test_lines(tmp_path, lines)
         assert code == 2
         err = capsys.readouterr().err
-        assert "line 3: unknown label 'Maybe_hope'" in err
+        test = tmp_path / "test.tsv"
+        assert f"[load-test] {test}: line 3: unknown label 'Maybe_hope'" in err
 
     def test_unlabeled_test_file(self, tmp_path):
         lines = (FIXTURES / "en_test.tsv").read_text(encoding="utf-8").splitlines()
@@ -686,22 +695,22 @@ class TestPipelineInternals:
                              (translit, "transliterate")):
             def record(*args, _fn=getattr(module, name), _stage=name):
                 result = _fn(*args)
-                events.append((_stage, list(args[0]) if _stage == "detect" else args[0],
-                               result))
+                # Columns are copied: preprocess_rows replaces their texts
+                # in place.
+                column = _stage in ("normalize_text", "detect")
+                events.append((_stage, list(args[0]) if column else args[0],
+                               list(result) if column else result))
                 return result
             monkeypatch.setattr(module, name, record)
         for profiles in ([], trained_profiles):
             events.clear()
             proc = pipeline.preprocess_rows(rows, cfg, profiles, table)
-            # Every row normalized in order, one detect call on exactly the
-            # normalized texts, then each kept row's text transliterated in
-            # order.
+            # One normalize_text call on exactly the rows' texts, in order,
+            # one detect call on exactly the normalized texts, then each
+            # kept row's text transliterated in order.
             it = iter(events)
-            texts = []
-            for row in rows:
-                stage, arg, text = next(it)
-                assert (stage, arg) == ("normalize_text", row.text)
-                texts.append(text)
+            stage, arg, texts = next(it)
+            assert (stage, arg) == ("normalize_text", [row.text for row in rows])
             stage, arg, langs = next(it)
             assert (stage, arg) == ("detect", texts)
             assert [p.gate for p in proc] == [

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hopedetect.corpus import DatasetLang, Label
 from hopedetect.errors import (
     BadFraction,
     EmptyFile,
+    MalformedFile,
     MalformedRow,
     TooFewRows,
     UnknownLabel,
@@ -69,6 +72,20 @@ class TestLoadTsv:
         with pytest.raises(MalformedRow):
             corpus.load_tsv(_write(tmp_path, "a\tb\tHope_speech\n"))
 
+    @pytest.mark.parametrize("content,labeled,error,detail", [
+        ("", True, EmptyFile, "no data lines"),
+        ("a\tHope_speech\nb\tmaybe\n", True, UnknownLabel, "line 2: unknown label 'maybe'"),
+        ("a\tb\tHope_speech\n", True, MalformedRow,
+         "line 1: expected 2 tab-separated fields, got 3"),
+        ("a\n \tHope_speech\n", None, MalformedRow, "line 2: unexpected tab"),
+        ("a\tHope_speech\n \tHope_speech\n", True, MalformedRow, "line 2: empty text field"),
+    ], ids=["empty", "label", "fields", "tab", "text"])
+    def test_error_starts_with_the_file(self, tmp_path, content, labeled, error, detail):
+        path = _write(tmp_path, content)
+        with pytest.raises(error) as err:
+            corpus.load_tsv(path, labeled=labeled)
+        assert str(err.value).startswith(f"{path}: {detail}")
+
     def test_unlabeled_mode(self, tmp_path):
         rows = corpus.load_tsv(
             _write(tmp_path, "one\ntwo\n"), labeled=False
@@ -76,20 +93,74 @@ class TestLoadTsv:
         assert [r.label for r in rows] == [None, None]
 
     def test_non_utf8_byte_past_first_chunk_names_its_line(self, tmp_path):
-        # A text-mode reader decodes 8 KB chunks, so the bad byte sits past
-        # the first one.
+        # utf8_lines decodes 64 KB chunks, so the bad byte sits past the
+        # first two.
         good = "a comment long enough to fill the first chunk\tHope_speech\n"
-        n_good = 8192 // len(good) + 20
+        n_good = 2 * 65536 // len(good) + 20
         path = tmp_path / "data.tsv"
         path.write_bytes((good * n_good).encode() + b"caf\xe9\tHope_speech\n")
         with pytest.raises(MalformedRow, match="not valid UTF-8") as err:
             corpus.load_tsv(path)
         assert err.value.line_no == n_good + 1
+        assert str(err.value) == f"{path}: line {n_good + 1}: not valid UTF-8"
 
     def test_crlf(self, tmp_path):
         rows = corpus.load_tsv(
             _write(tmp_path, "a\tHope_speech\r\nb\tNon_hope_speech\r\n"))
         assert len(rows) == 2 and rows[1].text == "b"
+
+
+def _oracle_utf8_lines(path):
+    """Each line decoded on its own, as utf8_lines did before it read
+    chunks: the oracle for it."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                yield line_no, raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError:
+                raise MalformedFile(path, line_no, "not valid UTF-8") from None
+
+
+# Lines with CRLF, a bare "\r", "\r" runs, empty lines, multi-byte and
+# astral characters, and a tab.
+_LINE_KINDS = [b"plain\n", b"crlf\r\n", b"\r\n", b"\r\r\n", b"a\rb\n", b"\r\n\r\n",
+               b"\n", "caf\u00e9 \u0ba8\u0ba3\u0bcd\U0001F642\n".encode(), b"x\ty\n"]
+
+
+class TestUtf8Lines:
+    @pytest.mark.parametrize("ending", [b"", b"last", b"\n", b"last\r"],
+                             ids=["newline", "no-final-newline", "trailing-empty", "final-cr"])
+    def test_matches_per_line_oracle_past_64_kb(self, tmp_path, ending):
+        rng = random.Random(len(ending))
+        lines = [rng.choice(_LINE_KINDS) * rng.randint(1, 40) for _ in range(4000)]
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"".join(lines) + ending)
+        assert path.stat().st_size > 3 * 65536
+        assert list(corpus.utf8_lines(path)) == list(_oracle_utf8_lines(path))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.lists(st.sampled_from(_LINE_KINDS + [b"end", b"\r"]), max_size=30),
+           chunk=st.integers(1, 64))
+    def test_any_chunk_size_matches_oracle(self, tmp_path_factory, data, chunk):
+        path = tmp_path_factory.mktemp("lines") / "lines.txt"
+        path.write_bytes(b"".join(data))
+        with mock.patch.object(corpus, "_CHUNK", chunk):
+            assert list(corpus.utf8_lines(path)) == list(_oracle_utf8_lines(path))
+
+    @pytest.mark.parametrize("bad_line", [1, 1500, 2999, 3000])
+    def test_bad_byte_names_its_true_line(self, tmp_path, bad_line):
+        lines = [f"line {i} with some text to fill the chunks\r\n".encode()
+                 for i in range(1, 3001)]
+        lines[bad_line - 1] = b"caf\xe9" + lines[bad_line - 1]
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"".join(lines))
+        assert path.stat().st_size > 2 * 65536
+        with pytest.raises(MalformedFile) as err:
+            list(corpus.utf8_lines(path))
+        assert str(err.value) == f"{path}: line {bad_line}: not valid UTF-8"
+        with pytest.raises(MalformedFile) as want:
+            list(_oracle_utf8_lines(path))
+        assert want.value.line_no == bad_line
 
 
 class TestComputeStats:

@@ -4,6 +4,7 @@ from dataclasses import replace
 from itertools import chain
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,16 +132,24 @@ class TestDetect:
             _assert_matches_oracle(texts, profiles, threshold)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.text(alphabet="abcdeinorst கநणमന𝒜🙂", min_size=1, max_size=40),
-                    min_size=1, max_size=8))
-    def test_scores_are_the_oracle_sums(self, mixed_order_profiles, texts):
-        # Bit for bit on every Python.
-        by_lang = {p.lang: p for p in mixed_order_profiles}
+    @given(texts=st.lists(st.text(alphabet="abcdeinorst கநणमന𝒜🙂", min_size=1, max_size=40),
+                          min_size=1, max_size=8),
+           order=st.permutations(range(7)), k=st.integers(1, 7))
+    def test_scores_are_the_oracle_sums(self, mixed_order_profiles, texts, order, k):
+        # Bit for bit on every Python, each gram looked up once in the union
+        # of the keys of its n. The profiles mix n = 1..3, two share the
+        # code "en", of which the later counts, and the Tamil-only and
+        # Devanagari-only ones share no gram with each other.
+        pool = mixed_order_profiles + [
+            langid.train_profile(["நண்பா கக"], "xt", n=2),
+            langid.train_profile(["नमस्ते"], "xd", n=2)]
+        profiles = [pool[i] for i in order[:k]]
+        by_lang = {p.lang: p for p in profiles}
         ranked = [by_lang[lang] for lang in sorted(by_lang)]
-        cps, lengths, _ = langid._code_points(texts)
-        scores = langid._scores(cps, lengths, ranked)
+        cps, lengths = textprep._code_points(texts)
+        scores = langid._scores(cps, lengths, len(ranked), langid._lookup(ranked))
         for text, column in zip(texts, scores.T.tolist()):
-            want = _oracle_scores(text, ranked)
+            want = _oracle_scores(text, profiles)
             assert column == [want[profile.lang] for profile in ranked]
 
     @settings(max_examples=100, deadline=None)
@@ -187,7 +196,8 @@ class TestScriptFraction:
         # all shift the fractions differently; all of them in one column.
         text = all_scalar_values()
         chunks = [text[i : i + 8] + "கa" for i in range(0, len(text), 8)]
-        cps, _, row = langid._code_points(chunks)
+        cps, lengths = textprep._code_points(chunks)
+        row = np.repeat(np.arange(len(chunks)), lengths)
         shares = langid._script_shares(cps, row, len(chunks)).tolist()
         names = [s.name for s in textprep.INDIC_SCRIPTS]
         for chunk, got in zip(chunks, shares):

@@ -914,7 +914,7 @@ def _golden_features():
     rows of en_test.tsv, as the golden models saw them."""
     def rows_and_texts(name, labeled):
         rows = corpus.load_tsv(FIXTURES / name, labeled=labeled)
-        return rows, [textprep.normalize_text(r.text) for r in rows]
+        return rows, textprep.normalize_text([r.text for r in rows])
 
     train, texts = rows_and_texts("en_train.tsv", True)
     keep = [i for i, r in enumerate(train) if r.label in (Label.HOPE, Label.NOT_HOPE)]
