@@ -13,7 +13,7 @@ import sys
 import typing
 
 from . import corpus, langid, learn, metrics, pipeline, textprep, translit
-from .corpus import DatasetLang, utf8_lines
+from .corpus import DatasetLang, Label, utf8_lines
 from .errors import ConfigError, HopedetectError, MalformedFile
 
 EXIT_INPUT_ERROR = 2
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_stats(args):
     rows = corpus.load_tsv(args.path)
     stats = corpus.compute_stats(rows)
-    for label in learn.CLASS_ORDER:
+    for label in Label:
         print(f"{label.value}\t{stats.counts[label]}")
     print(f"total\t{stats.total}")
     ratio = stats.hope_to_nothope_ratio
@@ -175,10 +175,7 @@ def _cmd_train_profile(args):
 
 
 def _cmd_transliterate(args):
-    if args.scheme:
-        table = translit.load_scheme_table(args.scheme)
-    else:
-        table = translit.bundled_scheme_table(_LANGS[args.lang])
+    table = translit.load_scheme_table(translit.scheme_file(_LANGS[args.lang], args.scheme))
     for _, line in utf8_lines(args.path):
         print(translit.transliterate(line, table))
 
@@ -224,8 +221,7 @@ def _cmd_evaluate(args):
     gold_rows = corpus.load_tsv(args.gold)
     pred = learn.load_external_predictions([args.predictions], len(gold_rows))[0]
     gold = [r.label.value for r in gold_rows]
-    classes = [c.value for c in learn.CLASS_ORDER]
-    cm = metrics.confusion(gold, pred, classes)
+    cm = metrics.confusion(gold, pred, [c.value for c in Label])
     print(metrics.render_report(metrics.aggregate(cm), args.format), end="")
 
 

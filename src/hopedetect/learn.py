@@ -8,6 +8,7 @@ prediction files. All training is deterministic given its seed.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,9 +26,6 @@ from .errors import (
 from .features import CsrMatrix
 
 MODEL_VERSION = "model-v1"
-
-# Canonical label order used for tie-breaking.
-CLASS_ORDER = (Label.HOPE, Label.NOT_HOPE, Label.NOT_LANGUAGE)
 
 # The tie-break rules of majority_vote.
 TIE_BREAKS = ("MajorityClassPrior", "ClassOrder")
@@ -407,36 +405,34 @@ def train_random_forest(X, y, n_trees: int = 100, max_depth: int = 16,
 # Prediction and voting
 
 
-def _row_entries(x, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns and values of the stored (non-zero) entries of one row: a
-    dense vector, a one-row ndarray or a one-row CsrMatrix."""
-    if isinstance(x, CsrMatrix):
-        shape, cols, vals = x.shape, x.indices, x.data
-    else:
-        vec = np.asarray(x, dtype=float)
-        shape = vec.shape if vec.ndim == 2 else (1,) + vec.shape
-        vec = vec.reshape(-1)
-        cols = np.flatnonzero(vec)
-        vals = vec[cols]
-    if shape != (1, dim):
-        raise DimensionMismatch(f"row of shape {shape} for model dim {dim}")
-    return cols, vals
+def predict(model: TrainedModel, X) -> list[str]:
+    """The class of each row of X, a CsrMatrix or a 2-D ndarray of width
+    ``model.dim``: the argmax of its class scores, ties falling to the first
+    class in model order.
 
-
-def predict(model: TrainedModel, x) -> tuple[str, dict[str, float]]:
-    """Argmax over class scores; ties fall to the first class in model order.
-
-    ``x`` is one row (see ``_row_entries``), of which only the stored entries
-    are read. A forest starts from the votes of its trees' zero paths (see
-    ``ZeroPaths``) and walks only the trees whose zero path tests a stored
-    feature, from the first node that does, looking features up in a dict
-    of the entries; linear models take the dot product over the entries
-    alone.
+    Only a row's stored entries are read, an ndarray row's being its
+    non-zero ones. Linear models take the dot product over them alone. A
+    forest starts from the votes of its trees' zero paths (see ``ZeroPaths``)
+    and walks only the trees whose zero path tests a stored feature, from the
+    first node that does, looking features up in a dict of the entries.
     """
-    cols, vals = _row_entries(x, model.dim)
-    if model.kind == "random_forest":
+    shape = X.shape if isinstance(X, CsrMatrix) else np.shape(X)
+    if len(shape) != 2 or shape[1] != model.dim:
+        raise DimensionMismatch(f"rows of shape {shape} for model dim {model.dim}")
+    if not isinstance(X, CsrMatrix):
+        A = np.asarray(X, dtype=float)
+        rows, cols = np.nonzero(A)
+        X = CsrMatrix(A[rows, cols], cols, np.searchsorted(rows, np.arange(len(A) + 1)),
+                      model.dim)
+    zero, labels = model.zero_paths, []
+    bounds = X.indptr.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        cols, vals = X.indices[lo:hi], X.data[lo:hi]
+        if model.kind != "random_forest":
+            scores = model.weights.take(cols, axis=1) @ vals + model.bias
+            labels.append(model.classes[int(np.argmax(scores))])
+            continue
         row = dict(zip(cols.tolist(), vals.tolist()))
-        zero = model.zero_paths
         votes = zero.votes.copy()
         # Walk each tree from the first node of its zero path that tests a
         # feature the row stores. A row that stores as many features as the
@@ -457,26 +453,16 @@ def predict(model: TrainedModel, x) -> tuple[str, dict[str, float]]:
                 i = i + 1 if row.get(f, 0.0) < threshold[i] else right[i]
             votes[zero.label[t]] -= 1
             votes[tree.label[i]] += 1
-        raw = [v / len(model.trees) for v in votes]
-        best = max(range(len(raw)), key=raw.__getitem__)  # first max, as np.argmax
-    elif model.kind in ("logreg", "linear_svm"):
-        raw = model.weights.take(cols, axis=1) @ vals + model.bias
-        if model.kind == "logreg":
-            raw -= raw.max()
-            p = np.exp(raw)
-            raw = p / p.sum()
-        best = int(np.argmax(raw))
-    else:
-        raise ValueError(f"unknown model kind {model.kind!r}")
-    return model.classes[best], {c: float(s) for c, s in zip(model.classes, raw)}
+        labels.append(model.classes[votes.index(max(votes))])
+    return labels
 
 
 def majority_vote(predictions, tie_break: str = "MajorityClassPrior") -> str:
     """Mode of the votes; ties resolved per tie_break.
 
-    ClassOrder: first label in canonical order among the tied.
+    ClassOrder: the first of the tied in the declaration order of Label.
     MajorityClassPrior: NotHope wins any tie it takes part in (class skew
-    prior); other ties fall back to canonical order.
+    prior); other ties fall back to ClassOrder.
     """
     preds = [str(p.value) if isinstance(p, Label) else str(p) for p in predictions]
     if not preds:
@@ -490,7 +476,7 @@ def majority_vote(predictions, tie_break: str = "MajorityClassPrior") -> str:
         return tied[0]
     if tie_break == "MajorityClassPrior" and Label.NOT_HOPE.value in tied:
         return Label.NOT_HOPE.value
-    canonical = [c.value for c in CLASS_ORDER]
+    canonical = [c.value for c in Label]
     return min(tied, key=lambda p: (canonical.index(p) if p in canonical else
                                     len(canonical), p))
 
@@ -527,6 +513,7 @@ def train_ensemble(X, y, kind: str, k: int, base_seed: int, fraction_train: floa
 
 
 def ensemble_predict(models, x, tie_break: str = "MajorityClassPrior") -> str:
+    """The members' majority vote on x, a one-row matrix (see ``predict``)."""
     return majority_vote([predict(m, x)[0] for m in models], tie_break)
 
 
@@ -595,11 +582,11 @@ def _read_linear(model: TrainedModel, body, path, end) -> None:
             if len(values) != want:
                 raise ValueError(f"{len(values)} values on a {tag} line, expected {want}")
             if tag == "w":
-                rows.append([float(v) for v in values])
+                rows.append(_finite(values))
             elif len(rows) != len(model.classes):
                 raise ValueError(f"{len(rows)} w lines for {len(model.classes)} classes")
             else:
-                bias = [float(v) for v in values]
+                bias = _finite(values)
         except ValueError as e:
             raise MalformedFile(path, line_no, e) from None
     if bias is None:
@@ -636,7 +623,7 @@ def _read_trees(model: TrainedModel, body, path, end) -> None:
                 f = int(values[0])
                 if not 0 <= f < model.dim:
                     raise ValueError(f"feature {f} out of range for dim {model.dim}")
-                open_left.append(tree.add(feature=f, threshold=float(values[1])))
+                open_left.append(tree.add(feature=f, threshold=_finite(values[1:])[0]))
         except ValueError as e:
             raise MalformedFile(path, line_no, e) from None
     if tree is not None:
@@ -644,6 +631,16 @@ def _read_trees(model: TrainedModel, body, path, end) -> None:
     n_trees = model.hyperparams.get("n_trees", len(model.trees))
     if not model.trees or len(model.trees) != n_trees:
         raise MalformedFile(path, end, f"{len(model.trees)} trees for n_trees={n_trees}")
+
+
+def _finite(texts: list[str]) -> list[float]:
+    """The numbers written in ``texts``; ValueError names one that is not a
+    finite number."""
+    values = [float(t) for t in texts]
+    if not all(map(math.isfinite, values)):
+        bad = next(t for t, v in zip(texts, values) if not math.isfinite(v))
+        raise ValueError(f"{bad!r} is not a finite number")
+    return values
 
 
 def _parse_number(text: str) -> int | float:

@@ -102,21 +102,8 @@ def _load_profiles(cfg: PipelineConfig):
 
 
 def _scheme_table(cfg: PipelineConfig):
-    # Only the datasets with a bundled table are transliterated.
-    if cfg.dataset_lang not in translit.BUNDLED_SCHEMES:
-        return None
-    if cfg.scheme_path:
-        return translit.load_scheme_table(cfg.scheme_path)
-    return translit.bundled_scheme_table(cfg.dataset_lang)
-
-
-def _scheme_bytes(cfg: PipelineConfig) -> bytes | None:
-    """The file ``_scheme_table`` reads, or None when it reads none."""
-    if cfg.dataset_lang not in translit.BUNDLED_SCHEMES:
-        return None
-    if cfg.scheme_path:
-        return Path(cfg.scheme_path).read_bytes()
-    return translit.bundled_scheme_file(cfg.dataset_lang).read_bytes()
+    path = translit.scheme_file(cfg.dataset_lang, cfg.scheme_path)
+    return None if path is None else translit.load_scheme_table(path)
 
 
 @dataclass(slots=True)
@@ -193,7 +180,7 @@ def fit(cfg: PipelineConfig, train_rows) -> FittedPipeline:
     for model, rec in zip(models, records):
         rows = rec["validation_rows"]
         gold = [y[i] for i in rows]
-        pred = [learn.predict(model, X[i:i + 1])[0] for i in rows]
+        pred = learn.predict(model, X[rows])
         cm = metrics.confusion(gold, pred, model.classes)
         rec["validation_weighted_f1"] = metrics.aggregate(cm).weighted.f1
     return FittedPipeline(cfg, profiles, table, vocab, models, records)
@@ -245,8 +232,7 @@ def run_pipeline(cfg: PipelineConfig, train_path, test_path, out_dir):
     if test_rows[0].label is not None:
         gold = [r.label.value for r in test_rows]
         pred = [label.value for label, _ in predictions]
-        classes = [c.value for c in learn.CLASS_ORDER]
-        cm = metrics.confusion(gold, pred, classes)
+        cm = metrics.confusion(gold, pred, [c.value for c in Label])
         report = metrics.aggregate(cm)
         (out_dir / "report.txt").write_text(
             metrics.render_report(report, "text"), encoding="utf-8"
@@ -276,13 +262,13 @@ def save_bundle(fitted: FittedPipeline, train_path, bundle_dir) -> None:
     """
     out = Path(bundle_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scheme = _scheme_bytes(fitted.cfg)
+    scheme = translit.scheme_file(fitted.cfg.dataset_lang, fitted.cfg.scheme_path)
     profile_paths, scheme_path = _bundle_copies(
         out, len(fitted.cfg.profile_paths), scheme is not None)
     for src, dst in zip(fitted.cfg.profile_paths, profile_paths):
         shutil.copyfile(src, dst)
     if scheme is not None:
-        Path(scheme_path).write_bytes(scheme)
+        shutil.copyfile(scheme, scheme_path)
     if fitted.vocab is not None:
         features.save_vocab(fitted.vocab, out / "vocab.tsv")
     for i, model in enumerate(fitted.models):
@@ -333,6 +319,8 @@ def load_bundle(bundle_dir) -> FittedPipeline:
         )
         records = [{"seed": int(seed), "validation_weighted_f1": float(f1.split("=")[1])}
                    for seed, f1 in map(str.split, pinned["member.seed"])]
+        if len(records) != cfg.k:
+            raise ValueError(f"{len(records)} member.seed lines for ensemble_k={cfg.k}")
     except (KeyError, ValueError) as e:
         raise ConfigError(f"{bundle}: malformed manifest.txt ({e!r})") from None
     cfg.validate(test_input=False)
@@ -343,9 +331,19 @@ def load_bundle(bundle_dir) -> FittedPipeline:
         if sha256_file(path) != digest:
             raise ConfigError(f"{path} does not match the sha256 that "
                               f"{bundle / 'manifest.txt'} pins")
-    models = [learn.load_model(bundle / f"member-{i}.model") for i in range(cfg.k)]
-    return FittedPipeline(cfg, _load_profiles(cfg), _scheme_table(cfg),
-                          features.load_vocab(bundle / "vocab.tsv"), models, records)
+    vocab = features.load_vocab(bundle / "vocab.tsv")
+    models = []
+    for i, rec in enumerate(records):
+        path = bundle / f"member-{i}.model"
+        model = learn.load_model(path)
+        wrong = [f"{name} {got}, expected {want}" for name, got, want in (
+            ("kind", model.kind, cfg.classifier), ("dim", model.dim, len(vocab)),
+            ("seed", model.train_seed, rec["seed"])) if got != want]
+        if wrong:
+            raise MalformedFile(path, 1, "; ".join(wrong))
+        models.append(model)
+    return FittedPipeline(cfg, _load_profiles(cfg), _scheme_table(cfg), vocab,
+                          models, records)
 
 
 def _render_manifest(cfg, train_path, test_path, models, records) -> str:
@@ -377,9 +375,9 @@ def _render_manifest(cfg, train_path, test_path, models, records) -> str:
         add(f"input.train_embeddings.sha256={sha256_file(cfg.train_embeddings)}")
         if test_path is not None:
             add(f"input.test_embeddings.sha256={sha256_file(cfg.test_embeddings)}")
-    scheme = _scheme_bytes(cfg)
+    scheme = translit.scheme_file(cfg.dataset_lang, cfg.scheme_path)
     if scheme is not None:
-        add(f"scheme.sha256={hashlib.sha256(scheme).hexdigest()}")
+        add(f"scheme.sha256={sha256_file(scheme)}")
     for path in cfg.profile_paths:
         add(f"profile.sha256={sha256_file(path)}")
     for rec in records:

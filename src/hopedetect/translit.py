@@ -73,16 +73,18 @@ def load_scheme_table(path) -> SchemeTable:
     return make_scheme_table(entries)
 
 
-def bundled_scheme_file(lang: DatasetLang):
-    """Scheme table file shipped for a dataset of BUNDLED_SCHEMES, as an
-    ``importlib.resources`` traversable."""
-    return resources.files("hopedetect.data").joinpath(BUNDLED_SCHEMES[lang])
+def scheme_file(lang: DatasetLang, path=None):
+    """The scheme file that transliterates ``lang``'s comments: ``path`` when
+    given, else the one shipped for ``lang``; None for a dataset outside
+    BUNDLED_SCHEMES, whose comments are not transliterated."""
+    if lang not in BUNDLED_SCHEMES:
+        return None
+    return path or resources.files("hopedetect.data").joinpath(BUNDLED_SCHEMES[lang])
 
 
 def bundled_scheme_table(lang: DatasetLang) -> SchemeTable:
     """Scheme table shipped for a dataset of BUNDLED_SCHEMES."""
-    with resources.as_file(bundled_scheme_file(lang)) as path:
-        return load_scheme_table(path)
+    return load_scheme_table(scheme_file(lang))
 
 
 def transliterate(text: str, table: SchemeTable) -> str:

@@ -91,9 +91,7 @@ def test_04_classifier_sanity():
     y = ["A"] * 10 + ["B"] * 10
     lr_model = learn.train_logreg(X, y, lr=0.1, epochs=500)
     svm_model = learn.train_linear_svm(X, y, lr=0.01, epochs=500)
-    acc = lambda m: sum(
-        learn.predict(m, x)[0] == g for x, g in zip(X, y)
-    ) / len(y)
+    acc = lambda m: sum(p == g for p, g in zip(learn.predict(m, X), y)) / len(y)
     ok = acc(lr_model) == 1.0 and acc(svm_model) == 1.0
 
     rng = np.random.default_rng(99)

@@ -1,3 +1,5 @@
+import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -205,6 +207,41 @@ class TestBundle:
         assert "member-0.model: line 1: not a model-v1 header" in capsys.readouterr().err
         assert not (tmp_path / "p.txt").exists()
 
+    def test_non_finite_weight_is_an_input_error(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        assert run_cli("train", "--lang", "en", "--epochs", "10", "--out", str(bundle),
+                       str(FIXTURES / "en_train.tsv")) == 0
+        model = bundle / "member-0.model"
+        lines = model.read_text().splitlines(keepends=True)
+        lines[1] = "w nan inf " + lines[1].split(" ", 3)[3]
+        model.write_text("".join(lines))
+        code = run_cli("predict", "--lang", "en", "--model", str(bundle),
+                       "--out", str(tmp_path / "p.txt"), str(FIXTURES / "en_test.tsv"))
+        assert code == 2
+        assert "member-0.model: line 2: 'nan' is not a finite number" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "p.txt").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--classifier", "random_forest", "--n-trees", "2"],
+         "kind random_forest, expected logreg"),
+        (["--min-df", "3"], r"dim \d+, expected 119"),
+        (["--seed", "7"], "seed 7, expected 0"),
+    ], ids=["kind", "dim", "seed"])
+    def test_member_the_manifest_contradicts_is_refused(self, tmp_path, capsys, flags,
+                                                        message):
+        bundle, other = tmp_path / "bundle", tmp_path / "other"
+        for out, extra in ((bundle, []), (other, flags)):
+            assert run_cli("train", "--lang", "en", "--epochs", "10", *extra,
+                           "--out", str(out), str(FIXTURES / "en_train.tsv")) == 0
+        shutil.copyfile(other / "member-0.model", bundle / "member-0.model")
+        code = run_cli("predict", "--lang", "en", "--model", str(bundle),
+                       "--out", str(tmp_path / "p.txt"), str(FIXTURES / "en_test.tsv"))
+        assert code == 2
+        assert re.search(rf"input error: {re.escape(str(bundle))}/member-0\.model: "
+                         rf"line 1: {message}$", capsys.readouterr().err, re.M)
+        assert not (tmp_path / "p.txt").exists()
+
     @pytest.mark.parametrize("name", ["member-0.model", "vocab.tsv"])
     def test_non_utf8_byte_in_bundle_names_its_line(self, tmp_path, capsys, name):
         bundle = tmp_path / "bundle"
@@ -230,6 +267,18 @@ class TestBundle:
                        "--out", str(tmp_path / "p.txt"), str(FIXTURES / "en_test.tsv"))
         assert code == 3
         assert "unknown tie_break 'bogus'" in capsys.readouterr().err
+
+    def test_member_count_must_match_ensemble_k(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        assert run_cli("train", "--lang", "en", "--epochs", "10", "--k", "3",
+                       "--out", str(bundle), str(FIXTURES / "en_train.tsv")) == 0
+        manifest = bundle / "manifest.txt"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(lines[:-1]))
+        code = run_cli("predict", "--lang", "en", "--model", str(bundle),
+                       "--out", str(tmp_path / "p.txt"), str(FIXTURES / "en_test.tsv"))
+        assert code == 3
+        assert "2 member.seed lines for ensemble_k=3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("old,new", [
         ("lowercase:1", "lowercase:0"),

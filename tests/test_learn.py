@@ -31,7 +31,7 @@ def _separable_set():
 
 
 def _accuracy(model, X, y):
-    pred = [learn.predict(model, x)[0] for x in X]
+    pred = learn.predict(model, X)
     return sum(p == g for p, g in zip(pred, y)) / len(y)
 
 
@@ -59,8 +59,7 @@ class TestLogReg:
         X = np.zeros((10, 3))
         y = ["A"] * 3 + ["B"] * 7
         model = learn.train_logreg(X, y, epochs=200)
-        for x in X:
-            assert learn.predict(model, x)[0] == "B"
+        assert learn.predict(model, X) == ["B"] * 10
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -111,7 +110,7 @@ class TestLinearSvm:
         model = learn.train_linear_svm(X, y, lr=0.05, epochs=800, C=0.0)
         assert np.abs(model.weights).max() < 1e-6
         # pure tie: prediction falls to first class in model order
-        assert learn.predict(model, X[0])[0] == model.classes[0]
+        assert learn.predict(model, X[:1]) == [model.classes[0]]
 
     def test_ovr_three_classes_shape(self):
         rng = np.random.default_rng(2)
@@ -142,10 +141,8 @@ class TestLinearSvm:
         X, y = _separable_set()
         model = learn.train_linear_svm(X, y, epochs=100)
         for x in X[:3]:
-            label, scores = learn.predict(model, x)
-            shifted = {c: s + 5.0 for c, s in scores.items()}
-            assert max(shifted, key=lambda c: (shifted[c], -model.classes.index(c))) \
-                == label
+            shifted = model.weights @ x + model.bias + 5.0
+            assert learn.predict(model, x[None]) == [model.classes[int(np.argmax(shifted))]]
 
 
 class TestLinearDescent:
@@ -318,7 +315,7 @@ class TestRandomForest:
         X = np.arange(12.0).reshape(6, 2)
         model = learn.train_random_forest(X, ["A"] * 6, n_trees=3, seed=0)
         assert all(t.feature == [-1] for t in model.trees)  # each root a leaf
-        assert learn.predict(model, X[0])[0] == "A"
+        assert learn.predict(model, X[:1]) == ["A"]
 
     def test_matches_reference_tree(self):
         rng = np.random.default_rng(4)
@@ -328,21 +325,17 @@ class TestRandomForest:
             X, y, n_trees=1, max_depth=6, feature_frac=1.0, seed=0, bootstrap=False
         )
         ref = _ref_tree(X, y, 0, 6)
-        for x in X:
-            assert learn.predict(model, x)[0] == _ref_predict(ref, x)
+        assert learn.predict(model, X) == [_ref_predict(ref, x) for x in X]
 
     def test_prediction_is_mode_of_trees(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 4))
         y = ["A" if x[0] > 0 else "B" for x in X]
         model = learn.train_random_forest(X, y, n_trees=9, max_depth=4, seed=1)
-        classes = model.classes
-        for x in rng.normal(size=(100, 4)):
-            votes = [learn.predict(replace(model, trees=[t]), x)[0] for t in model.trees]
-            label, scores = learn.predict(model, x)
-            mode_count = Counter(votes).most_common(1)[0][1]
-            assert Counter(votes)[label] == mode_count
-            assert sum(scores.values()) == pytest.approx(1.0)
+        rows = rng.normal(size=(100, 4))
+        votes = [learn.predict(replace(model, trees=[t]), rows) for t in model.trees]
+        for label, row_votes in zip(learn.predict(model, rows), zip(*votes)):
+            assert Counter(row_votes)[label] == Counter(row_votes).most_common(1)[0][1]
 
     def test_forced_identical_trees_equal_one_tree(self):
         rng = np.random.default_rng(6)
@@ -352,8 +345,8 @@ class TestRandomForest:
                                         seed=3, bootstrap=False)
         many = learn.train_random_forest(X, y, n_trees=5, feature_frac=1.0,
                                          seed=3, bootstrap=False)
-        for x in rng.normal(size=(50, 3)):
-            assert learn.predict(one, x)[0] == learn.predict(many, x)[0]
+        rows = rng.normal(size=(50, 3))
+        assert learn.predict(one, rows) == learn.predict(many, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +512,8 @@ class TestSplitSearchOracle:
 
         monkeypatch.setattr(features.CsrMatrix, "__array__", densify)
         model = learn.train_random_forest(csr, y, n_trees=5, max_depth=4, seed=1)
-        assert [learn.predict(model, csr[i])[0] for i in range(len(y))] == \
-            [learn.predict(model, x)[0] for x in X]
-        assert sum(learn.predict(model, x)[0] == t for x, t in zip(X, y)) > 20
+        assert learn.predict(model, csr) == learn.predict(model, X)
+        assert sum(p == t for p, t in zip(learn.predict(model, X), y)) > 20
 
 
 def _round_trip(model):
@@ -565,20 +557,17 @@ class TestFlatTreeOracle:
                  for c in range(dim + 1)]
         rows = np.array(data.draw(st.lists(st.tuples(*cells), min_size=1, max_size=8)))
         csr = csr_from_dense(rows)
-        for i, x in enumerate(rows):
-            for tree, root in zip(model.trees, roots):
-                one = replace(model, trees=[tree])
-                want = model.classes[_node_walk(root, x)]
-                assert learn.predict(one, x)[0] == want
-                assert learn.predict(one, csr[i:i + 1])[0] == want
-            # The vote as it was counted over the node walks.
-            votes = np.bincount([_node_walk(root, x) for root in roots],
-                                minlength=len(model.classes))
-            raw = votes / votes.sum()
-            want = (model.classes[int(np.argmax(raw))],
-                    {c: float(v) for c, v in zip(model.classes, raw)})
-            assert learn.predict(model, x) == want
-            assert learn.predict(model, csr[i:i + 1]) == want
+        for tree, root in zip(model.trees, roots):
+            one = replace(model, trees=[tree])
+            want = [model.classes[_node_walk(root, x)] for x in rows]
+            assert learn.predict(one, rows) == want
+            assert learn.predict(one, csr) == want
+        # The vote as it was counted over the node walks.
+        want = [model.classes[int(np.argmax(np.bincount(
+            [_node_walk(root, x) for root in roots], minlength=len(model.classes))))]
+            for x in rows]
+        assert learn.predict(model, rows) == want
+        assert learn.predict(model, csr) == want
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(["logreg", "linear_svm"]),
@@ -591,19 +580,16 @@ class TestFlatTreeOracle:
                                    train_seed=0, weights=W, bias=b)
         rows = np.array(data.draw(st.lists(st.lists(_VALUES, min_size=dim, max_size=dim),
                                            min_size=1, max_size=8)))
-        csr = csr_from_dense(rows)
-        for i, x in enumerate(rows):
-            label, scores = learn.predict(model, x)
-            csr_label, csr_scores = learn.predict(model, csr[i:i + 1])
-            assert csr_label == label and list(csr_scores) == model.classes
-            np.testing.assert_allclose(list(csr_scores.values()),
-                                       list(scores.values()), rtol=0, atol=1e-12)
+        labels = learn.predict(model, rows)
+        assert learn.predict(model, csr_from_dense(rows)) == labels
+        for x, label in zip(rows, labels):
             # The dense product over the whole row, as predict took it before:
-            # only the summation order of the dot products differs.
+            # only the summation order of the dot products differs, so the
+            # labels agree where no two scores are within rounding.
             z = W @ x + b
-            if kind == "logreg":
-                z = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
-            np.testing.assert_allclose(list(scores.values()), z, rtol=0, atol=1e-12)
+            top = np.sort(z)[::-1]
+            if n_classes == 1 or top[0] - top[1] > 1e-12:
+                assert label == model.classes[int(np.argmax(z))]
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +598,7 @@ class TestFlatTreeOracle:
 
 
 def _walk_votes(model, x):
-    """(label, scores) of dense row x, walking every tree from its root."""
+    """The label of dense row x, walking every tree from its root."""
     votes = [0] * len(model.classes)
     for tree in model.trees:
         i = 0
@@ -620,8 +606,7 @@ def _walk_votes(model, x):
             i = i + 1 if x[tree.feature[i]] < tree.threshold[i] else tree.right[i]
         votes[tree.label[i]] += 1
     raw = [v / len(model.trees) for v in votes]
-    best = max(range(len(raw)), key=raw.__getitem__)
-    return model.classes[best], dict(zip(model.classes, raw))
+    return model.classes[max(range(len(raw)), key=raw.__getitem__)]
 
 
 # Thresholds at, below and just above zero, and either side of -0.0.
@@ -666,8 +651,7 @@ class TestZeroPathOracle:
             x = np.zeros(dim)
             for col in data.draw(st.lists(st.integers(0, dim - 1), unique=True)):
                 x[col] = data.draw(_CELLS)
-            want = _walk_votes(model, x)
-            assert learn.predict(model, x) == want
+            want = [_walk_votes(model, x)]
             assert learn.predict(model, x[None]) == want
             # The row as CSR, storing its non-zero cells and, explicitly,
             # some of its zeros.
@@ -695,10 +679,12 @@ class TestZeroPathOracle:
         assert model.zero_paths == learn.ZeroPaths(
             label=[1, 1, 0], votes=[1, 2],
             first_test={2: [(0, 0)], 0: [(0, 1)], 1: [(2, 0)]})
-        assert learn.predict(model, np.zeros(3))[0] == "B"
+        assert learn.predict(model, np.zeros((1, 3))) == ["B"]
         # Walked from node 1 of tree 0 and node 0 of tree 2; both turn at node 1.
-        assert learn.predict(model, np.array([-2.0, 0.3, 0.0])) == \
-            ("B", {"A": 1 / 3, "B": 2 / 3})
+        row = np.array([[-2.0, 0.3, 0.0]])
+        assert [learn.predict(replace(model, trees=[t]), row)[0] for t in trees] == \
+            ["A", "B", "B"]
+        assert learn.predict(model, row) == ["B"]
         assert replace(model, trees=trees[1:]).zero_paths.votes == [1, 1]
 
     def test_loaded_forest_predicts_like_the_trained_one(self, tmp_path):
@@ -708,10 +694,106 @@ class TestZeroPathOracle:
         loaded = learn.load_model(tmp_path / "m.model")
         assert loaded.zero_paths == model.zero_paths
         for M in (X, T):
-            for i in range(M.shape[0]):
-                want = _walk_votes(model, M[i])
-                assert learn.predict(model, M[i:i + 1]) == want
-                assert learn.predict(loaded, M[i:i + 1]) == want
+            want = [_walk_votes(model, M[i]) for i in range(M.shape[0])]
+            assert learn.predict(model, M) == want
+            assert learn.predict(loaded, M) == want
+
+
+# ---------------------------------------------------------------------------
+# Oracle: predict as it labelled one row before it took a matrix, kept as it
+# was apart from names and the score dict it returned beside the label.
+
+
+def _one_row_predict(model, x):
+    if isinstance(x, features.CsrMatrix):
+        shape, cols, vals = x.shape, x.indices, x.data
+    else:
+        vec = np.asarray(x, dtype=float)
+        shape = vec.shape if vec.ndim == 2 else (1,) + vec.shape
+        vec = vec.reshape(-1)
+        cols = np.flatnonzero(vec)
+        vals = vec[cols]
+    assert shape == (1, model.dim)
+    if model.kind == "random_forest":
+        row = dict(zip(cols.tolist(), vals.tolist()))
+        zero = model.zero_paths
+        votes = zero.votes.copy()
+        if len(row) < len(zero.first_test):
+            start = {}
+            for f in row.keys() & zero.first_test.keys():
+                for t, node in zero.first_test[f]:
+                    if start.get(t, node) >= node:
+                        start[t] = node
+        else:
+            start = dict.fromkeys(range(len(model.trees)), 0)
+        for t, i in start.items():
+            tree = model.trees[t]
+            feature, threshold, right = tree.feature, tree.threshold, tree.right
+            while (f := feature[i]) >= 0:
+                i = i + 1 if row.get(f, 0.0) < threshold[i] else right[i]
+            votes[zero.label[t]] -= 1
+            votes[tree.label[i]] += 1
+        raw = [v / len(model.trees) for v in votes]
+        best = max(range(len(raw)), key=raw.__getitem__)
+    else:
+        raw = model.weights.take(cols, axis=1) @ vals + model.bias
+        if model.kind == "logreg":
+            raw -= raw.max()
+            p = np.exp(raw)
+            raw = p / p.sum()
+        best = int(np.argmax(raw))
+    return model.classes[best]
+
+
+# Weights and cells on a grid of halves: sums of their products are exact, so
+# class scores tie exactly or differ by far more than rounding.
+_GRID = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+class TestMatrixPredictOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["logreg", "linear_svm", "random_forest"]),
+           dim=st.integers(1, 8), n_classes=st.integers(1, 3), n_rows=st.integers(0, 8))
+    def test_labels_equal_one_row_predict(self, data, kind, dim, n_classes, n_rows):
+        classes = list("ABC"[:n_classes])
+        if kind == "random_forest":
+            trees = [_random_tree(data, dim, n_classes, data.draw(st.integers(0, 4)))
+                     for _ in range(data.draw(st.integers(1, 6)))]
+            model = learn.TrainedModel(kind=kind, classes=classes, dim=dim,
+                                       train_seed=0, trees=trees)
+            cells = st.one_of(_CELLS, _GRID)
+        else:
+            W = np.array(data.draw(st.lists(_GRID, min_size=n_classes * dim,
+                                            max_size=n_classes * dim)))
+            b = np.array(data.draw(st.lists(_GRID, min_size=n_classes,
+                                            max_size=n_classes)))
+            model = learn.TrainedModel(kind=kind, classes=classes, dim=dim, train_seed=0,
+                                       weights=W.reshape(n_classes, dim), bias=b)
+            cells = _GRID
+        # Each row is empty, dense (every cell stored, which a forest walks
+        # from every root) or sparse.
+        X = np.zeros((n_rows, dim))
+        for x in X:
+            shape = data.draw(st.sampled_from(["empty", "dense", "sparse"]))
+            if shape == "dense":
+                x[:] = data.draw(st.lists(cells.filter(bool), min_size=dim, max_size=dim))
+            elif shape == "sparse":
+                for col in data.draw(st.lists(st.integers(0, dim - 1), unique=True)):
+                    x[col] = data.draw(cells)
+        want = [_one_row_predict(model, X[i:i + 1]) for i in range(n_rows)]
+        assert learn.predict(model, X) == want
+        # As CSR, storing the non-zero cells and some zeros explicitly.
+        indptr, cols = [0], []
+        for x in X:
+            stored = np.flatnonzero(x != 0).tolist()
+            stored += data.draw(st.lists(st.sampled_from(np.flatnonzero(x == 0).tolist()),
+                                         unique=True) if (x == 0).any() else st.just([]))
+            cols += sorted(stored)
+            indptr.append(len(cols))
+        rows = np.repeat(np.arange(n_rows), np.diff(indptr))
+        csr = features.CsrMatrix(X[rows, cols], cols, indptr, dim)
+        assert learn.predict(model, csr) == \
+            [_one_row_predict(model, csr[i:i + 1]) for i in range(n_rows)]
 
 
 class TestPredict:
@@ -720,9 +802,7 @@ class TestPredict:
             kind="logreg", classes=["A", "B"], dim=2, train_seed=0,
             weights=np.zeros((2, 2)), bias=np.zeros(2),
         )
-        label, scores = learn.predict(model, np.array([1.0, 2.0]))
-        assert label == "A"
-        assert scores == {"A": 0.5, "B": 0.5}
+        assert learn.predict(model, np.array([[1.0, 2.0]])) == ["A"]
 
     def test_dim_mismatch(self):
         model = learn.TrainedModel(
@@ -737,20 +817,22 @@ class TestPredict:
                                     label=[label]) for label in (1, 0, 2, 1, 0)]
         model = learn.TrainedModel(kind="random_forest", classes=["A", "B", "C"],
                                    dim=1, train_seed=0, trees=trees)
-        assert learn.predict(model, np.zeros(1)) == ("A", {"A": 0.4, "B": 0.4, "C": 0.2})
+        assert learn.predict(model, np.zeros((1, 1))) == ["A"]
 
-    def test_one_row_forms_agree_and_more_rows_are_refused(self):
+    def test_matrix_forms_agree_and_other_shapes_are_refused(self):
         model = learn.TrainedModel(
             kind="linear_svm", classes=["A", "B"], dim=3, train_seed=0,
             weights=np.array([[1.0, 0.0, -1.0], [0.0, 2.0, 0.0]]), bias=np.zeros(2),
         )
-        X = np.array([[0.5, 0.0, 2.0], [1.0, 1.0, 0.0]])
+        X = np.array([[0.5, 0.0, 2.0], [2.0, 0.5, 0.0]])
         csr = csr_from_dense(X)
-        want = ("B", {"A": -1.5, "B": 0.0})
-        for row in (X[0], X[0:1], csr[0], csr[0:1], csr[[0]]):
-            assert learn.predict(model, row) == want
-        for rows in (X, csr, csr[0:0]):
-            with pytest.raises(DimensionMismatch):
+        for rows in (X, X.tolist(), csr, csr[[0, 1]]):
+            assert learn.predict(model, rows) == ["B", "A"]
+        for rows in (X[:1], csr[0:1], csr[[0]]):
+            assert learn.predict(model, rows) == ["B"]
+        assert learn.predict(model, csr[0:0]) == learn.predict(model, X[:0]) == []
+        for rows in (X[0], csr[0], X[:, :2], csr_from_dense(X[:, :2]), X[None]):
+            with pytest.raises(DimensionMismatch, match=r"rows of shape .* for model dim 3"):
                 learn.predict(model, rows)
 
 
@@ -802,22 +884,22 @@ class TestEnsemble:
     def test_k1_equals_single_model(self):
         X, y = self._data()
         models, _ = learn.train_ensemble(X, y, "logreg", 1, 0, 0.9, epochs=50)
-        for x in X[:10]:
-            assert learn.ensemble_predict(models, x) == learn.predict(models[0], x)[0]
+        assert [learn.ensemble_predict(models, X[i:i + 1]) for i in range(10)] == \
+            learn.predict(models[0], X[:10])
 
     def test_deterministic_reruns(self):
         X, y = self._data()
         a, _ = learn.train_ensemble(X, y, "logreg", 3, 9, 0.9, epochs=30)
         b, _ = learn.train_ensemble(X, y, "logreg", 3, 9, 0.9, epochs=30)
-        for x in X:
-            assert learn.ensemble_predict(a, x) == learn.ensemble_predict(b, x)
+        for i in range(len(X)):
+            assert learn.ensemble_predict(a, X[i:i + 1]) == learn.ensemble_predict(b, X[i:i + 1])
 
     def test_identical_members_equal_single(self):
         X, y = self._data()
         models, _ = learn.train_ensemble(X, y, "logreg", 1, 5, 0.9, epochs=30)
         clones = models * 5
-        for x in X[:20]:
-            assert learn.ensemble_predict(clones, x) == learn.predict(models[0], x)[0]
+        assert [learn.ensemble_predict(clones, X[i:i + 1]) for i in range(20)] == \
+            learn.predict(models[0], X[:20])
 
     @pytest.mark.parametrize("kind,params", [
         ("logreg", {"epochs": 40}),
@@ -897,8 +979,8 @@ class TestModelIO:
         assert loaded.hyperparams == model.hyperparams
         assert {k: type(v) for k, v in loaded.hyperparams.items()} == \
             {"n_trees": int, "max_depth": int, "feature_frac": float}
-        for x in rng.normal(size=(30, 3)):
-            assert learn.predict(loaded, x) == learn.predict(model, x)
+        rows = rng.normal(size=(30, 3))
+        assert learn.predict(loaded, rows) == learn.predict(model, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -943,6 +1025,10 @@ def _damaged(damage):
         "leaf label out of range": ("forest", forest[:-1] + ["n -1 2\n"], len(forest)),
         "missing b line": ("logreg", logreg[:-1], len(logreg)),
         "short w line": ("logreg", logreg[:1] + ["w 0.5 0.25\n"] + logreg[2:], 2),
+        "nan weight": ("logreg", logreg[:2] + ["w nan " + logreg[2].split(" ", 2)[2]]
+                       + logreg[3:], 3),
+        "inf bias": ("logreg", logreg[:-1] + ["b 0.0 inf\n"], len(logreg)),
+        "-inf threshold": ("forest", forest[:2] + ["n 34 -inf\n"] + forest[3:], 3),
     }[damage]
     return name, "".join(lines), line_no
 
@@ -960,8 +1046,8 @@ class TestGoldenModels:
         model = learn.load_model(GOLDEN / f"{name}.model")
         want = (GOLDEN / f"{name}.labels").read_text().splitlines()
         assert len(want) == T.shape[0] == 25 and len(set(want)) == 2
-        assert [learn.predict(model, T[i:i + 1])[0] for i in range(25)] == want
-        assert [learn.predict(model, T[i])[0] for i in range(25)] == want
+        assert learn.predict(model, T) == want
+        assert learn.predict(model, np.asarray(T)) == want
 
     def test_tfidf_matrices_match_the_files(self):
         # Written by the per-doc vectorizer, one row per line, repr floats.
@@ -997,6 +1083,16 @@ class TestGoldenModels:
         with pytest.raises(MalformedFile, match=rf"{name}\.model: line {line_no}: ") as err:
             learn.load_model(path)
         assert isinstance(err.value, HopedetectError)
+
+    @pytest.mark.parametrize("damage,value", [
+        ("nan weight", "nan"), ("inf bias", "inf"), ("-inf threshold", "-inf")])
+    def test_non_finite_number_names_its_line(self, tmp_path, damage, value):
+        name, text, line_no = _damaged(damage)
+        path = tmp_path / f"{name}.model"
+        path.write_text(text)
+        with pytest.raises(MalformedFile, match=rf"{name}\.model: line {line_no}: "
+                                                rf"'{value}' is not a finite number"):
+            learn.load_model(path)
 
     @pytest.mark.parametrize("name", ["forest", "logreg", "svm"])
     @pytest.mark.parametrize("where", ["appended", "line 3"])
