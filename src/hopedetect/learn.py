@@ -246,130 +246,260 @@ def train_linear_svm(X, y, lr: float = 0.01, epochs: int = 500, C: float = 1.0,
 
 def _transpose(X) -> CsrMatrix:
     """X (ndarray or CsrMatrix) transposed, as a CsrMatrix: row j holds the
-    stored (non-zero) entries of column j of X, at their rows of X."""
+    stored (non-zero) entries of column j of X, at their rows of X, in
+    ascending order of value (NaN last), equal values in row order."""
     if isinstance(X, CsrMatrix):
         n_rows, dim = X.shape
-        order = np.argsort(X.indices, kind="stable")
+        order = np.lexsort((X.data, X.indices))
         rows = X._row_of[order]
         vals = X.data[order]
         indptr = np.searchsorted(X.indices[order], np.arange(dim + 1))
-    else:
-        # Boolean indexing walks A.T in C order, column of A after column,
-        # and gives its result a buffer of its own; np.nonzero's row and
-        # column arrays would both be views of one (nnz, 2) array.
-        AT = np.asarray(X, dtype=float).T
-        n_rows = AT.shape[1]
-        stored = AT != 0
-        rows = np.broadcast_to(np.arange(n_rows), AT.shape)[stored]
-        vals = AT[stored]
-        indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
+        return CsrMatrix(vals, rows, indptr, n_rows)
+    # A column at a time, into arrays of their own, so that the sort's
+    # arrays stay the size of one column.
+    AT = np.asarray(X, dtype=float).T
+    n_rows = AT.shape[1]
+    indptr = np.concatenate(([0], np.cumsum((AT != 0).sum(axis=1))))
+    rows, vals = np.empty(indptr[-1], dtype=np.intp), np.empty(indptr[-1])
+    for column, lo, hi in zip(AT, indptr, indptr[1:]):
+        stored = np.flatnonzero(column)
+        rows[lo:hi] = stored[np.argsort(column[stored], kind="stable")]
+        vals[lo:hi] = column[rows[lo:hi]]
     return CsrMatrix(vals, rows, indptr, n_rows)
 
 
+# The most stored entries that one batch of a level's split search (or of
+# its routing) gathers: a node whose sampled columns hold more is searched
+# alone. It bounds the search's memory and does not change the trees.
+_SEARCH_ENTRIES = 1 << 15
+
+
 def _gini(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Gini impurity of each row of class counts; 0 for an empty row."""
-    p = counts / np.maximum(totals, 1)[:, None]
-    return np.where(totals > 0, 1.0 - (p * p).sum(axis=1), 0.0)
+    """Gini impurity of each column of class counts (classes x items); 0 for
+    an empty one."""
+    p = counts / np.maximum(totals, 1)
+    return np.where(totals > 0, 1.0 - (p * p).sum(axis=0), 0.0)
 
 
-def _best_split(XT: CsrMatrix, y_idx, counts, indices, feats):
-    """The split ``x[f] < threshold`` of the node's rows with the lowest
-    weighted Gini impurity, as (f, threshold, left mask), or None.
+def _batches(sizes: np.ndarray, budget: int):
+    """Slices of consecutive items whose sizes add up to at most ``budget``,
+    each holding at least one item."""
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < len(sizes):
+        before = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, before + budget, side="right")))
+        yield slice(start, stop)
+        start = stop
 
-    Candidates are the midpoints between distinct adjacent values of each
-    feature in ``feats`` (ascending), thresholds ascending within a feature;
-    a later candidate wins only if it is more than 1e-12 below the best so
-    far. Only stored entries are read: the zeros of a column at the node
-    are one item, holding their class counts.
-    """
-    n, n_classes = len(indices), len(counts)
-    copies = np.bincount(indices, minlength=XT.shape[1])  # bootstrap duplicates
-    # Positions in XT of the sampled columns' entries, column after column;
-    # an entry's slot is its column's position in ``feats``.
-    starts = XT.indptr[feats]
-    lengths = XT.indptr[feats + 1] - starts
+
+def _node_entries(XT: CsrMatrix, node_of, tree, node, cols):
+    """The stored entries of column ``cols[i]`` whose rows are in node
+    ``node[i]`` of tree ``tree[i]`` (see ``_grow_trees``), column after
+    column: their positions in XT, their i, and their keys ``t * n + row``
+    into the trees' row maps."""
+    starts = XT.indptr[cols]
+    lengths = XT.indptr[cols + 1] - starts
     ends = np.cumsum(lengths)
     at = np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1])
-    slot = np.repeat(np.arange(len(feats)), lengths)
-    rows = XT.indices[at]
-    hit = copies[rows] > 0
-    slot, rows, value = slot[hit], rows[hit], XT.data[at[hit]]
-    # Class counts of each stored entry at the node, and of each column's
-    # zeros: the node's counts less those of the column's entries.
-    weight, cls = copies[rows], y_idx[rows]
-    stored = np.zeros((len(rows), n_classes), dtype=np.int64)
-    stored[np.arange(len(rows)), cls] = weight
-    in_column = np.bincount(slot * n_classes + cls, weights=weight,
-                            minlength=len(feats) * n_classes)
-    zeros = counts - in_column.astype(np.int64).reshape(len(feats), n_classes)
-    has_zeros = zeros.any(axis=1)
-    # Items of every column, sorted by column, then by value.
-    slot = np.concatenate((slot, np.flatnonzero(has_zeros)))
-    value = np.concatenate((value, np.zeros(has_zeros.sum())))
-    items = np.concatenate((stored, zeros[has_zeros]))
-    order = np.lexsort((value, slot))
-    slot, value, items = slot[order], value[order], items[order]
+    which = np.repeat(np.arange(len(cols)), lengths)
+    key = tree[which] * node_of.shape[1] + XT.indices[at]
+    hit = node_of.ravel()[key] == node[which]
+    return at[hit], which[hit], key[hit]
+
+
+def _best_split(XT: CsrMatrix, y_idx, copies, node_of, tree, node, counts, feats):
+    """The split ``x[f] < threshold`` with the lowest weighted Gini impurity
+    of each node ``node[i]`` of tree ``tree[i]``, whose rows hold the class
+    counts ``counts[i]``, searched over the columns ``feats[i]`` (ascending).
+    Returns (found, f, threshold, class counts of the left rows), a row per
+    node; a node with no candidate is not found.
+
+    Candidates are the midpoints between distinct adjacent values of each
+    feature, thresholds ascending within a feature, and the first candidate
+    whose impurity is within 1e-12 of the node's lowest wins. The midpoint
+    of lo and hi is ``(lo + hi) / 2``, or ``lo / 2 + hi / 2`` where that sum
+    is not finite. Only stored entries are read: the zeros of a column at a
+    node are one item, holding their class counts. Rows count once per
+    bootstrap copy (``copies``). The nodes' searches share arrays but not
+    results, so a node's split does not depend on the nodes beside it.
+    """
+    n_nodes, m = feats.shape
+    n_classes = counts.shape[1]
+    # Every (node, column) pair is a segment, i * m + j for column feats[i, j].
+    at, seg, key = _node_entries(XT, node_of, np.repeat(tree, m),
+                                 np.repeat(node, m), feats.ravel())
+    value = XT.data[at]
+    weight, cls = copies.ravel()[key], y_idx[XT.indices[at]]
+    # Class counts (classes x items) of each stored entry, and of each
+    # segment's zeros: the node's counts less those of the column's entries.
+    items = np.zeros((n_classes, len(at)), dtype=np.int64)
+    items[cls, np.arange(len(at))] = weight
+    in_column = np.bincount(seg * n_classes + cls, weights=weight,
+                            minlength=n_nodes * m * n_classes)
+    zeros = (np.repeat(counts, m, axis=0)
+             - in_column.astype(np.int64).reshape(n_nodes * m, n_classes))
+    with_zeros = np.flatnonzero(zeros.any(axis=1))
+    # A segment's entries come in ascending value (see _transpose). Its
+    # zeros go in as one item after its negative values, so that the items
+    # are sorted by node, then column, then value.
+    place = np.searchsorted(2 * seg + ~(value < 0), 2 * with_zeros + 1)
+    seg = np.insert(seg, place, with_zeros)
+    value = np.insert(value, place, 0.0)
+    items = np.insert(items, place, zeros[with_zeros].T, axis=1)
     # Sorted last, NaNs count as one value, as in np.unique.
-    j = np.flatnonzero((slot[1:] == slot[:-1]) & (value[1:] != value[:-1])
+    j = np.flatnonzero((seg[1:] == seg[:-1]) & (value[1:] != value[:-1])
                        & ~np.isnan(value[:-1]))
+    found = np.zeros(n_nodes, dtype=bool)
+    f, threshold = np.full(n_nodes, -1), np.zeros(n_nodes)
+    left = np.zeros((n_nodes, n_classes), dtype=np.int64)
     if len(j) == 0:
-        return None
+        return found, f, threshold, left
     lo, hi = value[j], value[j + 1]
-    thresholds = (lo + hi) / 2.0
-    below = np.cumsum(items, axis=0)
-    first = np.searchsorted(slot, slot[j])
-    left = below[j] - below[first] + items[first]
-    # A midpoint can round onto lo (adjacent doubles), or overflow past hi.
+    with np.errstate(over="ignore"):
+        thresholds = (lo + hi) / 2.0
+    over = ~np.isfinite(thresholds)
+    thresholds[over] = lo[over] / 2.0 + hi[over] / 2.0
+    below = np.cumsum(items, axis=1)
+    first = np.searchsorted(seg, seg[j])
+    left_of = below[:, j] - below[:, first] + items[:, first]
+    # A midpoint can round onto lo (adjacent doubles).
     for i in np.flatnonzero(~((lo < thresholds) & (thresholds <= hi))):
-        left[i] = items[(slot == slot[j[i]]) & (value < thresholds[i])].sum(axis=0)
-    n_left = left.sum(axis=1)
+        in_left = (seg == seg[j[i]]) & (value < thresholds[i])
+        left_of[:, i] = items[:, in_left].sum(axis=1)
+    at_node = seg[j] // m
+    n = counts.sum(axis=1)[at_node]
+    n_left = left_of.sum(axis=0)
     n_right = n - n_left
-    impurity = (n_left * _gini(left, n_left)
-                + n_right * _gini(counts - left, n_right)) / n
-    best = 0
-    while True:
-        later = impurity[best + 1:] < impurity[best] - 1e-12
-        if not later.any():
+    impurity = (n_left * _gini(left_of, n_left)
+                + n_right * _gini(counts[at_node].T - left_of, n_right)) / n
+    lowest = np.full(n_nodes, np.inf)
+    np.minimum.at(lowest, at_node, impurity)
+    near = np.flatnonzero(impurity <= lowest[at_node] + 1e-12)
+    best = near[np.concatenate(([True], np.diff(at_node[near]) != 0))]
+    won = at_node[best]
+    found[won] = True
+    f[won] = feats.ravel()[seg[j[best]]]
+    threshold[won] = thresholds[best]
+    left[won] = left_of[:, best].T
+    return found, f, threshold, left
+
+
+def _route(XT: CsrMatrix, node_of, tree, feature, threshold):
+    """The row maps of the next level: the rows of the level's i-th inner
+    node (``feature >= 0``) go to node 2i where ``x[feature] < threshold``,
+    else to node 2i + 1; every other row goes to -1."""
+    inner = np.flatnonzero(feature >= 0)
+    child = np.full(len(feature) + 1, -1, dtype=np.int32)  # the last for -1
+    child[inner] = 2 * np.arange(len(inner)) + ~(0.0 < threshold[inner])
+    routed = child[node_of]
+    for part in _batches(np.diff(XT.indptr)[feature[inner]], _SEARCH_ENTRIES):
+        k = inner[part]
+        at, which, key = _node_entries(XT, node_of, tree[k], k, feature[k])
+        goes_right = ~(XT.data[at] < threshold[k][which])
+        routed.ravel()[key] = 2 * (part.start + which) + goes_right
+    return routed
+
+
+def _grow_trees(XT: CsrMatrix, y_idx, n_classes, n_trees, max_depth, n_feats,
+                seed, bootstrap) -> list[DecisionTree]:
+    """Grow every tree one depth level at a time; see train_random_forest.
+
+    A level is its nodes in tree order, each tree's left to right. The row
+    maps ``node_of[t, r]`` name the node of the level that holds row r of
+    tree t, or -1 once r is in a leaf or outside t's sample, and ``copies[t,
+    r]`` counts r in t's sample."""
+    dim, n = XT.shape
+    rngs = [np.random.default_rng([seed, t]) for t in range(n_trees)]
+    copies = np.empty((n_trees, n), dtype=np.min_scalar_type(n))  # counts <= n
+    counts = np.empty((n_trees, n_classes), dtype=np.int64)
+    for t, rng in enumerate(rngs):
+        sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        copies[t] = np.bincount(sample, minlength=n)
+        counts[t] = np.bincount(y_idx[sample], minlength=n_classes)
+    node_of = np.where(copies > 0, np.arange(n_trees, dtype=np.int32)[:, None],
+                       np.int32(-1))
+    tree = np.arange(n_trees)
+    levels = []
+    for depth in range(max_depth + 1):
+        feature, threshold = np.full(len(tree), -1), np.zeros(len(tree))
+        # argmax ties fall to the lowest class index.
+        label = counts.argmax(axis=1)
+        left = np.zeros((len(tree), n_classes), dtype=np.int64)
+        mixed = np.flatnonzero(counts.max(axis=1) < counts.sum(axis=1))
+        if depth < max_depth and len(mixed):
+            if n_feats < dim:
+                feats = np.sort([rngs[t].choice(dim, n_feats, replace=False)
+                                 for t in tree[mixed]], axis=1)
+            else:
+                feats = np.broadcast_to(np.arange(dim), (len(mixed), dim))
+            sizes = np.diff(XT.indptr)[feats].sum(axis=1)
+            for part in _batches(sizes, _SEARCH_ENTRIES):
+                k = mixed[part]
+                found, f, thr, lft = _best_split(XT, y_idx, copies, node_of, tree[k],
+                                                 k, counts[k], feats[part])
+                feature[k[found]], threshold[k[found]] = f[found], thr[found]
+                left[k[found]] = lft[found]
+        inner = feature >= 0
+        label[inner] = -1
+        levels.append((tree, feature, threshold, label))
+        if not inner.any():
             break
-        best += 1 + int(later.argmax())
-    f, threshold = int(feats[slot[j[best]]]), float(thresholds[best])
-    return f, threshold, XT[f][indices] < threshold
+        node_of = _route(XT, node_of, tree, feature, threshold)
+        tree = np.repeat(tree[inner], 2)
+        counts = np.stack((left[inner], counts[inner] - left[inner]),
+                          axis=1).reshape(-1, n_classes)
+    return _pre_order(levels, n_trees, max_depth)
 
 
-def _grow_tree(tree: DecisionTree, XT: CsrMatrix, y_idx, n_classes, indices,
-               depth, n_feats, rng) -> None:
-    """Append the subtree of the rows ``indices`` to ``tree``, in pre-order."""
-    counts = np.bincount(y_idx[indices], minlength=n_classes)
-    majority = int(counts.argmax())  # argmax ties fall to the lowest class index
-    if depth >= tree.max_depth or counts.max() == counts.sum():
-        tree.add(label=majority)
-        return
-
-    dim = XT.shape[0]
-    feats = rng.permutation(dim)[:n_feats] if n_feats < dim else np.arange(dim)
-    # A helper, so that the search's arrays are freed before the recursion.
-    split = _best_split(XT, y_idx, counts, indices, np.sort(feats))
-    if split is None:
-        tree.add(label=majority)
-        return
-    f, threshold, mask = split
-    node = tree.add(feature=f, threshold=threshold)
-    _grow_tree(tree, XT, y_idx, n_classes, indices[mask], depth + 1, n_feats, rng)
-    tree.right[node] = len(tree.feature)
-    _grow_tree(tree, XT, y_idx, n_classes, indices[~mask], depth + 1, n_feats, rng)
+def _pre_order(levels, n_trees, max_depth) -> list[DecisionTree]:
+    """The trees of ``levels``, each level's (tree, feature, threshold,
+    label) with the children of its i-th inner node at 2i and 2i + 1 of the
+    next level, in the pre-order lists of DecisionTree."""
+    sizes = [np.ones(0, dtype=np.int64)]  # subtree sizes, deepest level first
+    for _, feature, _, _ in reversed(levels):
+        size = np.ones(len(feature), dtype=np.int64)
+        size[feature >= 0] += sizes[-1][0::2] + sizes[-1][1::2]
+        sizes.append(size)
+    sizes.reverse()
+    # A node's place in its tree: its parent's + 1 on the left, and after
+    # the left sibling's subtree on the right.
+    place = np.zeros(n_trees, dtype=np.int64)
+    start = np.cumsum(sizes[0]) - sizes[0]  # of each tree's nodes in ``out``
+    out = [np.empty(int(sizes[0].sum()), dtype=d) for d in (int, float, int, int)]
+    for (tree, feature, threshold, label), size in zip(levels, sizes[1:]):
+        inner = feature >= 0
+        right = np.full(len(feature), -1)
+        right[inner] = place[inner] + 1 + size[0::2]
+        for column, values in zip(out, (feature, threshold, right, label)):
+            column[start[tree] + place] = values
+        place = np.stack((place[inner] + 1, right[inner]), axis=1).ravel()
+    return [DecisionTree(max_depth, *(column[lo:lo + m].tolist() for column in out))
+            for lo, m in zip(start.tolist(), sizes[0].tolist())]
 
 
 def train_random_forest(X, y, n_trees: int = 100, max_depth: int = 16,
                         feature_frac: float | None = None, seed: int = 0,
                         bootstrap: bool = True) -> TrainedModel:
-    """Bagged Gini trees with a per-node random feature subset.
+    """Bagged Gini trees with a per-node random feature subset, grown one
+    depth level at a time.
 
     ``X`` (ndarray or CsrMatrix) is copied once into columns of its non-zero
-    entries; it is never densified. Each node gathers the entries of its
-    sampled columns that fall in its rows (bootstrap copies counted), sorts
-    them by column and value with each column's zeros as one more value, and
-    scores every candidate threshold at once from cumulative class counts.
-    The trees are those of an exhaustive threshold scan.
+    entries; it is never densified. Tree t draws from its own generator,
+    ``default_rng([seed, t])``: first its bootstrap sample, then the feature
+    subset of each of its nodes that is neither pure nor at ``max_depth``,
+    level by level and left to right, with ``choice(dim, n_feats,
+    replace=False)``, whose cost grows with n_feats, not dim. So a tree
+    depends neither on the other trees nor on how nodes are batched.
+    Every tree grows at once, a level at a time. The level's nodes are
+    searched in batches whose sampled columns hold at most
+    ``_SEARCH_ENTRIES`` stored entries (see ``_best_split``): a batch
+    gathers the entries of its nodes' columns that fall in their rows,
+    which come in node, column and value order since each column is
+    sorted by value once, puts in each column's zeros as one more value,
+    and scores every candidate threshold at once from cumulative class
+    counts. One pass then sends each row of the level to its child. The
+    trees are those of an exhaustive threshold scan.
     ``feature_frac=None`` uses the sqrt(dim)/dim rule. ``bootstrap=False``
     is a test hook that trains every tree on the full sample.
     """
@@ -385,14 +515,8 @@ def train_random_forest(X, y, n_trees: int = 100, max_depth: int = 16,
         if not 0 < feature_frac <= 1:
             raise ValueError(f"feature_frac must be in (0,1], got {feature_frac}")
         n_feats = max(1, int(np.ceil(feature_frac * dim)))
-    rng = np.random.default_rng(seed)
-    trees = []
-    for _ in range(n_trees):
-        sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        tree = DecisionTree(max_depth)
-        _grow_tree(tree, XT, y_idx, len(class_names), np.asarray(sample), 0,
-                   n_feats, rng)
-        trees.append(tree)
+    trees = _grow_trees(XT, y_idx, len(class_names), n_trees, max_depth, n_feats,
+                        seed, bootstrap)
     return TrainedModel(
         kind="random_forest", classes=class_names, dim=dim, train_seed=seed,
         hyperparams={"n_trees": n_trees, "max_depth": max_depth,

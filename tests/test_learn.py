@@ -1,5 +1,6 @@
 import itertools
 import tempfile
+import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -265,26 +266,38 @@ def _ref_gini(labels):
     return 1.0 - sum((c / n) ** 2 for c in Counter(labels).values())
 
 
+def _midpoint(lo, hi):
+    """The split search's threshold between lo and hi."""
+    with np.errstate(over="ignore"):
+        mid = (np.asarray(lo) + hi) / 2
+    return np.where(np.isfinite(mid), mid, lo / 2 + hi / 2)
+
+
+def _first_within_lowest(candidates):
+    """The first (impurity, ...) candidate within 1e-12 of the lowest."""
+    lowest = min(c[0] for c in candidates)
+    return next(c for c in candidates if c[0] <= lowest + 1e-12)
+
+
 def _ref_tree(X, y, depth, max_depth):
     majority = sorted(Counter(y).items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
     if depth >= max_depth or len(set(y)) == 1:
         return ("leaf", majority)
-    best = None
+    candidates = []
     for f in range(X.shape[1]):
         vals = sorted(set(X[:, f]))
         for lo, hi in zip(vals, vals[1:]):
-            thr = (lo + hi) / 2
+            thr = float(_midpoint(lo, hi))
             left = [i for i in range(len(y)) if X[i, f] < thr]
             right = [i for i in range(len(y)) if X[i, f] >= thr]
             g = (
                 len(left) * _ref_gini([y[i] for i in left])
                 + len(right) * _ref_gini([y[i] for i in right])
             ) / len(y)
-            if best is None or g < best[0] - 1e-12:
-                best = (g, f, thr, left, right)
-    if best is None:
+            candidates.append((g, f, thr, left, right))
+    if not candidates:
         return ("leaf", majority)
-    _, f, thr, left, right = best
+    _, f, thr, left, right = _first_within_lowest(candidates)
     return (
         "node", f, thr,
         _ref_tree(X[left], [y[i] for i in left], depth + 1, max_depth),
@@ -348,6 +361,42 @@ class TestRandomForest:
         rows = rng.normal(size=(50, 3))
         assert learn.predict(one, rows) == learn.predict(many, rows)
 
+    def test_midpoint_of_huge_values_is_finite(self, tmp_path):
+        # (1e308 + 1.5e308) / 2 overflows; the threshold is taken as halves.
+        X = np.array([[1e308], [1.5e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = learn.train_random_forest(X, ["A", "B"], n_trees=1, seed=0,
+                                              bootstrap=False)
+        tree = model.trees[0]
+        assert tree.feature == [0, -1, -1] and 1e308 < tree.threshold[0] < 1.5e308
+        assert learn.predict(model, X) == ["A", "B"]
+        learn.save_model(model, tmp_path / "m.model")
+        assert learn.predict(learn.load_model(tmp_path / "m.model"), X) == ["A", "B"]
+
+    def test_trees_do_not_depend_on_the_other_trees(self):
+        X, y, _ = _golden_features()
+        three = learn.train_random_forest(X, y, n_trees=3, max_depth=6, seed=4)
+        five = learn.train_random_forest(X, y, n_trees=5, max_depth=6, seed=4)
+        assert five.trees[:3] == three.trees
+
+    def test_batching_does_not_change_the_trees(self, monkeypatch):
+        X, y, _ = _golden_features()
+        params = dict(n_trees=7, max_depth=6, seed=3)
+        batched = learn.train_random_forest(X, y, **params)
+        nodes_per_search = []
+        search = learn._best_split
+
+        def one_at_a_time(*args):
+            nodes_per_search.append(len(args[-1]))
+            return search(*args)
+
+        monkeypatch.setattr(learn, "_best_split", one_at_a_time)
+        monkeypatch.setattr(learn, "_SEARCH_ENTRIES", 0)
+        alone = learn.train_random_forest(X, y, **params)
+        assert set(nodes_per_search) == {1} and len(nodes_per_search) > 7
+        assert _model_bytes(alone) == _model_bytes(batched)
+
 
 # ---------------------------------------------------------------------------
 # Oracle trees: the node objects and their walk, as trees were stored and
@@ -383,8 +432,8 @@ def _flatten(node: _Node, tree: learn.DecisionTree) -> None:
 
 # ---------------------------------------------------------------------------
 # Oracle: the exhaustive threshold scan over a dense copy that the sorted
-# split search replaced, kept as it was apart from names and input checks;
-# it builds node objects, flattened for save_model.
+# split search replaced, one node at a time, each tree breadth-first from
+# its own generator; it builds node objects, flattened for save_model.
 
 
 def _oracle_gini(counts):
@@ -395,40 +444,43 @@ def _oracle_gini(counts):
     return float(1.0 - (p * p).sum())
 
 
-def _oracle_grow_tree(X, y_idx, n_classes, indices, depth, max_depth, n_feats, rng):
-    counts = np.bincount(y_idx[indices], minlength=n_classes)
-    majority = int(counts.argmax())
-    if depth >= max_depth or counts.max() == counts.sum():
-        return _Node(label=majority)
-
-    dim = X.shape[1]
-    feats = rng.permutation(dim)[:n_feats] if n_feats < dim else np.arange(dim)
-    best = None  # (impurity, feature, threshold)
-    for f in sorted(feats):
-        values = np.unique(X[indices, f])
-        if len(values) < 2:
+def _oracle_grow_tree(X, y_idx, n_classes, indices, max_depth, n_feats, rng):
+    """One tree, its nodes split in breadth-first order: level by level,
+    left to right, each drawing its features from the tree's ``rng``."""
+    root = _Node()
+    queue = [(root, indices, 0)]
+    for node, indices, depth in queue:  # grows as nodes split
+        counts = np.bincount(y_idx[indices], minlength=n_classes)
+        majority = int(counts.argmax())
+        if depth >= max_depth or counts.max() == counts.sum():
+            node.label = majority
             continue
-        for threshold in (values[:-1] + values[1:]) / 2.0:
-            mask = X[indices, f] < threshold
-            left, right = indices[mask], indices[~mask]
-            lc = np.bincount(y_idx[left], minlength=n_classes)
-            rc = np.bincount(y_idx[right], minlength=n_classes)
-            impurity = (len(left) * _oracle_gini(lc)
-                        + len(right) * _oracle_gini(rc)) / len(indices)
-            if best is None or impurity < best[0] - 1e-12:
-                best = (impurity, f, float(threshold))
-    if best is None:
-        return _Node(label=majority)
-    _, f, threshold = best
-    mask = X[indices, f] < threshold
-    return _Node(
-        feature=int(f),
-        threshold=threshold,
-        left=_oracle_grow_tree(X, y_idx, n_classes, indices[mask], depth + 1,
-                               max_depth, n_feats, rng),
-        right=_oracle_grow_tree(X, y_idx, n_classes, indices[~mask], depth + 1,
-                                max_depth, n_feats, rng),
-    )
+        dim = X.shape[1]
+        feats = (rng.choice(dim, n_feats, replace=False) if n_feats < dim
+                 else np.arange(dim))
+        candidates = []  # (impurity, feature, threshold)
+        for f in sorted(feats):
+            values = np.unique(X[indices, f])
+            if len(values) < 2:
+                continue
+            for threshold in _midpoint(values[:-1], values[1:]):
+                mask = X[indices, f] < threshold
+                left, right = indices[mask], indices[~mask]
+                lc = np.bincount(y_idx[left], minlength=n_classes)
+                rc = np.bincount(y_idx[right], minlength=n_classes)
+                impurity = (len(left) * _oracle_gini(lc)
+                            + len(right) * _oracle_gini(rc)) / len(indices)
+                candidates.append((impurity, f, float(threshold)))
+        if not candidates:
+            node.label = majority
+            continue
+        _, f, threshold = _first_within_lowest(candidates)
+        mask = X[indices, f] < threshold
+        node.feature, node.threshold = int(f), threshold
+        node.left, node.right = _Node(), _Node()
+        queue.append((node.left, indices[mask], depth + 1))
+        queue.append((node.right, indices[~mask], depth + 1))
+    return root
 
 
 def _oracle_random_forest(X, y, n_trees=100, max_depth=16, feature_frac=None,
@@ -441,13 +493,13 @@ def _oracle_random_forest(X, y, n_trees=100, max_depth=16, feature_frac=None,
         feature_frac = n_feats / dim
     else:
         n_feats = max(1, int(np.ceil(feature_frac * dim)))
-    rng = np.random.default_rng(seed)
     n = Xm.shape[0]
     roots, trees = [], []
-    for _ in range(n_trees):
+    for t in range(n_trees):
+        rng = np.random.default_rng([seed, t])
         sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
         roots.append(_oracle_grow_tree(Xm, y_idx, len(class_names), np.asarray(sample),
-                                       0, max_depth, n_feats, rng))
+                                       max_depth, n_feats, rng))
         trees.append(learn.DecisionTree(max_depth))
         _flatten(roots[-1], trees[-1])
     model = learn.TrainedModel(
@@ -495,6 +547,18 @@ class TestSplitSearchOracle:
                                min_size=n, max_size=n))
         params = dict(n_trees=n_trees, max_depth=max_depth,
                       feature_frac=feature_frac, seed=seed, bootstrap=bootstrap)
+        expected = _model_bytes(_oracle_random_forest(X, y, **params)[0])
+        assert _model_bytes(learn.train_random_forest(X, y, **params)) == expected
+        assert _model_bytes(
+            learn.train_random_forest(csr_from_dense(X), y, **params)) == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_full_columns_match_the_oracle(self, seed):
+        # Every column stores every row, so no search has a zeros item.
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(40, 6))
+        y = ["ABC"[c] for c in rng.integers(0, 3, size=40)]
+        params = dict(n_trees=4, max_depth=5, seed=seed)
         expected = _model_bytes(_oracle_random_forest(X, y, **params)[0])
         assert _model_bytes(learn.train_random_forest(X, y, **params)) == expected
         assert _model_bytes(
