@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .features import CsrMatrix
 
-MODEL_VERSION = "model-v1"
+MODEL_VERSION = "model-v2"
 
 # The tie-break rules of majority_vote.
 TIE_BREAKS = ("MajorityClassPrior", "ClassOrder")
@@ -33,25 +34,21 @@ TIE_BREAKS = ("MajorityClassPrior", "ClassOrder")
 
 @dataclass
 class DecisionTree:
-    """One tree as parallel lists, its nodes in pre-order. Node i is a leaf
-    voting for class ``label[i]`` when ``feature[i]`` is -1. Otherwise a row
-    with ``x[feature[i]] < threshold[i]`` goes left, to node i + 1, and any
-    other row goes to node ``right[i]``."""
+    """One tree as parallel lists, its nodes in level order: the root, then
+    each depth's nodes left to right. Node i is a leaf voting for class
+    ``label[i]`` when ``feature[i]`` is -1. Otherwise a row with
+    ``x[feature[i]] < threshold[i]`` goes to node ``child[i]`` and any other
+    row to the node after it: the children of the k-th inner node are nodes
+    2k + 1 and 2k + 2."""
 
-    max_depth: int
     feature: list[int] = field(default_factory=list)
     threshold: list[float] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
     label: list[int] = field(default_factory=list)
 
-    def add(self, feature: int = -1, threshold: float = 0.0, label: int = -1) -> int:
-        """Append a node and return its index. The caller sets an inner
-        node's ``right`` once its left subtree is in place."""
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.right.append(-1)
-        self.label.append(label)
-        return len(self.feature) - 1
+    @cached_property
+    def child(self) -> list[int]:
+        """The left child of each inner node; meaningless at a leaf."""
+        return (2 * np.cumsum(np.asarray(self.feature) >= 0) - 1).tolist()
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,7 @@ class ZeroPaths:
                 if f not in tested:
                     tested.add(f)
                     first_test.setdefault(f, []).append((t, i))
-                i = i + 1 if 0.0 < tree.threshold[i] else tree.right[i]
+                i = tree.child[i] + (not 0.0 < tree.threshold[i])
             label.append(tree.label[i])
             votes[tree.label[i]] += 1
         return cls(label, votes, first_test)
@@ -93,17 +90,11 @@ class TrainedModel:
     weights: np.ndarray | None = None  # classes x dim
     bias: np.ndarray | None = None
     trees: list[DecisionTree] = field(default_factory=list)
-    # A forest's zero paths, indexed once its trees are complete: on
-    # construction, or by load_model once it has read them.
-    zero_paths: ZeroPaths | None = field(default=None, init=False, repr=False,
-                                         compare=False)
 
-    def __post_init__(self):
-        self.index_trees()
-
-    def index_trees(self) -> None:
-        if self.kind == "random_forest":
-            self.zero_paths = ZeroPaths.of(self.trees, len(self.classes))
+    @cached_property
+    def zero_paths(self) -> ZeroPaths:
+        """The forest's zero paths, indexed on first use."""
+        return ZeroPaths.of(self.trees, len(self.classes))
 
 
 def _encode_labels(y):
@@ -449,33 +440,13 @@ def _grow_trees(XT: CsrMatrix, y_idx, n_classes, n_trees, max_depth, n_feats,
         tree = np.repeat(tree[inner], 2)
         counts = np.stack((left[inner], counts[inner] - left[inner]),
                           axis=1).reshape(-1, n_classes)
-    return _pre_order(levels, n_trees, max_depth)
-
-
-def _pre_order(levels, n_trees, max_depth) -> list[DecisionTree]:
-    """The trees of ``levels``, each level's (tree, feature, threshold,
-    label) with the children of its i-th inner node at 2i and 2i + 1 of the
-    next level, in the pre-order lists of DecisionTree."""
-    sizes = [np.ones(0, dtype=np.int64)]  # subtree sizes, deepest level first
-    for _, feature, _, _ in reversed(levels):
-        size = np.ones(len(feature), dtype=np.int64)
-        size[feature >= 0] += sizes[-1][0::2] + sizes[-1][1::2]
-        sizes.append(size)
-    sizes.reverse()
-    # A node's place in its tree: its parent's + 1 on the left, and after
-    # the left sibling's subtree on the right.
-    place = np.zeros(n_trees, dtype=np.int64)
-    start = np.cumsum(sizes[0]) - sizes[0]  # of each tree's nodes in ``out``
-    out = [np.empty(int(sizes[0].sum()), dtype=d) for d in (int, float, int, int)]
-    for (tree, feature, threshold, label), size in zip(levels, sizes[1:]):
-        inner = feature >= 0
-        right = np.full(len(feature), -1)
-        right[inner] = place[inner] + 1 + size[0::2]
-        for column, values in zip(out, (feature, threshold, right, label)):
-            column[start[tree] + place] = values
-        place = np.stack((place[inner] + 1, right[inner]), axis=1).ravel()
-    return [DecisionTree(max_depth, *(column[lo:lo + m].tolist() for column in out))
-            for lo, m in zip(start.tolist(), sizes[0].tolist())]
+    # Each tree's nodes, level after level: a stable sort by tree.
+    tree, feature, threshold, label = map(np.concatenate, zip(*levels))
+    order = np.argsort(tree, kind="stable")
+    ends = np.cumsum(np.bincount(tree, minlength=n_trees)).tolist()
+    columns = [column[order].tolist() for column in (feature, threshold, label)]
+    return [DecisionTree(*(column[lo:hi] for column in columns))
+            for lo, hi in zip([0] + ends, ends)]
 
 
 def train_random_forest(X, y, n_trees: int = 100, max_depth: int = 16,
@@ -548,7 +519,7 @@ def predict(model: TrainedModel, X) -> list[str]:
         rows, cols = np.nonzero(A)
         X = CsrMatrix(A[rows, cols], cols, np.searchsorted(rows, np.arange(len(A) + 1)),
                       model.dim)
-    zero, labels = model.zero_paths, []
+    labels = []
     bounds = X.indptr.tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         cols, vals = X.indices[lo:hi], X.data[lo:hi]
@@ -557,6 +528,7 @@ def predict(model: TrainedModel, X) -> list[str]:
             labels.append(model.classes[int(np.argmax(scores))])
             continue
         row = dict(zip(cols.tolist(), vals.tolist()))
+        zero = model.zero_paths
         votes = zero.votes.copy()
         # Walk each tree from the first node of its zero path that tests a
         # feature the row stores. A row that stores as many features as the
@@ -572,9 +544,9 @@ def predict(model: TrainedModel, X) -> list[str]:
             start = dict.fromkeys(range(len(model.trees)), 0)
         for t, i in start.items():
             tree = model.trees[t]
-            feature, threshold, right = tree.feature, tree.threshold, tree.right
+            feature, threshold, child = tree.feature, tree.threshold, tree.child
             while (f := feature[i]) >= 0:
-                i = i + 1 if row.get(f, 0.0) < threshold[i] else right[i]
+                i = child[i] + (not row.get(f, 0.0) < threshold[i])
             votes[zero.label[t]] -= 1
             votes[tree.label[i]] += 1
         labels.append(model.classes[votes.index(max(votes))])
@@ -644,8 +616,8 @@ def ensemble_predict(models, x, tie_break: str = "MajorityClassPrior") -> str:
 def save_model(model: TrainedModel, path) -> None:
     """Versioned header plus decimal-text parameter payload: ``w`` and ``b``
     lines for a linear model; for a forest, a ``tree`` line per tree and then
-    its nodes in pre-order, ``n -1 <label>`` for a leaf and
-    ``n <feature> <threshold>`` for an inner node."""
+    its nodes in level order (see DecisionTree), ``n -1 <label>`` for a leaf
+    and ``n <feature> <threshold>`` for an inner node."""
     with open(path, "w", encoding="utf-8") as fh:
         hp = " ".join(f"{k}={v!r}" for k, v in sorted(model.hyperparams.items()))
         fh.write(
@@ -658,7 +630,7 @@ def save_model(model: TrainedModel, path) -> None:
             fh.write("b " + " ".join(repr(float(v)) for v in model.bias) + "\n")
         else:
             for tree in model.trees:
-                fh.write(f"tree {tree.max_depth}\n")
+                fh.write("tree\n")
                 for f, threshold, label in zip(tree.feature, tree.threshold, tree.label):
                     fh.write(f"n -1 {label}\n" if f < 0 else f"n {f} {threshold!r}\n")
 
@@ -675,7 +647,6 @@ def load_model(path) -> TrainedModel:
     end = body[-1][0] + 1 if body else 2  # the line after the last
     read = _read_trees if model.kind == "random_forest" else _read_linear
     read(model, body, path, end)
-    model.index_trees()
     return model
 
 
@@ -720,37 +691,39 @@ def _read_linear(model: TrainedModel, body, path, end) -> None:
 
 def _read_trees(model: TrainedModel, body, path, end) -> None:
     """Append a forest's trees from its numbered lines: a ``tree`` line, then
-    the tree's nodes in pre-order (see ``save_model``)."""
-    tree = None  # the tree being read, until its last leaf
-    open_left = []  # its inner nodes whose left subtree is being read
+    the tree's nodes in level order (see ``save_model``). A tree ends when
+    no node is left unread: the root, and two children per inner node."""
+    unread = 0  # nodes of the tree being read
     for line_no, (tag, *values) in body:
         try:
-            if tag not in ("tree", "n") or len(values) != (1 if tag == "tree" else 2):
+            if tag not in ("tree", "n") or len(values) != (0 if tag == "tree" else 2):
                 raise ValueError(f"malformed line {' '.join([tag, *values])!r}")
             if tag == "tree":
-                if tree is not None:
+                if unread:
                     raise ValueError(f"tree {len(model.trees)} ends before its last leaf")
-                tree = DecisionTree(int(values[0]))
-                model.trees.append(tree)
-            elif tree is None:
+                model.trees.append(tree := DecisionTree())
+                unread = 1
+                continue
+            if not unread:
                 raise ValueError("node line outside a tree")
-            elif values[0] == "-1":
+            f = int(values[0])
+            if f == -1:
                 label = int(values[1])
                 if not 0 <= label < len(model.classes):
                     raise ValueError(f"leaf label {label} is not a class index")
-                tree.add(label=label)
-                if open_left:
-                    tree.right[open_left.pop()] = len(tree.feature)
-                else:
-                    tree = None
+                threshold = 0.0
+            elif not 0 <= f < model.dim:
+                raise ValueError(f"feature {f} out of range for dim {model.dim}")
             else:
-                f = int(values[0])
-                if not 0 <= f < model.dim:
-                    raise ValueError(f"feature {f} out of range for dim {model.dim}")
-                open_left.append(tree.add(feature=f, threshold=_finite(values[1:])[0]))
+                label, threshold = -1, _finite(values[1:])[0]
+                unread += 2
+            unread -= 1
+            tree.feature.append(f)
+            tree.threshold.append(threshold)
+            tree.label.append(label)
         except ValueError as e:
             raise MalformedFile(path, line_no, e) from None
-    if tree is not None:
+    if unread:
         raise MalformedFile(path, end, f"tree {len(model.trees)} ends before its last leaf")
     n_trees = model.hyperparams.get("n_trees", len(model.trees))
     if not model.trees or len(model.trees) != n_trees:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__, corpus, features, langid, learn, metrics, textprep, translit
 from .corpus import DatasetLang, Label
-from .errors import ConfigError, HopedetectError, MalformedFile, StageError
+from .errors import ConfigError, HopedetectError, MalformedFile, StageError, TooFewRows
 
 MANIFEST_VERSION = "manifest-v1"
 
@@ -163,6 +163,10 @@ def fit(cfg: PipelineConfig, train_rows) -> FittedPipeline:
     # Binary classifier training set: positions of the gold Hope/NotHope rows.
     binary = [i for i, r in enumerate(train_rows)
               if r.label in (Label.HOPE, Label.NOT_HOPE)]
+    if len(binary) < 2:
+        rows = "row" if len(binary) == 1 else "rows"
+        raise StageError("fit", TooFewRows(
+            f"{len(binary)} Hope/NotHope {rows} to train on, need at least 2"))
     vocab = None
     if cfg.feature_mode == "tfidf":
         texts = [train_proc[i].text for i in binary]

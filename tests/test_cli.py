@@ -200,11 +200,11 @@ class TestBundle:
         assert run_cli("train", "--lang", "en", "--epochs", "10", "--out", str(bundle),
                        str(FIXTURES / "en_train.tsv")) == 0
         model = bundle / "member-0.model"
-        model.write_text(model.read_text().replace("# model-v1", "# model-v0", 1))
+        model.write_text(model.read_text().replace("# model-v2", "# model-v1", 1))
         code = run_cli("predict", "--lang", "en", "--model", str(bundle),
                        "--out", str(tmp_path / "p.txt"), str(FIXTURES / "en_test.tsv"))
         assert code == 2
-        assert "member-0.model: line 1: not a model-v1 header" in capsys.readouterr().err
+        assert "member-0.model: line 1: not a model-v2 header" in capsys.readouterr().err
         assert not (tmp_path / "p.txt").exists()
 
     def test_non_finite_weight_is_an_input_error(self, tmp_path, capsys):
@@ -610,6 +610,24 @@ class TestRun:
         err = capsys.readouterr().err
         test = tmp_path / "test.tsv"
         assert f"[load-test] {test}: line 3: unknown label 'Maybe_hope'" in err
+
+    @pytest.mark.parametrize("n_binary,mode", [
+        (0, "tfidf"), (1, "tfidf"), (1, "embeddings")])
+    def test_too_few_hope_rows_name_the_cause(self, tmp_path, capsys, n_binary, mode):
+        train = tmp_path / "train.tsv"
+        train.write_text("hello friends\tnot-Tamil\nsee you\tnot-Tamil\n"
+                         + "nambikkai irukku\tHope_speech\n" * n_binary, encoding="utf-8")
+        flags = []
+        if mode == "embeddings":
+            emb = tmp_path / "train.emb"
+            emb.write_text("0.5 0.25\n" * (2 + n_binary))
+            flags = ["--train-embeddings", str(emb), "--test-embeddings", str(emb)]
+        code = run_cli("run", "--lang", "ta", *flags, "--out", str(tmp_path / "out"),
+                       str(train), str(train))
+        assert code == 2
+        rows = "row" if n_binary == 1 else "rows"
+        assert (f"input error: [fit] {n_binary} Hope/NotHope {rows} to train on, "
+                "need at least 2") in capsys.readouterr().err
 
     def test_unlabeled_test_file(self, tmp_path):
         lines = (FIXTURES / "en_test.tsv").read_text(encoding="utf-8").splitlines()

@@ -400,12 +400,12 @@ class TestRandomForest:
 
 # ---------------------------------------------------------------------------
 # Oracle trees: the node objects and their walk, as trees were stored and
-# walked before the flat pre-order lists.
+# walked before the flat lists.
 
 
 @dataclass
 class _Node:
-    """A tree node, as trees were stored before the flat pre-order lists."""
+    """A tree node, as trees were stored before the flat lists."""
 
     feature: int = -1  # -1 marks a leaf
     threshold: float = 0.0
@@ -421,13 +421,24 @@ def _node_walk(node: _Node, x) -> int:
     return node.label
 
 
-def _flatten(node: _Node, tree: learn.DecisionTree) -> None:
-    """Append the subtree at ``node`` to ``tree`` in pre-order."""
-    i = tree.add(node.feature, node.threshold, node.label)
-    if node.feature >= 0:
-        _flatten(node.left, tree)
-        tree.right[i] = len(tree.feature)
-        _flatten(node.right, tree)
+def _flatten(root: _Node) -> learn.DecisionTree:
+    """The tree at ``root`` in level order: breadth-first, left to right."""
+    tree = learn.DecisionTree()
+    queue = [root]
+    for node in queue:  # grows as inner nodes are met
+        tree.feature.append(node.feature)
+        tree.threshold.append(node.threshold)
+        tree.label.append(node.label)
+        if node.feature >= 0:
+            queue += [node.left, node.right]
+    return tree
+
+
+def _left_children(tree: learn.DecisionTree) -> dict[int, int]:
+    """Inner node i's left child, counted in a loop: 2k + 1 for the k-th
+    inner node in level order; the right child is the node after it."""
+    inner = [i for i, f in enumerate(tree.feature) if f >= 0]
+    return {i: 2 * k + 1 for k, i in enumerate(inner)}
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +511,7 @@ def _oracle_random_forest(X, y, n_trees=100, max_depth=16, feature_frac=None,
         sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
         roots.append(_oracle_grow_tree(Xm, y_idx, len(class_names), np.asarray(sample),
                                        max_depth, n_feats, rng))
-        trees.append(learn.DecisionTree(max_depth))
-        _flatten(roots[-1], trees[-1])
+        trees.append(_flatten(roots[-1]))
     model = learn.TrainedModel(
         kind="random_forest", classes=class_names, dim=dim, train_seed=seed,
         hyperparams={"n_trees": n_trees, "max_depth": max_depth,
@@ -588,7 +598,7 @@ def _round_trip(model):
 
 
 class TestFlatTreeOracle:
-    """The flat pre-order trees against the node objects they replaced."""
+    """The flat level-order trees against the node objects they replaced."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n=st.integers(1, 14), dim=st.integers(1, 5),
@@ -665,9 +675,9 @@ def _walk_votes(model, x):
     """The label of dense row x, walking every tree from its root."""
     votes = [0] * len(model.classes)
     for tree in model.trees:
-        i = 0
+        left, i = _left_children(tree), 0
         while tree.feature[i] >= 0:
-            i = i + 1 if x[tree.feature[i]] < tree.threshold[i] else tree.right[i]
+            i = left[i] if x[tree.feature[i]] < tree.threshold[i] else left[i] + 1
         votes[tree.label[i]] += 1
     raw = [v / len(model.trees) for v in votes]
     return model.classes[max(range(len(raw)), key=raw.__getitem__)]
@@ -683,20 +693,19 @@ _CELLS = st.one_of(st.sampled_from([-0.0, np.nan, -1.0, 0.25]), _THRESHOLDS)
 
 def _random_tree(data, dim, n_classes, max_depth):
     """A tree of random shape, features, thresholds and labels, grown in
-    pre-order as the trainer and load_model grow theirs."""
-    tree = learn.DecisionTree(max_depth)
-
-    def grow(depth):
+    level order as the trainer and load_model grow theirs."""
+    tree = learn.DecisionTree()
+    depths = [0]
+    for depth in depths:  # grows as inner nodes are drawn
         if depth == max_depth or data.draw(st.integers(0, 3)) == 0:
-            tree.add(label=data.draw(st.integers(0, n_classes - 1)))
-            return
-        node = tree.add(feature=data.draw(st.integers(0, dim - 1)),
-                        threshold=data.draw(_THRESHOLDS))
-        grow(depth + 1)
-        tree.right[node] = len(tree.feature)
-        grow(depth + 1)
-
-    grow(0)
+            f, threshold, label = -1, 0.0, data.draw(st.integers(0, n_classes - 1))
+        else:
+            f, threshold, label = (data.draw(st.integers(0, dim - 1)),
+                                   data.draw(_THRESHOLDS), -1)
+            depths += [depth + 1, depth + 1]
+        tree.feature.append(f)
+        tree.threshold.append(threshold)
+        tree.label.append(label)
     return tree
 
 
@@ -729,15 +738,15 @@ class TestZeroPathOracle:
     def test_zero_paths_follow_the_trees(self):
         # Tree 0 tests feature 2 at node 0 and feature 0 at node 1 on its
         # zero path (0.0 < 0.5 goes left, 0.0 < 0.0 does not); tree 1 is a
-        # single leaf; tree 2 tests feature 1 twice, at nodes 0 and 1.
-        trees = [learn.DecisionTree(2, feature=[2, 0, -1, -1, -1],
+        # single leaf; tree 2 tests feature 1 twice, at nodes 0 and 1. The
+        # children of node 0 are nodes 1 and 2, those of node 1 nodes 3 and 4.
+        trees = [learn.DecisionTree(feature=[2, 0, -1, -1, -1],
                                     threshold=[0.5, 0.0, 0.0, 0.0, 0.0],
-                                    right=[4, 3, -1, -1, -1], label=[-1, -1, 0, 1, 0]),
-                 learn.DecisionTree(0, feature=[-1], threshold=[0.0], right=[-1],
-                                    label=[1]),
-                 learn.DecisionTree(2, feature=[1, 1, -1, -1, -1],
+                                    label=[-1, -1, 0, 0, 1]),
+                 learn.DecisionTree(feature=[-1], threshold=[0.0], label=[1]),
+                 learn.DecisionTree(feature=[1, 1, -1, -1, -1],
                                     threshold=[0.5, 0.25, 0.0, 0.0, 0.0],
-                                    right=[4, 3, -1, -1, -1], label=[-1, -1, 0, 1, 1])]
+                                    label=[-1, -1, 1, 0, 1])]
         model = learn.TrainedModel(kind="random_forest", classes=["A", "B"], dim=3,
                                    train_seed=0, trees=trees)
         assert model.zero_paths == learn.ZeroPaths(
@@ -792,9 +801,9 @@ def _one_row_predict(model, x):
             start = dict.fromkeys(range(len(model.trees)), 0)
         for t, i in start.items():
             tree = model.trees[t]
-            feature, threshold, right = tree.feature, tree.threshold, tree.right
+            feature, threshold, child = tree.feature, tree.threshold, tree.child
             while (f := feature[i]) >= 0:
-                i = i + 1 if row.get(f, 0.0) < threshold[i] else right[i]
+                i = child[i] if row.get(f, 0.0) < threshold[i] else child[i] + 1
             votes[zero.label[t]] -= 1
             votes[tree.label[i]] += 1
         raw = [v / len(model.trees) for v in votes]
@@ -877,8 +886,8 @@ class TestPredict:
             learn.predict(model, np.zeros(2))
 
     def test_forest_vote_tie_goes_to_first_class(self):
-        trees = [learn.DecisionTree(1, feature=[-1], threshold=[0.0], right=[-1],
-                                    label=[label]) for label in (1, 0, 2, 1, 0)]
+        trees = [learn.DecisionTree(feature=[-1], threshold=[0.0], label=[label])
+                 for label in (1, 0, 2, 1, 0)]
         model = learn.TrainedModel(kind="random_forest", classes=["A", "B", "C"],
                                    dim=1, train_seed=0, trees=trees)
         assert learn.predict(model, np.zeros((1, 1))) == ["A"]
@@ -895,6 +904,7 @@ class TestPredict:
         for rows in (X[:1], csr[0:1], csr[[0]]):
             assert learn.predict(model, rows) == ["B"]
         assert learn.predict(model, csr[0:0]) == learn.predict(model, X[:0]) == []
+        assert "zero_paths" not in vars(model)  # a linear model indexes no trees
         for rows in (X[0], csr[0], X[:, :2], csr_from_dense(X[:, :2]), X[None]):
             with pytest.raises(DimensionMismatch, match=r"rows of shape .* for model dim 3"):
                 learn.predict(model, rows)
@@ -1048,9 +1058,9 @@ class TestModelIO:
 
 
 # ---------------------------------------------------------------------------
-# Golden model files: a forest and a logreg model trained on the en fixtures
-# by the code before trees became flat lists, with the labels they gave the
-# en_test.tsv rows.
+# Golden model files: a forest and a logreg model trained on the en fixtures,
+# with the labels they gave the en_test.tsv rows. A new file format rewrites
+# the .model files; the .labels files stay as they are.
 
 GOLDEN = FIXTURES / "golden"
 
@@ -1076,14 +1086,18 @@ def _damaged(damage):
     the line the error must name."""
     forest, logreg = ((GOLDEN / f"{name}.model").read_text().splitlines(keepends=True)
                       for name in ("forest", "logreg"))
-    trees = [i for i, ln in enumerate(forest) if ln.startswith("tree ")]
+    trees = [i for i, ln in enumerate(forest) if ln == "tree\n"]
     second, last = trees[1], trees[-1]
     name, lines, line_no = {
-        "bad header": ("forest", [forest[0].replace("model-v1", "model-v0")]
+        # A file of the previous format, whose trees were in pre-order.
+        "bad header": ("forest", [forest[0].replace("model-v2", "model-v1")]
                        + forest[1:], 1),
         # The first tree loses its last leaf: the next tree line is the fault.
         "truncated tree": ("forest", forest[:second - 1] + forest[second:], second),
         "truncated last tree": ("forest", forest[:-1], len(forest)),
+        # The first tree gains a leaf after its last one.
+        "node after last leaf": ("forest", forest[:second] + ["n -1 0\n"]
+                                 + forest[second:], second + 1),
         "missing tree": ("forest", forest[:last], last + 1),
         "malformed n line": ("forest", forest[:2] + ["n 34\n"] + forest[3:], 3),
         "leaf label out of range": ("forest", forest[:-1] + ["n -1 2\n"], len(forest)),
@@ -1138,8 +1152,8 @@ class TestGoldenModels:
         assert _model_bytes(model) == (GOLDEN / "forest.model").read_bytes()
 
     @pytest.mark.parametrize("damage", [
-        "bad header", "truncated tree", "truncated last tree", "missing tree",
-        "malformed n line", "leaf label out of range", "missing b line", "short w line"])
+        "bad header", "truncated tree", "truncated last tree", "node after last leaf",
+        "missing tree", "malformed n line", "leaf label out of range", "missing b line", "short w line"])
     def test_damaged_file_names_its_line(self, tmp_path, damage):
         name, text, line_no = _damaged(damage)
         path = tmp_path / f"{name}.model"
