@@ -41,9 +41,11 @@ def _pipeline_config(args) -> pipeline.PipelineConfig:
             if key not in args.setting_fields:
                 raise ConfigError(f"{args.config}:{line_no}: unknown key {key!r}")
             name = args.setting_fields[key]
+            if name in settings:
+                raise ConfigError(f"{args.config}:{line_no}: repeated key {key!r}")
             parse = types[name] if types[name] in (int, float) else str.strip
             try:
-                settings.setdefault(name, parse(value))
+                settings[name] = parse(value)
             except ValueError:
                 raise ConfigError(f"{args.config}:{line_no}: bad {key} value "
                                   f"{value.strip()!r} (expected {parse.__name__})") from None

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import (
-    BadFraction,
-    EmptyFile,
-    MalformedFile,
-    MalformedRow,
-    TooFewRows,
-    UnknownLabel,
-    UnlabeledInput,
-)
+from .errors import HopedetectError, MalformedFile
 
 # PRNG pinned to CPython's Mersenne Twister shuffle; recorded in manifests so
 # ensemble members stay reproducible across machines.
@@ -68,7 +60,7 @@ def parse_label(raw: str, line_no: int | None = None, path=None) -> Label:
     try:
         return _LABEL_ALIASES[key]
     except KeyError:
-        raise UnknownLabel(raw, line_no, path) from None
+        raise MalformedFile(path, line_no, f"unknown label {raw!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,33 +85,28 @@ def load_tsv(path, *, labeled: bool | None = True) -> list[LabeledComment]:
     file first.
     """
     rows: list[LabeledComment] = []
-    try:
-        for line_no, line in utf8_lines(path):
-            if line == "":
-                continue
-            if labeled is None:
-                labeled = "\t" in line
-            if labeled:
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise MalformedRow(
-                        path, line_no,
-                        f"expected 2 tab-separated fields, got {len(fields)}")
-                text, raw_label = fields
-                label = parse_label(raw_label, line_no, path)
-            else:
-                if "\t" in line:
-                    raise MalformedRow(path, line_no, "unexpected tab in unlabeled row")
-                text, label = line, None
-            if text.strip() == "":
-                raise MalformedRow(path, line_no, "empty text field")
-            rows.append(LabeledComment(len(rows), text, label))
-    except MalformedRow:
-        raise
-    except MalformedFile as e:  # from utf8_lines
-        raise MalformedRow(path, e.line_no, "not valid UTF-8") from None
+    for line_no, line in utf8_lines(path):
+        if line == "":
+            continue
+        if labeled is None:
+            labeled = "\t" in line
+        if labeled:
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise MalformedFile(
+                    path, line_no,
+                    f"expected 2 tab-separated fields, got {len(fields)}")
+            text, raw_label = fields
+            label = parse_label(raw_label, line_no, path)
+        else:
+            if "\t" in line:
+                raise MalformedFile(path, line_no, "unexpected tab in unlabeled row")
+            text, label = line, None
+        if text.strip() == "":
+            raise MalformedFile(path, line_no, "empty text field")
+        rows.append(LabeledComment(len(rows), text, label))
     if not rows:
-        raise EmptyFile(f"{path}: no data lines")
+        raise HopedetectError(f"{path}: no data lines")
     return rows
 
 
@@ -159,7 +146,7 @@ def compute_stats(data: list[LabeledComment]) -> DatasetStats:
     counts = {label: 0 for label in Label}
     for row in data:
         if row.label is None:
-            raise UnlabeledInput(f"row {row.id} has no label")
+            raise HopedetectError(f"row {row.id} has no label")
         counts[row.label] += 1
     ratio = None
     if counts[Label.NOT_HOPE] > 0:
@@ -174,9 +161,9 @@ def split_positions(n: int, seed: int, fraction_train) -> tuple[list[int], list[
     """
     fraction = Fraction(fraction_train).limit_denominator(10**9)
     if not 0 < fraction < 1:
-        raise BadFraction(f"fraction_train must be in (0,1), got {fraction_train}")
+        raise HopedetectError(f"fraction_train must be in (0,1), got {fraction_train}")
     if n < 2:
-        raise TooFewRows(f"need at least 2 rows, got {n}")
+        raise HopedetectError(f"need at least 2 rows, got {n}")
     order = list(range(n))
     random.Random(seed).shuffle(order)
     n_train = math.ceil(fraction * n)

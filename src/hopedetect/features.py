@@ -15,14 +15,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .corpus import utf8_lines
-from .errors import (
-    DimensionMismatch,
-    EmptyCorpus,
-    EmptyVocabulary,
-    MalformedFile,
-    NonNumericValue,
-    RowCountMismatch,
-)
+from .errors import HopedetectError, MalformedFile
 
 VOCAB_VERSION = "vocab-v1"
 
@@ -122,14 +115,14 @@ class CsrMatrix:
 
 def build_vocab(docs, min_df: int = 1) -> Vocabulary:
     if not docs:
-        raise EmptyCorpus("no documents")
+        raise HopedetectError("no documents")
     df: dict[str, int] = {}
     for doc in docs:
         for term in set(doc.split()):
             df[term] = df.get(term, 0) + 1
     kept = sorted(t for t, c in df.items() if c >= min_df)
     if not kept:
-        raise EmptyVocabulary(f"no term reaches document frequency {min_df}")
+        raise HopedetectError(f"no term reaches document frequency {min_df}")
     index = {t: i for i, t in enumerate(kept)}
     return Vocabulary(
         index=index,
@@ -239,20 +232,17 @@ def load_embeddings(path, dim: int | None = None,
         if dim is None:
             dim = len(tokens)
         if len(tokens) != dim:
-            raise DimensionMismatch(f"expected {dim} values, got {len(tokens)}",
-                                    line_no, path)
+            raise MalformedFile(path, line_no, f"expected {dim} values, got {len(tokens)}")
         try:
             vector = [float(t) for t in tokens]
             if not all(map(math.isfinite, vector)):
                 raise ValueError
         except ValueError:
             bad = next(t for t in tokens if not _is_finite(t))
-            raise NonNumericValue(path, bad, line_no) from None
+            raise MalformedFile(path, line_no, f"{bad!r} is not a finite number") from None
         vectors.append(vector)
     if n_rows is not None and len(vectors) != n_rows:
-        raise RowCountMismatch(
-            f"{path}: {len(vectors)} vectors for {n_rows} dataset rows"
-        )
+        raise HopedetectError(f"{path}: {len(vectors)} vectors for {n_rows} dataset rows")
     return np.array(vectors, dtype=float).reshape(len(vectors), dim or 0)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import textprep
 from .corpus import DatasetLang, utf8_lines
-from .errors import EmptyCorpus, MalformedFile
+from .errors import HopedetectError, MalformedFile
 
 PROFILE_VERSION = "langprofile-v1"
 
@@ -47,7 +47,7 @@ def _char_ngrams(text: str, n: int) -> list[str]:
 def train_profile(corpus, lang: str, n: int = 3, alpha: float = 0.5) -> LanguageProfile:
     """Count character n-grams over the corpus and smooth with add-alpha."""
     if not corpus:
-        raise EmptyCorpus("training corpus is empty")
+        raise HopedetectError("training corpus is empty")
     if not 1 <= n <= 3:
         raise ValueError(f"n must be in 1..3, got {n}")
     if alpha <= 0:

@@ -16,14 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .corpus import Label, parse_label, split_positions, utf8_lines
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    EmptyPredictions,
-    MalformedFile,
-    RowCountMismatch,
-    SingleClass,
-)
+from .errors import ConfigError, HopedetectError, MalformedFile
 from .features import CsrMatrix
 
 MODEL_VERSION = "model-v2"
@@ -105,11 +98,9 @@ def _encode_labels(y):
 
 def _check_training_input(X: np.ndarray, y_idx: np.ndarray, n_classes: int):
     if X.shape[0] != len(y_idx) or X.shape[0] < 2:
-        raise DimensionMismatch(
-            f"{X.shape[0]} vectors vs {len(y_idx)} labels (need >= 2 rows)"
-        )
+        raise HopedetectError(f"{X.shape[0]} vectors vs {len(y_idx)} labels (need >= 2 rows)")
     if n_classes < 2:
-        raise SingleClass("training data contains a single class")
+        raise HopedetectError("training data contains a single class")
 
 
 def _descend(kind, X, class_names, seed, hyperparams, gradient) -> TrainedModel:
@@ -478,7 +469,7 @@ def train_random_forest(X, y, n_trees: int = 100, max_depth: int = 16,
     y_idx, class_names = _encode_labels(y)
     dim, n = XT.shape
     if n != len(y_idx) or n < 1:
-        raise DimensionMismatch(f"{n} vectors vs {len(y_idx)} labels")
+        raise HopedetectError(f"{n} vectors vs {len(y_idx)} labels")
     if feature_frac is None:
         n_feats = max(1, int(np.ceil(np.sqrt(dim))))
         feature_frac = n_feats / dim
@@ -513,7 +504,7 @@ def predict(model: TrainedModel, X) -> list[str]:
     """
     shape = X.shape if isinstance(X, CsrMatrix) else np.shape(X)
     if len(shape) != 2 or shape[1] != model.dim:
-        raise DimensionMismatch(f"rows of shape {shape} for model dim {model.dim}")
+        raise HopedetectError(f"rows of shape {shape} for model dim {model.dim}")
     if not isinstance(X, CsrMatrix):
         A = np.asarray(X, dtype=float)
         rows, cols = np.nonzero(A)
@@ -562,7 +553,7 @@ def majority_vote(predictions, tie_break: str = "MajorityClassPrior") -> str:
     """
     preds = [str(p.value) if isinstance(p, Label) else str(p) for p in predictions]
     if not preds:
-        raise EmptyPredictions("no votes")
+        raise HopedetectError("no votes")
     counts: dict[str, int] = {}
     for p in preds:
         counts[p] = counts.get(p, 0) + 1
@@ -750,7 +741,7 @@ def _parse_number(text: str) -> int | float:
 
 def load_external_predictions(paths, n_rows: int):
     """Read k prediction files (one label alias or class name per line) into
-    a k x n matrix. A bad label is an UnknownLabel naming its file and line."""
+    a k x n matrix. A bad label is a MalformedFile naming its file and line."""
     matrix = []
     for path in paths:
         labels = []
@@ -760,6 +751,6 @@ def load_external_predictions(paths, n_rows: int):
                 continue
             labels.append(parse_label(line, line_no, path).value)
         if len(labels) != n_rows:
-            raise RowCountMismatch(f"{path}: {len(labels)} rows, expected {n_rows}")
+            raise HopedetectError(f"{path}: {len(labels)} rows, expected {n_rows}")
         matrix.append(labels)
     return matrix

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import LengthMismatch, UnknownLabel
+from .errors import HopedetectError
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,14 @@ def confusion(gold, pred, classes) -> ConfusionMatrix:
     pred = [str(p) for p in pred]
     classes = [str(c) for c in classes]
     if len(gold) != len(pred) or not gold:
-        raise LengthMismatch(f"{len(gold)} gold vs {len(pred)} predicted labels")
+        raise HopedetectError(f"{len(gold)} gold vs {len(pred)} predicted labels")
     index = {c: i for i, c in enumerate(classes)}
     counts = [[0] * len(classes) for _ in classes]
     for g, p in zip(gold, pred):
         if g not in index:
-            raise UnknownLabel(g)
+            raise HopedetectError(f"unknown label {g!r}")
         if p not in index:
-            raise UnknownLabel(p)
+            raise HopedetectError(f"unknown label {p!r}")
         counts[index[g]][index[p]] += 1
     return ConfusionMatrix(classes=classes, counts=counts)
 

@@ -14,13 +14,14 @@ with it. ``run_pipeline`` is the two in one process; ``save_bundle`` and
 from __future__ import annotations
 
 import hashlib
+import math
 import shutil
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__, corpus, features, langid, learn, metrics, textprep, translit
 from .corpus import DatasetLang, Label
-from .errors import ConfigError, HopedetectError, MalformedFile, StageError, TooFewRows
+from .errors import ConfigError, HopedetectError, MalformedFile, StageError
 
 MANIFEST_VERSION = "manifest-v1"
 
@@ -73,10 +74,18 @@ class PipelineConfig:
             raise ConfigError(f"unknown classifier {self.classifier!r}")
         if self.tie_break not in learn.TIE_BREAKS:
             raise ConfigError(f"unknown tie_break {self.tie_break!r}")
-        for name in ("k", "n_trees", "min_df"):
+        # Every number setting is finite (nan fails each comparison).
+        for name, least in (("k", 1), ("n_trees", 1), ("min_df", 1), ("epochs", 1),
+                            ("max_depth", 0), ("l2", 0)):
             value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+            if not least <= value < math.inf:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
+        for name in ("lr", "svm_c"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be > 0, got {value}")
+        if not 0 < self.fraction_train < 1:
+            raise ConfigError(f"fraction_train must be in (0,1), got {self.fraction_train}")
         if not 0 < self.script_threshold <= 1:
             raise ConfigError(f"script threshold out of range: {self.script_threshold}")
 
@@ -165,8 +174,8 @@ def fit(cfg: PipelineConfig, train_rows) -> FittedPipeline:
               if r.label in (Label.HOPE, Label.NOT_HOPE)]
     if len(binary) < 2:
         rows = "row" if len(binary) == 1 else "rows"
-        raise StageError("fit", TooFewRows(
-            f"{len(binary)} Hope/NotHope {rows} to train on, need at least 2"))
+        raise StageError("fit", f"{len(binary)} Hope/NotHope {rows} to train on, "
+                                "need at least 2")
     vocab = None
     if cfg.feature_mode == "tfidf":
         texts = [train_proc[i].text for i in binary]

@@ -554,6 +554,17 @@ class TestRun:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("content,line_no,key", [
+        ("k=3\n# again\nk=5\n", 3, "k"),
+        ("epochs=40\nseed=2\n epochs = 40\n", 3, "epochs"),
+    ])
+    def test_repeated_config_key_exit_3(self, tmp_path, capsys, content, line_no, key):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(content)
+        assert self._run_en(tmp_path / "o", "--config", str(cfg)) == 3
+        assert capsys.readouterr().err == f"config error: {cfg}:{line_no}: repeated key {key!r}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("content,line_no", [
         (b"\xff=1\n", 1),
         (b"k=3\n\xff=1\n", 2),
@@ -638,6 +649,40 @@ class TestRun:
         assert not (out / "report.tsv").exists()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--max-depth", "-1", "max_depth must be >= 0, got -1"),
+    ("--epochs", "0", "epochs must be >= 1, got 0"),
+    ("--lr", "0", "lr must be > 0, got 0.0"),
+    ("--lr", "-1", "lr must be > 0, got -1.0"),
+    ("--lr", "inf", "lr must be > 0, got inf"),
+    ("--lr", "nan", "lr must be > 0, got nan"),
+    ("--l2", "-5", "l2 must be >= 0, got -5.0"),
+    ("--l2", "nan", "l2 must be >= 0, got nan"),
+    ("--svm-c", "-1", "svm_c must be > 0, got -1.0"),
+    ("--svm-c", "0", "svm_c must be > 0, got 0.0"),
+    ("--fraction-train", "1.5", "fraction_train must be in (0,1), got 1.5"),
+    ("--fraction-train", "0", "fraction_train must be in (0,1), got 0.0"),
+    ("--fraction-train", "nan", "fraction_train must be in (0,1), got nan"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_out_of_range_setting_exit_3(tmp_path, capsys, command, source, flag, value,
+                                     message):
+    # Refused before anything is written, whichever classifier would use it.
+    settings = [flag, value]
+    if source == "config":
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(f"{flag[2:].replace('-', '_')}={value}\n")
+        settings = ["--config", str(cfg)]
+    inputs = [str(FIXTURES / "en_train.tsv")]
+    if command == "run":
+        inputs.append(str(FIXTURES / "en_test.tsv"))
+    out = tmp_path / "out"
+    code = run_cli(command, "--lang", "en", *settings, "--out", str(out), *inputs)
+    assert (code, capsys.readouterr().err) == (3, f"config error: {message}\n")
+    assert not out.exists()
+
+
 def _non_utf8_case(tmp_path, command):
     """(argv, bad file, its bad line, exit code) of ``command`` reading a
     file whose bad line holds a byte that is not UTF-8."""
@@ -687,6 +732,97 @@ def test_non_utf8_input_names_its_line(tmp_path, capsys, command):
     argv, bad, line_no, exit_code = _non_utf8_case(tmp_path, command)
     assert run_cli(*argv) == exit_code
     assert f"{bad}: line {line_no}: not valid UTF-8" in capsys.readouterr().err
+
+
+class TestInputErrorLines:
+    """The whole stderr output, and exit 2, of each input error the CLI can
+    reach in a data, embedding or prediction file or in the training set."""
+
+    def _error(self, capsys, *argv):
+        assert run_cli(*argv) == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("content,detail", [
+        ("", "no data lines"),
+        ("\n\n", "no data lines"),
+        ("a\tb\tHope_speech\n", "line 1: expected 2 tab-separated fields, got 3"),
+        ("hope wins\tHope_speech\n \tHope_speech\n", "line 2: empty text field"),
+        ("hope wins\tHope_speech\nperhaps\tmaybe\n", "line 2: unknown label 'maybe'"),
+    ])
+    def test_stats_data_file(self, tmp_path, capsys, content, detail):
+        path = tmp_path / "data.tsv"
+        path.write_text(content, encoding="utf-8")
+        assert self._error(capsys, "stats", str(path)) == f"input error: {path}: {detail}\n"
+
+    @pytest.mark.parametrize("train,test,stage,detail", [
+        ("", "hope\n", "load-train", "no data lines"),
+        ("hope wins\tHope_speech\nno way\tNon_hope_speech\n",
+         "first comment\nsecond\tHope_speech\n", "load-test",
+         "line 2: unexpected tab in unlabeled row"),
+    ])
+    def test_run_data_file(self, tmp_path, capsys, train, test, stage, detail):
+        paths = {"train": tmp_path / "train.tsv", "test": tmp_path / "test.tsv"}
+        paths["train"].write_text(train, encoding="utf-8")
+        paths["test"].write_text(test, encoding="utf-8")
+        path = paths[stage.removeprefix("load-")]
+        assert self._error(capsys, "run", "--lang", "en", "--out", str(tmp_path / "o"),
+                           str(paths["train"]), str(paths["test"])) == \
+            f"input error: [{stage}] {path}: {detail}\n"
+
+    @pytest.mark.parametrize("train,flags,message", [
+        ("a b\tHope_speech\n" * 3, [], "training data contains a single class"),
+        ("a b\tHope_speech\nc d\tNon_hope_speech\n", [],
+         "1 vectors vs 1 labels (need >= 2 rows)"),
+        ("a b\tHope_speech\nc d\tNon_hope_speech\n" * 2, ["--min-df", "3"],
+         "no term reaches document frequency 3"),
+    ], ids=["single-class", "one-row-member", "min-df"])
+    def test_training_set(self, tmp_path, capsys, train, flags, message):
+        path = tmp_path / "train.tsv"
+        path.write_text(train, encoding="utf-8")
+        assert self._error(capsys, "train", "--lang", "en", *flags, "--epochs", "10",
+                           "--out", str(tmp_path / "bundle"), str(path)) == \
+            f"input error: {message}\n"
+        assert not (tmp_path / "bundle").exists()
+
+    @pytest.mark.parametrize("which,line_no,line,detail", [
+        ("test", 3, "0.5 0.25 0.125", "line 3: expected 2 values, got 3"),
+        ("test", 3, "0.5 nan", "line 3: 'nan' is not a finite number"),
+        ("test", 3, None, "24 vectors for 25 dataset rows"),
+        ("train", 1, "0.5 x", "line 1: 'x' is not a finite number"),
+        ("train", 1, None, "51 vectors for 52 dataset rows"),
+    ])
+    def test_embedding_file(self, tmp_path, capsys, which, line_no, line, detail):
+        # A line of None is left out of the file.
+        lines = {"train": ["0.5 0.25"] * 52, "test": ["0.25 0.5"] * 25}
+        lines[which][line_no - 1:line_no] = [] if line is None else [line]
+        paths = {}
+        for name, rows in lines.items():
+            paths[name] = tmp_path / f"{name}.emb"
+            paths[name].write_text("".join(row + "\n" for row in rows))
+        assert self._error(capsys, "run", "--lang", "en", "--epochs", "10",
+                           "--train-embeddings", str(paths["train"]),
+                           "--test-embeddings", str(paths["test"]),
+                           "--out", str(tmp_path / "o"),
+                           str(FIXTURES / "en_train.tsv"), str(FIXTURES / "en_test.tsv")) == \
+            f"input error: {paths[which]}: {detail}\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "ensemble-vote"])
+    def test_prediction_row_count(self, tmp_path, capsys, command):
+        preds = tmp_path / "preds.txt"
+        preds.write_text("Hope_speech\n" * 3)
+        argv = {"evaluate": ["evaluate", str(FIXTURES / "en_test.tsv"), str(preds)],
+                "ensemble-vote": ["ensemble-vote", "--predictions", str(preds),
+                                  "--n-rows", "25"]}[command]
+        assert self._error(capsys, *argv) == \
+            f"input error: {preds}: 3 rows, expected 25\n"
+
+    def test_empty_profile_corpus(self, tmp_path, capsys):
+        corpus_file = tmp_path / "en.txt"
+        corpus_file.write_text("\n  \n")
+        assert self._error(capsys, "train-profile", "--lang", "en",
+                           "--out", str(tmp_path / "en.profile"), str(corpus_file)) == \
+            "input error: training corpus is empty\n"
+        assert not (tmp_path / "en.profile").exists()
 
 
 class TestPipelineInternals:

@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 
 from hopedetect import corpus
 from hopedetect.corpus import DatasetLang, Label
-from hopedetect.errors import (
-    BadFraction,
-    EmptyFile,
-    MalformedFile,
-    MalformedRow,
-    TooFewRows,
-    UnknownLabel,
-)
+from hopedetect.errors import HopedetectError, MalformedFile
 from conftest import FIXTURES, FIXTURE_COUNTS
 
 
@@ -33,7 +26,7 @@ class TestLoadTsv:
         assert rows[0].text == "Fox News is pure Garbage!"
 
     def test_empty_file(self, tmp_path):
-        with pytest.raises(EmptyFile):
+        with pytest.raises(HopedetectError, match="no data lines"):
             corpus.load_tsv(_write(tmp_path, ""))
 
     def test_three_rows_keep_order(self, tmp_path):
@@ -65,20 +58,20 @@ class TestLoadTsv:
             corpus.load_tsv(path, DatasetLang.ENGLISH)
 
     def test_unknown_label(self, tmp_path):
-        with pytest.raises(UnknownLabel):
+        with pytest.raises(MalformedFile, match="line 1: unknown label 'maybe_hope'"):
             corpus.load_tsv(_write(tmp_path, "x\tmaybe_hope\n"))
 
     def test_embedded_tab_rejected(self, tmp_path):
-        with pytest.raises(MalformedRow):
+        with pytest.raises(MalformedFile, match="expected 2 tab-separated fields, got 3"):
             corpus.load_tsv(_write(tmp_path, "a\tb\tHope_speech\n"))
 
     @pytest.mark.parametrize("content,labeled,error,detail", [
-        ("", True, EmptyFile, "no data lines"),
-        ("a\tHope_speech\nb\tmaybe\n", True, UnknownLabel, "line 2: unknown label 'maybe'"),
-        ("a\tb\tHope_speech\n", True, MalformedRow,
+        ("", True, HopedetectError, "no data lines"),
+        ("a\tHope_speech\nb\tmaybe\n", True, MalformedFile, "line 2: unknown label 'maybe'"),
+        ("a\tb\tHope_speech\n", True, MalformedFile,
          "line 1: expected 2 tab-separated fields, got 3"),
-        ("a\n \tHope_speech\n", None, MalformedRow, "line 2: unexpected tab"),
-        ("a\tHope_speech\n \tHope_speech\n", True, MalformedRow, "line 2: empty text field"),
+        ("a\n \tHope_speech\n", None, MalformedFile, "line 2: unexpected tab"),
+        ("a\tHope_speech\n \tHope_speech\n", True, MalformedFile, "line 2: empty text field"),
     ], ids=["empty", "label", "fields", "tab", "text"])
     def test_error_starts_with_the_file(self, tmp_path, content, labeled, error, detail):
         path = _write(tmp_path, content)
@@ -99,7 +92,7 @@ class TestLoadTsv:
         n_good = 2 * 65536 // len(good) + 20
         path = tmp_path / "data.tsv"
         path.write_bytes((good * n_good).encode() + b"caf\xe9\tHope_speech\n")
-        with pytest.raises(MalformedRow, match="not valid UTF-8") as err:
+        with pytest.raises(MalformedFile, match="not valid UTF-8") as err:
             corpus.load_tsv(path)
         assert err.value.line_no == n_good + 1
         assert str(err.value) == f"{path}: line {n_good + 1}: not valid UTF-8"
@@ -195,7 +188,7 @@ class TestComputeStats:
 
     def test_unlabeled_rejected(self):
         rows = [corpus.LabeledComment(0, "x", None)]
-        with pytest.raises(corpus.UnlabeledInput):
+        with pytest.raises(HopedetectError, match="row 0 has no label"):
             corpus.compute_stats(rows)
 
 
@@ -215,11 +208,12 @@ class TestMakeSplit:
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 2])
     def test_bad_fraction(self, fraction):
-        with pytest.raises(BadFraction):
+        with pytest.raises(HopedetectError,
+                           match=rf"fraction_train must be in \(0,1\), got {fraction}$"):
             corpus.split_positions(4, 0, fraction)
 
     def test_too_few_rows(self):
-        with pytest.raises(TooFewRows):
+        with pytest.raises(HopedetectError, match="need at least 2 rows, got 1"):
             corpus.split_positions(1, 0, 0.5)
 
     @settings(max_examples=50, deadline=None)

@@ -9,14 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopedetect import features
-from hopedetect.errors import (
-    DimensionMismatch,
-    EmptyCorpus,
-    EmptyVocabulary,
-    MalformedFile,
-    NonNumericValue,
-    RowCountMismatch,
-)
+from hopedetect.errors import HopedetectError, MalformedFile
 from conftest import csr_from_dense
 
 
@@ -31,11 +24,11 @@ class TestBuildVocab:
         assert vocab.index == {"b": 0}
 
     def test_empty_vocabulary(self):
-        with pytest.raises(EmptyVocabulary):
+        with pytest.raises(HopedetectError, match="no term reaches document frequency 1"):
             features.build_vocab([""], min_df=1)
 
     def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(HopedetectError, match="no documents"):
             features.build_vocab([], min_df=1)
 
     def test_rebuild_stable(self):
@@ -110,7 +103,8 @@ class TestTfidf:
     def test_norm_one_or_zero(self, docs, doc):
         try:
             vocab = features.build_vocab(docs, min_df=1)
-        except EmptyVocabulary:
+        except HopedetectError as e:
+            assert str(e) == "no term reaches document frequency 1"
             return
         X = features.tfidf_vectorize([doc], vocab)
         norm = math.sqrt(sum(w * w for w in X.data))
@@ -292,7 +286,7 @@ class TestEmbeddings:
 
     def test_dimension_mismatch(self, tmp_path):
         path = self._write(tmp_path, [" ".join("0.1" for _ in range(767))])
-        with pytest.raises(DimensionMismatch) as exc:
+        with pytest.raises(MalformedFile) as exc:
             features.load_embeddings(path, 768)
         assert exc.value.line_no == 1
         assert str(exc.value) == f"{path}: line 1: expected 768 values, got 767"
@@ -304,7 +298,7 @@ class TestEmbeddings:
 
     def test_non_numeric(self, tmp_path):
         path = self._write(tmp_path, ["0.1 abc 0.3"])
-        with pytest.raises(NonNumericValue) as exc:
+        with pytest.raises(MalformedFile) as exc:
             features.load_embeddings(path, 3)
         assert str(exc.value) == f"{path}: line 1: 'abc' is not a finite number"
 
@@ -314,16 +308,16 @@ class TestEmbeddings:
 
     def test_ragged_file_names_its_first_short_line(self, tmp_path):
         path = self._write(tmp_path, ["# producer: test", "1 2 3", "4 5", "6"])
-        with pytest.raises(DimensionMismatch, match="line 3: expected 3 values, got 2"):
+        with pytest.raises(MalformedFile, match="line 3: expected 3 values, got 2"):
             features.load_embeddings(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
     def test_non_finite_value_names_its_line(self, tmp_path, value):
         path = self._write(tmp_path, ["1 2", f"3 {value}"])
-        with pytest.raises(NonNumericValue, match=f"line 2: '{value}' is not a finite"):
+        with pytest.raises(MalformedFile, match=f"line 2: '{value}' is not a finite"):
             features.load_embeddings(path)
 
     def test_row_count_mismatch(self, tmp_path):
         path = self._write(tmp_path, ["1 2", "3 4"])
-        with pytest.raises(RowCountMismatch):
+        with pytest.raises(HopedetectError, match="2 vectors for 3 dataset rows"):
             features.load_embeddings(path, 2, n_rows=3)

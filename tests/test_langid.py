@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hopedetect import langid, textprep
 from hopedetect.corpus import DatasetLang
-from hopedetect.errors import EmptyCorpus, MalformedFile
+from hopedetect.errors import HopedetectError, MalformedFile
 from conftest import all_scalar_values, mixed_script_text, synthetic_sentences
 
 
@@ -41,7 +41,7 @@ class TestTrainProfile:
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(HopedetectError, match="training corpus is empty"):
             langid.train_profile([], "en")
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopedetect import metrics
-from hopedetect.errors import LengthMismatch, UnknownLabel
+from hopedetect.errors import HopedetectError
 
 
 # ---------------------------------------------------------------------------
@@ -59,11 +59,11 @@ class TestConfusion:
         assert cm.total() == len(gold)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(HopedetectError, match="1 gold vs 2 predicted labels"):
             metrics.confusion(["A"], ["A", "B"], ["A", "B"])
 
     def test_unknown_label(self):
-        with pytest.raises(UnknownLabel):
+        with pytest.raises(HopedetectError, match="unknown label 'X'"):
             metrics.confusion(["A"], ["X"], ["A", "B"])
 
 
