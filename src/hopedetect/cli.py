@@ -154,7 +154,7 @@ def _cmd_stats(args):
     rows = corpus.load_tsv(args.path)
     stats = corpus.compute_stats(rows)
     for label in Label:
-        print(f"{label.value}\t{stats.counts[label]}")
+        print(f"{label}\t{stats.counts[label]}")
     print(f"total\t{stats.total}")
     ratio = stats.hope_to_nothope_ratio
     print(f"hope_to_nothope_ratio\t{float(ratio):.4f}" if ratio is not None
@@ -162,6 +162,7 @@ def _cmd_stats(args):
 
 
 def _cmd_detect_lang(args):
+    langid.check_script_threshold(args.script_threshold)
     profiles = [langid.load_profile(p) for p in args.profiles]
     texts = textprep.normalize_text([line for _, line in utf8_lines(args.path)])
     # With profiles only an empty text has no detected language.
@@ -184,6 +185,8 @@ def _cmd_transliterate(args):
 
 def _cmd_train(args):
     cfg = _pipeline_config(args)
+    if (cfg.train_embeddings, cfg.test_embeddings) != (None, None):
+        raise ConfigError(f"train takes no {pipeline.NO_EMBEDDINGS}")
     rows = pipeline.load_rows("load-train", args.path, labeled=True)
     fitted = pipeline.fit(cfg, rows)
     pipeline.save_bundle(fitted, args.path, args.out)
@@ -195,20 +198,17 @@ def _cmd_predict(args):
     fitted = pipeline.load_bundle(args.model)
     lang = _LANGS[args.lang]
     if lang is not fitted.cfg.dataset_lang:
-        raise ConfigError(f"{args.model} was fitted on {fitted.cfg.dataset_lang.value} "
-                          f"data, not {lang.value}")
+        raise ConfigError(f"{args.model} was fitted on {fitted.cfg.dataset_lang} "
+                          f"data, not {lang}")
     rows = pipeline.load_rows("load-test", args.path, labeled=None)
-    predictions = pipeline.apply(fitted, rows)
-    pipeline.write_predictions(predictions, args.out)
-    print(f"wrote {args.out} ({len(predictions)} predictions)")
+    labels = pipeline.apply(fitted, rows)
+    pipeline.write_predictions(labels, lang, args.out)
+    print(f"wrote {args.out} ({len(labels)} predictions)")
 
 
 def _cmd_ensemble_vote(args):
     matrix = learn.load_external_predictions(args.predictions, args.n_rows)
-    merged = [
-        learn.majority_vote([row[i] for row in matrix], args.tie_break)
-        for i in range(args.n_rows)
-    ]
+    merged = [learn.majority_vote(votes, args.tie_break) for votes in zip(*matrix)]
     out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8")
     try:
         for label in merged:
@@ -222,8 +222,7 @@ def _cmd_ensemble_vote(args):
 def _cmd_evaluate(args):
     gold_rows = corpus.load_tsv(args.gold)
     pred = learn.load_external_predictions([args.predictions], len(gold_rows))[0]
-    gold = [r.label.value for r in gold_rows]
-    cm = metrics.confusion(gold, pred, [c.value for c in Label])
+    cm = metrics.confusion([r.label for r in gold_rows], pred, list(Label))
     print(metrics.render_report(metrics.aggregate(cm), args.format), end="")
 
 

@@ -13,23 +13,31 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import HopedetectError, MalformedFile
+from .errors import ConfigError, HopedetectError, MalformedFile
 
 # PRNG pinned to CPython's Mersenne Twister shuffle; recorded in manifests so
 # ensemble members stay reproducible across machines.
 SPLIT_PRNG = "python-random-mt19937"
 
 
-class Label(str, Enum):
+class _StrEnum(str, Enum):
+    """A member is its value in every context, as in ``enum.StrEnum`` (3.11+)."""
+
+    __str__ = str.__str__
+    __format__ = str.__format__
+
+
+class Label(_StrEnum):
     HOPE = "Hope"
     NOT_HOPE = "NotHope"
     NOT_LANGUAGE = "NotLanguage"
 
 
-class DatasetLang(str, Enum):
+class DatasetLang(_StrEnum):
     """The HopeEDI datasets: each one's name in manifests (the value), its
-    ``--lang`` code, and the alias of its not-in-language class in the
-    dataset and in predictions."""
+    ``--lang`` code, the alias of its not-in-language class, and
+    ``aliases``, how its files spell each class: predictions are written
+    so, and ``parse_label`` reads every dataset's spellings."""
 
     ENGLISH = "English", "en", "not-English"
     TAMIL = "Tamil", "ta", "not-Tamil"
@@ -38,18 +46,19 @@ class DatasetLang(str, Enum):
     def __new__(cls, name: str, code: str, not_alias: str):
         lang = str.__new__(cls, name)
         lang._value_, lang.code, lang.not_alias = name, code, not_alias
+        lang.aliases = {Label.HOPE: "Hope_speech", Label.NOT_HOPE: "Non_hope_speech",
+                        Label.NOT_LANGUAGE: not_alias}
         return lang
 
 
 # Closed alias table (matched case-insensitively after trimming): the
-# HopeEDI aliases and the canonical names that ensemble-vote writes. Unknown
+# datasets' aliases and the class names that ensemble-vote writes. Unknown
 # strings are errors, never a fourth class.
 _LABEL_ALIASES = {
-    "hope_speech": Label.HOPE,
-    "non_hope_speech": Label.NOT_HOPE,
-    **{lang.not_alias.lower(): Label.NOT_LANGUAGE for lang in DatasetLang},
+    **{alias.lower(): label for lang in DatasetLang
+       for label, alias in lang.aliases.items()},
     "not-in-intended-language": Label.NOT_LANGUAGE,
-    **{label.value.lower(): label for label in Label},
+    **{label.lower(): label for label in Label},
 }
 
 
@@ -154,14 +163,22 @@ def compute_stats(data: list[LabeledComment]) -> DatasetStats:
     return DatasetStats(counts=counts, total=len(data), hope_to_nothope_ratio=ratio)
 
 
+def split_fraction(fraction_train) -> Fraction:
+    """The share of rows that ``split_positions`` trains on: ``fraction_train``
+    rounded to a denominator of at most 10**9, which must lie in (0, 1)."""
+    if math.isfinite(fraction_train):
+        fraction = Fraction(fraction_train).limit_denominator(10**9)
+        if 0 < fraction < 1:
+            return fraction
+    raise ConfigError(f"fraction_train must be in (0,1), got {fraction_train}")
+
+
 def split_positions(n: int, seed: int, fraction_train) -> tuple[list[int], list[int]]:
     """Deterministic shuffled split of positions 0..n-1: the first
     ceil(fraction*n) positions of the seeded shuffle train. Both parts are
     returned sorted, as (train, validation).
     """
-    fraction = Fraction(fraction_train).limit_denominator(10**9)
-    if not 0 < fraction < 1:
-        raise HopedetectError(f"fraction_train must be in (0,1), got {fraction_train}")
+    fraction = split_fraction(fraction_train)
     if n < 2:
         raise HopedetectError(f"need at least 2 rows, got {n}")
     order = list(range(n))

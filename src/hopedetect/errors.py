@@ -1,11 +1,10 @@
 """Exceptions of the package, and the exit code the CLI gives each.
 
 - ``HopedetectError``: input the pipeline cannot use (exit 2, ``input error:``).
-  The base of the other three.
+  The base of the other two. An input error of a pipeline stage is one,
+  its message prefixed ``[stage]``.
 - ``MalformedFile``: an input file that cannot be read, naming the file and
   the line at fault where they are known (exit 2).
-- ``StageError``: an input error of a pipeline stage, prefixed ``[stage]``
-  (exit 2).
 - ``ConfigError``: a bad setting, config file or bundle (exit 3,
   ``config error:``).
 """
@@ -29,11 +28,3 @@ class MalformedFile(HopedetectError):
         self.path = path
         self.line_no = line_no
 
-
-class StageError(HopedetectError):
-    """An input error of a pipeline stage, or its message: ``[stage] cause``."""
-
-    def __init__(self, stage, cause):
-        super().__init__(f"[{stage}] {cause}")
-        self.stage = stage
-        self.cause = cause

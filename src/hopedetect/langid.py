@@ -25,8 +25,8 @@ from itertools import islice
 import numpy as np
 
 from . import textprep
-from .corpus import DatasetLang, utf8_lines
-from .errors import HopedetectError, MalformedFile
+from .corpus import DatasetLang, Label, utf8_lines
+from .errors import ConfigError, HopedetectError, MalformedFile
 
 PROFILE_VERSION = "langprofile-v1"
 
@@ -46,12 +46,12 @@ def _char_ngrams(text: str, n: int) -> list[str]:
 
 def train_profile(corpus, lang: str, n: int = 3, alpha: float = 0.5) -> LanguageProfile:
     """Count character n-grams over the corpus and smooth with add-alpha."""
+    if not 1 <= n <= 3:
+        raise ConfigError(f"n must be in 1..3, got {n}")
+    if not 0 < alpha < math.inf:
+        raise ConfigError(f"alpha must be > 0, got {alpha}")
     if not corpus:
         raise HopedetectError("training corpus is empty")
-    if not 1 <= n <= 3:
-        raise ValueError(f"n must be in 1..3, got {n}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
     counts: Counter[str] = Counter()
     for text in corpus:
         counts.update(_char_ngrams(text, n))
@@ -121,6 +121,11 @@ def _pack(cps, n: int):
     for j in range(1, n):
         key = (key << _CP_BITS) | cps[j : j + len(key)]
     return key
+
+
+def check_script_threshold(threshold: float) -> None:
+    if not 0 < threshold <= 1:
+        raise ConfigError(f"script threshold out of range: {threshold}")
 
 
 def detect(texts, profiles, script_threshold: float = 0.5) -> list[str | None]:
@@ -219,8 +224,9 @@ def _scores(cps, lengths, n_ranked: int, lookup):
     return scores
 
 
-def assign_language_class(lang: str | None, dataset_lang: DatasetLang) -> str:
-    """Dataset-specific rule for the not-in-intended-language class.
+def assign_language_class(lang: str | None, dataset_lang: DatasetLang) -> Label | None:
+    """The gate's label of a text: NotLanguage, or None when the text goes
+    to the vote.
 
     ``lang`` is the detected language code, or None when there is no
     evidence; None is never flagged. Tamil/Malayalam datasets: only English
@@ -228,12 +234,11 @@ def assign_language_class(lang: str | None, dataset_lang: DatasetLang) -> str:
     the dataset language. English: anything detected as another language is
     flagged.
     """
-    if lang is None:
-        return "InLanguage"
-    english = DatasetLang.ENGLISH.code
     if dataset_lang == DatasetLang.ENGLISH:
-        return "InLanguage" if lang == english else "NotLanguage"
-    return "NotLanguage" if lang in (english, "hi") else "InLanguage"
+        flagged = lang not in (DatasetLang.ENGLISH.code, None)
+    else:
+        flagged = lang in (DatasetLang.ENGLISH.code, "hi")
+    return Label.NOT_LANGUAGE if flagged else None
 
 
 def _escape(gram: str) -> str:

@@ -91,9 +91,9 @@ class TrainedModel:
 
 
 def _encode_labels(y):
-    classes = sorted(set(y), key=lambda c: str(c))
+    classes = sorted(set(y))
     lut = {c: i for i, c in enumerate(classes)}
-    return np.array([lut[v] for v in y]), [str(c) for c in classes]
+    return np.array([lut[v] for v in y]), classes
 
 
 def _check_training_input(X: np.ndarray, y_idx: np.ndarray, n_classes: int):
@@ -551,19 +551,18 @@ def majority_vote(predictions, tie_break: str = "MajorityClassPrior") -> str:
     MajorityClassPrior: NotHope wins any tie it takes part in (class skew
     prior); other ties fall back to ClassOrder.
     """
-    preds = [str(p.value) if isinstance(p, Label) else str(p) for p in predictions]
-    if not preds:
+    if not predictions:
         raise HopedetectError("no votes")
     counts: dict[str, int] = {}
-    for p in preds:
+    for p in predictions:
         counts[p] = counts.get(p, 0) + 1
     top = max(counts.values())
     tied = [p for p, c in counts.items() if c == top]
     if len(tied) == 1:
         return tied[0]
-    if tie_break == "MajorityClassPrior" and Label.NOT_HOPE.value in tied:
-        return Label.NOT_HOPE.value
-    canonical = [c.value for c in Label]
+    if tie_break == "MajorityClassPrior" and Label.NOT_HOPE in tied:
+        return Label.NOT_HOPE
+    canonical = list(Label)
     return min(tied, key=lambda p: (canonical.index(p) if p in canonical else
                                     len(canonical), p))
 
@@ -749,7 +748,7 @@ def load_external_predictions(paths, n_rows: int):
             line = line.strip()
             if not line:
                 continue
-            labels.append(parse_label(line, line_no, path).value)
+            labels.append(parse_label(line, line_no, path))
         if len(labels) != n_rows:
             raise HopedetectError(f"{path}: {len(labels)} rows, expected {n_rows}")
         matrix.append(labels)

@@ -45,9 +45,6 @@ class EvalReport:
 
 
 def confusion(gold, pred, classes) -> ConfusionMatrix:
-    gold = [str(g) for g in gold]
-    pred = [str(p) for p in pred]
-    classes = [str(c) for c in classes]
     if len(gold) != len(pred) or not gold:
         raise HopedetectError(f"{len(gold)} gold vs {len(pred)} predicted labels")
     index = {c: i for i, c in enumerate(classes)}
@@ -62,7 +59,7 @@ def confusion(gold, pred, classes) -> ConfusionMatrix:
 
 
 def class_prf(cm: ConfusionMatrix, label) -> ClassMetrics:
-    i = cm.classes.index(str(label))
+    i = cm.classes.index(label)
     tp = cm.counts[i][i]
     fp = sum(cm.counts[g][i] for g in range(len(cm.classes)) if g != i)
     fn = sum(cm.counts[i][p] for p in range(len(cm.classes)) if p != i)

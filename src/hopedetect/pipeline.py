@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__, corpus, features, langid, learn, metrics, textprep, translit
 from .corpus import DatasetLang, Label
-from .errors import ConfigError, HopedetectError, MalformedFile, StageError
+from .errors import ConfigError, HopedetectError, MalformedFile
 
 MANIFEST_VERSION = "manifest-v1"
 
@@ -29,9 +29,9 @@ MANIFEST_VERSION = "manifest-v1"
 # holds it, and load_bundle requires it.
 NORMALIZATION = "specials:1,emoji:1,lowercase:1,whitespace:1"
 
-# Output aliases of the classifier's labels; NotLanguage is written as its
-# dataset's DatasetLang.not_alias.
-_OUT_ALIAS = {Label.HOPE: "Hope_speech", Label.NOT_HOPE: "Non_hope_speech"}
+# Why train and predict take no embeddings.
+NO_EMBEDDINGS = ("embeddings, which predict cannot compute for new comments; "
+                 "use run with --train-embeddings and --test-embeddings")
 
 
 @dataclass
@@ -63,12 +63,11 @@ class PipelineConfig:
     def feature_mode(self) -> str:
         return "tfidf" if self.train_embeddings is None else "embeddings"
 
-    def validate(self, test_input: bool = True):
-        """``test_input=False`` checks only what ``fit`` reads."""
+    def validate(self):
         embeddings = (self.train_embeddings, self.test_embeddings) != (None, None)
         if embeddings and not self.train_embeddings:
             raise ConfigError("embeddings mode requires a train embedding path")
-        if embeddings and test_input and not self.test_embeddings:
+        if embeddings and not self.test_embeddings:
             raise ConfigError("embeddings mode requires a test embedding path")
         if self.classifier not in learn._TRAINERS:
             raise ConfigError(f"unknown classifier {self.classifier!r}")
@@ -84,10 +83,8 @@ class PipelineConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be > 0, got {value}")
-        if not 0 < self.fraction_train < 1:
-            raise ConfigError(f"fraction_train must be in (0,1), got {self.fraction_train}")
-        if not 0 < self.script_threshold <= 1:
-            raise ConfigError(f"script threshold out of range: {self.script_threshold}")
+        corpus.split_fraction(self.fraction_train)
+        langid.check_script_threshold(self.script_threshold)
 
     def trainer_params(self) -> dict:
         """Keyword arguments of the trainer of ``classifier``."""
@@ -118,7 +115,7 @@ def _scheme_table(cfg: PipelineConfig):
 @dataclass(slots=True)
 class ProcessedRow:
     text: str  # normalized (and transliterated, when applicable)
-    gate: str  # "InLanguage" | "NotLanguage"
+    gate: Label | None  # the gate's label, or None: the row goes to the vote
 
 
 def preprocess_rows(rows, cfg: PipelineConfig, profiles, table) -> list[ProcessedRow]:
@@ -129,7 +126,7 @@ def preprocess_rows(rows, cfg: PipelineConfig, profiles, table) -> list[Processe
     out = []
     for i, lang in enumerate(langs):
         gate = langid.assign_language_class(lang, cfg.dataset_lang)
-        if gate == "InLanguage" and table is not None:
+        if gate is None and table is not None:
             # Replaced in place, so that the normalized text is freed now:
             # kept to the end, the column of them added 0.9 MB to the peak
             # RSS of the benchmark's Tamil stream.
@@ -153,18 +150,18 @@ class FittedPipeline:
 
 
 def load_rows(stage: str, path, *, labeled: bool | None):
-    """``corpus.load_tsv``, with input errors wrapped as a StageError."""
+    """``corpus.load_tsv``, with input errors prefixed ``[stage]``."""
     try:
         return corpus.load_tsv(path, labeled=labeled)
     except (HopedetectError, OSError) as e:
-        raise StageError(stage, e) from e
+        raise HopedetectError(f"[{stage}] {e}") from e
 
 
 def fit(cfg: PipelineConfig, train_rows) -> FittedPipeline:
     """Preprocess the train rows, build their features and train the ensemble
     on the gold Hope/NotHope rows. Each member's record gets its validation
     weighted F1."""
-    cfg.validate(test_input=False)
+    cfg.validate()
     profiles = _load_profiles(cfg)
     table = _scheme_table(cfg)
     train_proc = preprocess_rows(train_rows, cfg, profiles, table)
@@ -174,8 +171,8 @@ def fit(cfg: PipelineConfig, train_rows) -> FittedPipeline:
               if r.label in (Label.HOPE, Label.NOT_HOPE)]
     if len(binary) < 2:
         rows = "row" if len(binary) == 1 else "rows"
-        raise StageError("fit", f"{len(binary)} Hope/NotHope {rows} to train on, "
-                                "need at least 2")
+        raise HopedetectError(f"[fit] {len(binary)} Hope/NotHope {rows} to train on, "
+                              "need at least 2")
     vocab = None
     if cfg.feature_mode == "tfidf":
         texts = [train_proc[i].text for i in binary]
@@ -183,7 +180,7 @@ def fit(cfg: PipelineConfig, train_rows) -> FittedPipeline:
         X = features.tfidf_vectorize(texts, vocab)
     else:
         X = features.load_embeddings(cfg.train_embeddings, n_rows=len(train_rows))[binary]
-    y = [train_rows[i].label.value for i in binary]
+    y = [train_rows[i].label for i in binary]
 
     models, records = learn.train_ensemble(
         X, y, cfg.classifier, cfg.k, cfg.base_seed, cfg.fraction_train,
@@ -199,37 +196,35 @@ def fit(cfg: PipelineConfig, train_rows) -> FittedPipeline:
     return FittedPipeline(cfg, profiles, table, vocab, models, records)
 
 
-def apply(fitted: FittedPipeline, test_rows) -> list[tuple[Label, str]]:
-    """(label, output alias) of each test row: the gate's NotLanguage, or the
-    ensemble's vote on the row's features. Only the rows the gate keeps get
-    features."""
+def apply(fitted: FittedPipeline, test_rows) -> list[Label]:
+    """The label of each test row: the gate's, or the ensemble's vote on the
+    row's features. Only the rows the gate keeps get features."""
     cfg = fitted.cfg
     test_proc = preprocess_rows(test_rows, cfg, fitted.profiles, fitted.table)
-    kept = [i for i, p in enumerate(test_proc) if p.gate != "NotLanguage"]
+    kept = [i for i, p in enumerate(test_proc) if p.gate is None]
     if cfg.feature_mode == "tfidf":
         X = features.tfidf_vectorize([test_proc[i].text for i in kept], fitted.vocab)
     else:
         # The width the models were fitted on.
         X = features.load_embeddings(cfg.test_embeddings, fitted.models[0].dim,
                                      n_rows=len(test_rows))[kept]
-    labels = [Label.NOT_LANGUAGE] * len(test_proc)
+    labels = [p.gate for p in test_proc]
     for j, i in enumerate(kept):
-        labels[i] = Label(learn.ensemble_predict(fitted.models, X[j:j + 1], cfg.tie_break))
-    aliases = {**_OUT_ALIAS, Label.NOT_LANGUAGE: cfg.dataset_lang.not_alias}
-    return [(label, aliases[label]) for label in labels]
+        labels[i] = learn.ensemble_predict(fitted.models, X[j:j + 1], cfg.tie_break)
+    return labels
 
 
-def write_predictions(predictions, path) -> None:
-    Path(path).write_text(
-        "".join(alias + "\n" for _, alias in predictions), encoding="utf-8"
-    )
+def write_predictions(labels, dataset_lang: DatasetLang, path) -> None:
+    """One line per label, spelled as ``dataset_lang`` spells its class."""
+    Path(path).write_text("".join(dataset_lang.aliases[label] + "\n" for label in labels),
+                          encoding="utf-8")
 
 
 def run_pipeline(cfg: PipelineConfig, train_path, test_path, out_dir):
     """Train the ensemble on the train file, predict the test file.
 
     Writes predictions.txt, manifest.txt and (when the test file carries
-    gold labels) report.txt under out_dir. Returns (predictions, report).
+    gold labels) report.txt under out_dir. Returns (labels, report).
     """
     cfg.validate()
     out_dir = Path(out_dir)
@@ -238,14 +233,13 @@ def run_pipeline(cfg: PipelineConfig, train_path, test_path, out_dir):
     test_rows = load_rows("load-test", test_path, labeled=None)
 
     fitted = fit(cfg, train_rows)
-    predictions = apply(fitted, test_rows)
-    write_predictions(predictions, out_dir / "predictions.txt")
+    del train_rows  # not needed past fit; freed, it lowers the peak RSS of apply
+    labels = apply(fitted, test_rows)
+    write_predictions(labels, cfg.dataset_lang, out_dir / "predictions.txt")
 
     report = None
     if test_rows[0].label is not None:
-        gold = [r.label.value for r in test_rows]
-        pred = [label.value for label, _ in predictions]
-        cm = metrics.confusion(gold, pred, [c.value for c in Label])
+        cm = metrics.confusion([r.label for r in test_rows], labels, list(Label))
         report = metrics.aggregate(cm)
         (out_dir / "report.txt").write_text(
             metrics.render_report(report, "text"), encoding="utf-8"
@@ -257,7 +251,7 @@ def run_pipeline(cfg: PipelineConfig, train_path, test_path, out_dir):
     manifest = _render_manifest(cfg, train_path, test_path, fitted.models,
                                 fitted.records)
     (out_dir / "manifest.txt").write_text(manifest, encoding="utf-8")
-    return predictions, report
+    return labels, report
 
 
 def _bundle_copies(bundle: Path, n_profiles: int, with_scheme: bool):
@@ -282,8 +276,7 @@ def save_bundle(fitted: FittedPipeline, train_path, bundle_dir) -> None:
         shutil.copyfile(src, dst)
     if scheme is not None:
         shutil.copyfile(scheme, scheme_path)
-    if fitted.vocab is not None:
-        features.save_vocab(fitted.vocab, out / "vocab.tsv")
+    features.save_vocab(fitted.vocab, out / "vocab.tsv")
     for i, model in enumerate(fitted.models):
         learn.save_model(model, out / f"member-{i}.model")
     cfg = replace(fitted.cfg, profile_paths=profile_paths, scheme_path=scheme_path)
@@ -308,9 +301,7 @@ def load_bundle(bundle_dir) -> FittedPipeline:
         pinned.setdefault(key, []).append(value)
     one = {key: values[0] for key, values in pinned.items()}
     if one.get("feature_mode") == "embeddings":
-        raise ConfigError(
-            f"{bundle} was fitted on embeddings, which predict cannot compute for "
-            "new comments; use run with --train-embeddings and --test-embeddings")
+        raise ConfigError(f"{bundle} was fitted on {NO_EMBEDDINGS}")
     profile_sha256 = pinned.get("profile.sha256", [])
     profile_paths, scheme_path = _bundle_copies(
         bundle, len(profile_sha256), "scheme.sha256" in one)
@@ -336,7 +327,7 @@ def load_bundle(bundle_dir) -> FittedPipeline:
             raise ValueError(f"{len(records)} member.seed lines for ensemble_k={cfg.k}")
     except (KeyError, ValueError) as e:
         raise ConfigError(f"{bundle}: malformed manifest.txt ({e!r})") from None
-    cfg.validate(test_input=False)
+    cfg.validate()
     copies = list(zip(profile_paths, profile_sha256))
     if scheme_path is not None:
         copies.append((scheme_path, one["scheme.sha256"]))
@@ -363,7 +354,7 @@ def _render_manifest(cfg, train_path, test_path, models, records) -> str:
     lines = [f"# {MANIFEST_VERSION}"]
     add = lines.append
     add(f"hopedetect_version={__version__}")
-    add(f"dataset_lang={cfg.dataset_lang.value}")
+    add(f"dataset_lang={cfg.dataset_lang}")
     add(f"split_prng={corpus.SPLIT_PRNG}")
     add(f"normalization={NORMALIZATION}")
     add(f"script_threshold={cfg.script_threshold!r}")
@@ -386,8 +377,7 @@ def _render_manifest(cfg, train_path, test_path, models, records) -> str:
         add(f"input.test.sha256={sha256_file(test_path)}")
     if cfg.feature_mode == "embeddings":
         add(f"input.train_embeddings.sha256={sha256_file(cfg.train_embeddings)}")
-        if test_path is not None:
-            add(f"input.test_embeddings.sha256={sha256_file(cfg.test_embeddings)}")
+        add(f"input.test_embeddings.sha256={sha256_file(cfg.test_embeddings)}")
     scheme = translit.scheme_file(cfg.dataset_lang, cfg.scheme_path)
     if scheme is not None:
         add(f"scheme.sha256={sha256_file(scheme)}")

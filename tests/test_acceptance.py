@@ -142,10 +142,10 @@ def test_05_language_id(trained_profiles):
         for dataset in DatasetLang:
             got = langid.assign_language_class(code, dataset)
             if dataset is DatasetLang.ENGLISH:
-                expected = "InLanguage" if code in ("en", None) else "NotLanguage"
+                expected = None if code in ("en", None) else Label.NOT_LANGUAGE
             else:
-                expected = "NotLanguage" if code in ("en", "hi") else "InLanguage"
-            heuristic_ok &= got == expected
+                expected = Label.NOT_LANGUAGE if code in ("en", "hi") else None
+            heuristic_ok &= got is expected
     elapsed = time.monotonic() - start
     _report(
         "5 language-id", accuracy >= 0.95 and heuristic_ok and elapsed < 30.0,

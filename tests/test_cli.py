@@ -101,14 +101,17 @@ class TestTrainPredictEvaluate:
 
     @pytest.mark.parametrize("n_vectors", [3, 53])
     def test_train_embeddings_row_count_checked(self, tmp_path, capsys, n_vectors):
-        emb = tmp_path / "train.emb"
+        emb, test_emb = tmp_path / "train.emb", tmp_path / "test.emb"
         emb.write_text("0.5 0.25\n" * n_vectors)
-        code = run_cli("train", "--lang", "en", "--classifier", "random_forest",
-                       "--train-embeddings", str(emb), "--out", str(tmp_path / "rf.model"),
-                       str(FIXTURES / "en_train.tsv"))
+        test_emb.write_text("0.5 0.25\n" * 25)
+        out = tmp_path / "out"
+        code = run_cli("run", "--lang", "en", "--classifier", "random_forest",
+                       "--train-embeddings", str(emb), "--test-embeddings", str(test_emb),
+                       "--out", str(out), str(FIXTURES / "en_train.tsv"),
+                       str(FIXTURES / "en_test.tsv"))
         assert code == 2
         assert f"{n_vectors} vectors for 52 dataset rows" in capsys.readouterr().err
-        assert not (tmp_path / "rf.model").exists()
+        assert not (out / "predictions.txt").exists()
 
 
 class TestBundle:
@@ -171,16 +174,22 @@ class TestBundle:
         assert predicted == (out / "predictions.txt").read_bytes()
 
     def test_embeddings_bundle_is_refused(self, tmp_path, capsys):
-        emb = tmp_path / "train.emb"
-        emb.write_text("0.5 0.25\n0.25 0.5\n" * 26)
+        # train saves no bundle of embeddings; a manifest that claims one is
+        # refused by predict all the same.
         bundle = tmp_path / "bundle"
-        assert run_cli("train", "--lang", "en", "--train-embeddings", str(emb),
-                       "--epochs", "10", "--out", str(bundle),
+        assert run_cli("train", "--lang", "en", "--epochs", "10", "--out", str(bundle),
                        str(FIXTURES / "en_train.tsv")) == 0
+        manifest = bundle / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(
+            "feature_mode=tfidf", "feature_mode=embeddings"))
+        capsys.readouterr()
         code = run_cli("predict", "--lang", "en", "--model", str(bundle),
                        "--out", str(tmp_path / "p.txt"), str(FIXTURES / "en_test.tsv"))
         assert code == 3
-        assert "fitted on embeddings" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"config error: {bundle} was fitted on embeddings, which predict cannot "
+            "compute for new comments; use run with --train-embeddings and "
+            "--test-embeddings\n")
         assert not (tmp_path / "p.txt").exists()
 
     def test_changed_copy_is_refused(self, tmp_path, trained_profiles, capsys):
@@ -663,6 +672,11 @@ class TestRun:
     ("--fraction-train", "1.5", "fraction_train must be in (0,1), got 1.5"),
     ("--fraction-train", "0", "fraction_train must be in (0,1), got 0.0"),
     ("--fraction-train", "nan", "fraction_train must be in (0,1), got nan"),
+    ("--fraction-train", "inf", "fraction_train must be in (0,1), got inf"),
+    # Rounded as the split rounds it, to a denominator of at most 10**9.
+    ("--fraction-train", "0.9999999999",
+     "fraction_train must be in (0,1), got 0.9999999999"),
+    ("--script-threshold", "2", "script threshold out of range: 2.0"),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("command", ["run", "train"])
@@ -681,6 +695,59 @@ def test_out_of_range_setting_exit_3(tmp_path, capsys, command, source, flag, va
     code = run_cli(command, "--lang", "en", *settings, "--out", str(out), *inputs)
     assert (code, capsys.readouterr().err) == (3, f"config error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--n", "0", "n must be in 1..3, got 0"),
+    ("--n", "4", "n must be in 1..3, got 4"),
+    ("--alpha", "0", "alpha must be > 0, got 0.0"),
+    ("--alpha", "nan", "alpha must be > 0, got nan"),
+    ("--alpha", "inf", "alpha must be > 0, got inf"),
+])
+def test_train_profile_setting_exit_3(tmp_path, capsys, flag, value, message):
+    src, out = tmp_path / "en.txt", tmp_path / "en.profile"
+    src.write_text("hope wins\n")
+    code = run_cli("train-profile", "--lang", "en", flag, value, "--out", str(out), str(src))
+    assert (code, capsys.readouterr().err) == (3, f"config error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value,shown", [("2", "2.0"), ("-1", "-1.0"), ("0", "0.0"),
+                                         ("nan", "nan")])
+def test_detect_lang_threshold_exit_3(tmp_path, capsys, value, shown):
+    # The check run makes of the same setting, before any file is read.
+    missing = str(tmp_path / "missing")
+    code = run_cli("detect-lang", "--script-threshold", value, "--profiles", missing,
+                   "--", missing)
+    assert (code, capsys.readouterr()) == (
+        3, ("", f"config error: script threshold out of range: {shown}\n"))
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key", ["train_embeddings", "test_embeddings"])
+def test_train_refuses_embeddings(tmp_path, capsys, key, source):
+    # A bundle of embeddings would be refused by predict, so train refuses
+    # them before any file is read: the embedding file need not exist.
+    setting = [f"--{key.replace('_', '-')}", str(tmp_path / "missing.emb")]
+    if source == "config":
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(f"{key}={tmp_path / 'missing.emb'}\n")
+        setting = ["--config", str(cfg)]
+    out = tmp_path / "bundle"
+    code = run_cli("train", "--lang", "en", *setting, "--out", str(out),
+                   str(tmp_path / "missing.tsv"))
+    assert (code, capsys.readouterr().err) == (
+        3, "config error: train takes no embeddings, which predict cannot compute "
+           "for new comments; use run with --train-embeddings and --test-embeddings\n")
+    assert not out.exists()
+
+
+def test_stage_input_error_names_its_stage(tmp_path, capsys):
+    missing = tmp_path / "missing.tsv"
+    code = run_cli("run", "--lang", "en", "--out", str(tmp_path / "out"), str(missing),
+                   str(FIXTURES / "en_test.tsv"))
+    assert (code, capsys.readouterr().err) == (
+        2, f"input error: [load-train] [Errno 2] No such file or directory: '{missing}'\n")
 
 
 def _non_utf8_case(tmp_path, command):
@@ -876,16 +943,18 @@ class TestPipelineInternals:
             return vectorize(docs, vocab)
 
         monkeypatch.setattr(features, "tfidf_vectorize", recorded)
-        labels = [label for label, _ in pipeline.apply(fitted, rows)]
+        labels = pipeline.apply(fitted, rows)
+        assert len(labels) == len(rows)
         proc = pipeline.preprocess_rows(rows, cfg, fitted.profiles, fitted.table)
-        kept = [p.text for p in proc if p.gate == "InLanguage"]
+        kept = [p.text for p in proc if p.gate is None]
         assert seen == [kept] and 0 < len(kept) < len(rows)
-        # The labels of vectorizing every row and voting on the kept ones.
+        # One label per row: the gate's, else the vote on the row's features
+        # as they are when every row is vectorized.
         X = vectorize([p.text for p in proc], fitted.vocab)
         assert labels == [
-            Label.NOT_LANGUAGE if p.gate == "NotLanguage" else
-            Label(learn.ensemble_predict(fitted.models, X[i:i + 1], cfg.tie_break))
+            p.gate or learn.ensemble_predict(fitted.models, X[i:i + 1], cfg.tie_break)
             for i, p in enumerate(proc)]
+        assert set(labels) <= set(Label) and Label.NOT_LANGUAGE in labels
 
     def test_stage_order(self, trained_profiles, monkeypatch):
         cfg = pipeline.PipelineConfig(dataset_lang=DatasetLang.TAMIL)
@@ -919,14 +988,14 @@ class TestPipelineInternals:
             assert [p.gate for p in proc] == [
                 langid.assign_language_class(lang, cfg.dataset_lang) for lang in langs]
             for text, p in zip(texts, proc):
-                if p.gate == "InLanguage":
+                if p.gate is None:
                     assert next(it) == ("transliterate", text, p.text)
                 else:
                     assert p.text == text
             assert next(it, None) is None
             assert any(stage == "transliterate" for stage, _, _ in events)
         # With profiles the gate drops some rows, so some are not transliterated.
-        assert {p.gate for p in proc} == {"InLanguage", "NotLanguage"}
+        assert {p.gate for p in proc} == {None, Label.NOT_LANGUAGE}
 
     @pytest.mark.parametrize("name,lang", [
         ("ta_train.tsv", DatasetLang.TAMIL), ("ml_train.tsv", DatasetLang.MALAYALAM),

@@ -18,6 +18,18 @@ def _write(tmp_path, content, name="data.tsv"):
     return path
 
 
+class TestMembersAreTheirValues:
+    @pytest.mark.parametrize("member", [*Label, *DatasetLang])
+    def test_str_and_format(self, member):
+        value = member.value
+        assert (str(member), format(member), f"{member}") == (value, value, value)
+        assert f"{member:>12}|{member:<12}" == f"{value:>12}|{value:<12}"
+
+    def test_equal_and_hashed_as_the_value(self):
+        assert Label.HOPE == "Hope" and {"Hope": 1}[Label.HOPE] == 1
+        assert {Label.NOT_HOPE: 1}["NotHope"] == 1
+
+
 class TestLoadTsv:
     def test_not_language_row(self, tmp_path):
         path = _write(tmp_path, "Fox News is pure Garbage!\tnot-English\n")
@@ -51,6 +63,14 @@ class TestLoadTsv:
         # The alias run writes for a gated row reads back as NotLanguage.
         for lang in DatasetLang:
             assert corpus.parse_label(lang.not_alias) is Label.NOT_LANGUAGE
+
+    def test_written_aliases_parse_back(self):
+        # Predictions are spelled from the table that parse_label reads.
+        for lang in DatasetLang:
+            assert [corpus.parse_label(lang.aliases[label]) for label in Label] == list(Label)
+        assert DatasetLang.TAMIL.aliases == {
+            Label.HOPE: "Hope_speech", Label.NOT_HOPE: "Non_hope_speech",
+            Label.NOT_LANGUAGE: "not-Tamil"}
 
     def test_language_argument_is_refused(self, tmp_path):
         path = _write(tmp_path, "a\tHope_speech\n")

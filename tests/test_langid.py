@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopedetect import langid, textprep
-from hopedetect.corpus import DatasetLang
+from hopedetect.corpus import DatasetLang, Label
 from hopedetect.errors import HopedetectError, MalformedFile
 from conftest import all_scalar_values, mixed_script_text, synthetic_sentences
 
@@ -215,28 +215,26 @@ class TestScriptFraction:
 
 
 class TestAssignLanguageClass:
+    # The gate's label is NotLanguage, or None for a row that goes to the vote.
     @pytest.mark.parametrize("best,expected", [
-        ("en", "NotLanguage"), ("hi", "NotLanguage"),
-        ("ta", "InLanguage"), ("ml", "InLanguage"),
+        ("en", Label.NOT_LANGUAGE), ("hi", Label.NOT_LANGUAGE),
+        ("ta", None), ("ml", None),
     ])
     def test_tamil_dataset(self, best, expected):
-        assert langid.assign_language_class(best, DatasetLang.TAMIL) == expected
+        assert langid.assign_language_class(best, DatasetLang.TAMIL) is expected
 
     def test_malayalam_dataset_other_lang_in_language(self):
-        assert (
-            langid.assign_language_class("ta", DatasetLang.MALAYALAM)
-            == "InLanguage"
-        )
+        assert langid.assign_language_class("ta", DatasetLang.MALAYALAM) is None
 
     def test_english_dataset(self):
-        assert langid.assign_language_class("en", DatasetLang.ENGLISH) == "InLanguage"
-        assert langid.assign_language_class("hi", DatasetLang.ENGLISH) == "NotLanguage"
-        assert langid.assign_language_class(None, DatasetLang.ENGLISH) == "InLanguage"
+        assert langid.assign_language_class("en", DatasetLang.ENGLISH) is None
+        assert langid.assign_language_class("hi", DatasetLang.ENGLISH) is Label.NOT_LANGUAGE
+        assert langid.assign_language_class(None, DatasetLang.ENGLISH) is None
 
     def test_exhaustive_never_flags_other_codes(self):
         for code in ("ta", "ml", "fr", "de", "xx", None):
             for lang in (DatasetLang.TAMIL, DatasetLang.MALAYALAM):
-                assert langid.assign_language_class(code, lang) == "InLanguage"
+                assert langid.assign_language_class(code, lang) is None
 
 
 class TestProfileRoundTrip:

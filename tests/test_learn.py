@@ -922,6 +922,18 @@ class TestMajorityVote:
         with pytest.raises(HopedetectError, match="no votes"):
             learn.majority_vote([])
 
+    @pytest.mark.parametrize("tie_break", learn.TIE_BREAKS)
+    def test_members_and_names_mixed(self, tie_break):
+        # A member is its name: mixed votes count together, ties included.
+        labels = [*Label, "Hope", "NotHope", "NotLanguage"]
+        for votes in itertools.product(labels, repeat=4):
+            names = [str.__str__(v) for v in votes]
+            assert learn.majority_vote(list(votes), tie_break) == \
+                learn.majority_vote(names, tie_break)
+        assert learn.majority_vote([Label.HOPE, "Hope", "NotHope"], tie_break) == "Hope"
+        assert learn.majority_vote(
+            [Label.NOT_LANGUAGE, "Hope", "NotLanguage", Label.HOPE], tie_break) == "Hope"
+
     def test_exhaustive_small_multisets(self):
         labels = ["Hope", "NotHope", "NotLanguage"]
         for k in range(1, 6):
@@ -932,6 +944,24 @@ class TestMajorityVote:
                 tied = {v for v, c in counts.items() if c == top}
                 assert got in tied
                 assert got == min(tied, key=labels.index)
+
+
+@pytest.mark.parametrize("kind", sorted(learn._TRAINERS))
+def test_trainer_names_label_members_by_their_names(kind):
+    # Label members train the model that their names train.
+    X, y = _separable_set()
+    members = [Label.HOPE if v == "A" else Label.NOT_HOPE for v in y]
+    names = ["Hope" if v == "A" else "NotHope" for v in y]
+    params = {"random_forest": {"n_trees": 3}}.get(kind, {"epochs": 20})
+    trained = [learn._TRAINERS[kind](X, labels, seed=1, **params)
+               for labels in (members, names)]
+    assert [m.classes for m in trained] == [["Hope", "NotHope"]] * 2
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"{i}.model" for i in range(2)]
+        for model, path in zip(trained, paths):
+            learn.save_model(model, path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert learn.predict(trained[0], X) == names
 
 
 class TestEnsemble:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopedetect
 from hopedetect import metrics
+from hopedetect.corpus import Label
 from hopedetect.errors import HopedetectError
 
 
@@ -65,6 +67,20 @@ class TestConfusion:
     def test_unknown_label(self):
         with pytest.raises(HopedetectError, match="unknown label 'X'"):
             metrics.confusion(["A"], ["X"], ["A", "B"])
+
+    def test_label_members_count_as_their_names(self):
+        assert hopedetect.confusion([Label.HOPE], [Label.HOPE], list(Label)).counts == [
+            [1, 0, 0], [0, 0, 0], [0, 0, 0]]
+        members = hopedetect.confusion(
+            [Label.HOPE, "NotHope", Label.NOT_LANGUAGE, "Hope"],
+            ["Hope", Label.NOT_HOPE, Label.HOPE, Label.HOPE], list(Label))
+        names = hopedetect.confusion(
+            ["Hope", "NotHope", "NotLanguage", "Hope"],
+            ["Hope", "NotHope", "Hope", "Hope"], ["Hope", "NotHope", "NotLanguage"])
+        assert members == names and members.counts == [[2, 0, 0], [0, 1, 0], [1, 0, 0]]
+        for fmt in ("text", "tsv", "json"):
+            assert (metrics.render_report(metrics.aggregate(members), fmt)
+                    == metrics.render_report(metrics.aggregate(names), fmt))
 
 
 class TestClassPrf:
