@@ -171,6 +171,7 @@ def _cmd_detect_lang(args):
 
 
 def _cmd_train_profile(args):
+    langid.check_profile_settings(args.n, args.alpha)
     sentences = [line for _, line in utf8_lines(args.path) if line.strip()]
     profile = langid.train_profile(sentences, args.lang, args.n, args.alpha)
     langid.save_profile(profile, args.out)
@@ -187,6 +188,7 @@ def _cmd_train(args):
     cfg = _pipeline_config(args)
     if (cfg.train_embeddings, cfg.test_embeddings) != (None, None):
         raise ConfigError(f"train takes no {pipeline.NO_EMBEDDINGS}")
+    cfg.validate()
     rows = pipeline.load_rows("load-train", args.path, labeled=True)
     fitted = pipeline.fit(cfg, rows)
     pipeline.save_bundle(fitted, args.path, args.out)

@@ -44,12 +44,16 @@ def _char_ngrams(text: str, n: int) -> list[str]:
     return [text[i : i + n] for i in range(len(text) - n + 1)]
 
 
-def train_profile(corpus, lang: str, n: int = 3, alpha: float = 0.5) -> LanguageProfile:
-    """Count character n-grams over the corpus and smooth with add-alpha."""
+def check_profile_settings(n: int, alpha: float) -> None:
     if not 1 <= n <= 3:
         raise ConfigError(f"n must be in 1..3, got {n}")
     if not 0 < alpha < math.inf:
         raise ConfigError(f"alpha must be > 0, got {alpha}")
+
+
+def train_profile(corpus, lang: str, n: int = 3, alpha: float = 0.5) -> LanguageProfile:
+    """Count character n-grams over the corpus and smooth with add-alpha."""
+    check_profile_settings(n, alpha)
     if not corpus:
         raise HopedetectError("training corpus is empty")
     counts: Counter[str] = Counter()

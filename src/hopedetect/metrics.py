@@ -23,25 +23,21 @@ class ConfusionMatrix:
 
 
 @dataclass(frozen=True)
-class ClassMetrics:
+class Scores:
+    """The scores of one class, with its gold support, or of an average over
+    the classes, which has no support."""
+
     precision: float
     recall: float
     f1: float
-    support: int
-
-
-@dataclass(frozen=True)
-class Aggregate:
-    precision: float
-    recall: float
-    f1: float
+    support: int | None = None
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    per_class: dict[str, ClassMetrics]
-    macro: Aggregate
-    weighted: Aggregate
+    per_class: dict[str, Scores]
+    macro: Scores
+    weighted: Scores
 
 
 def confusion(gold, pred, classes) -> ConfusionMatrix:
@@ -58,7 +54,7 @@ def confusion(gold, pred, classes) -> ConfusionMatrix:
     return ConfusionMatrix(classes=classes, counts=counts)
 
 
-def class_prf(cm: ConfusionMatrix, label) -> ClassMetrics:
+def class_prf(cm: ConfusionMatrix, label) -> Scores:
     i = cm.classes.index(label)
     tp = cm.counts[i][i]
     fp = sum(cm.counts[g][i] for g in range(len(cm.classes)) if g != i)
@@ -70,92 +66,57 @@ def class_prf(cm: ConfusionMatrix, label) -> ClassMetrics:
         if precision + recall > 0
         else 0.0
     )
-    return ClassMetrics(precision=precision, recall=recall, f1=f1, support=tp + fn)
+    return Scores(precision, recall, f1, support=tp + fn)
 
 
-def _add(values) -> float:
-    """The values added one after another from 0.0. The builtin ``sum``
-    compensates its rounding from Python 3.12 on, which would make a report
-    depend on the interpreter."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+def _average(scores: list[Scores], weights: list[int]) -> Scores:
+    """Each score's mean over the classes with the given weights, all zeros
+    when the weights add up to 0. The terms are added one after another from
+    0.0: the builtin ``sum`` compensates its rounding from Python 3.12 on,
+    which would make a report depend on the interpreter."""
+    total = sum(weights)
+    if not total:
+        return Scores(0.0, 0.0, 0.0)
+    sums = [0.0, 0.0, 0.0]
+    for s, w in zip(scores, weights):
+        sums = [acc + v * w for acc, v in zip(sums, (s.precision, s.recall, s.f1))]
+    return Scores(*(acc / total for acc in sums))
 
 
 def aggregate(cm: ConfusionMatrix) -> EvalReport:
     per_class = {c: class_prf(cm, c) for c in cm.classes}
-    n = len(per_class)
-    macro = Aggregate(
-        precision=_add(m.precision for m in per_class.values()) / n if n else 0.0,
-        recall=_add(m.recall for m in per_class.values()) / n if n else 0.0,
-        f1=_add(m.f1 for m in per_class.values()) / n if n else 0.0,
-    )
-    total_support = sum(m.support for m in per_class.values())
-    if total_support > 0:
-        weighted = Aggregate(
-            precision=_add(m.precision * m.support for m in per_class.values())
-            / total_support,
-            recall=_add(m.recall * m.support for m in per_class.values())
-            / total_support,
-            f1=_add(m.f1 * m.support for m in per_class.values()) / total_support,
-        )
-    else:
-        weighted = Aggregate(0.0, 0.0, 0.0)
-    return EvalReport(per_class=per_class, macro=macro, weighted=weighted)
+    scores = list(per_class.values())
+    return EvalReport(per_class=per_class,
+                      macro=_average(scores, [1] * len(scores)),
+                      weighted=_average(scores, [s.support for s in scores]))
 
 
 def render_report(report: EvalReport, format: str = "text") -> str:
-    """Deterministic serialization, metrics rounded to 3 decimals."""
-    r3 = lambda v: f"{v:.3f}"
+    """Deterministic serialization, metrics rounded to 3 decimals. Every
+    format is written from one row list: the classes in order, then the
+    macro and weighted averages."""
+    rows = [*report.per_class.items(), ("macro", report.macro),
+            ("weighted", report.weighted)]
+    n = len(report.per_class)
     if format == "text":
         lines = [f"{'class':<14} {'precision':>9} {'recall':>9} {'f1':>9} {'support':>9}"]
-        for c, m in report.per_class.items():
-            lines.append(
-                f"{c:<14} {r3(m.precision):>9} {r3(m.recall):>9} "
-                f"{r3(m.f1):>9} {m.support:>9}"
-            )
-        lines.append(
-            f"{'macro':<14} {r3(report.macro.precision):>9} "
-            f"{r3(report.macro.recall):>9} {r3(report.macro.f1):>9}"
-        )
-        lines.append(
-            f"{'weighted':<14} {r3(report.weighted.precision):>9} "
-            f"{r3(report.weighted.recall):>9} {r3(report.weighted.f1):>9}"
-        )
+        for name, s in rows:
+            cells = [f"{v:.3f}" for v in (s.precision, s.recall, s.f1)]
+            if s.support is not None:
+                cells.append(s.support)
+            lines.append(" ".join([f"{name:<14}", *(f"{c:>9}" for c in cells)]))
         return "\n".join(lines) + "\n"
     if format == "tsv":
-        header = "macro_p\tweighted_p\tmacro_r\tweighted_r\tmacro_f1\tweighted_f1"
-        row = "\t".join(
-            r3(v)
-            for v in (
-                report.macro.precision, report.weighted.precision,
-                report.macro.recall, report.weighted.recall,
-                report.macro.f1, report.weighted.f1,
-            )
-        )
-        return header + "\n" + row + "\n"
+        header, values = [], []
+        for short, field in (("p", "precision"), ("r", "recall"), ("f1", "f1")):
+            for name, s in rows[n:]:
+                header.append(f"{name}_{short}")
+                values.append(f"{getattr(s, field):.3f}")
+        return "\t".join(header) + "\n" + "\t".join(values) + "\n"
     if format == "json":
-        payload = {
-            "per_class": {
-                c: {
-                    "precision": round(m.precision, 3),
-                    "recall": round(m.recall, 3),
-                    "f1": round(m.f1, 3),
-                    "support": m.support,
-                }
-                for c, m in report.per_class.items()
-            },
-            "macro": {
-                "precision": round(report.macro.precision, 3),
-                "recall": round(report.macro.recall, 3),
-                "f1": round(report.macro.f1, 3),
-            },
-            "weighted": {
-                "precision": round(report.weighted.precision, 3),
-                "recall": round(report.weighted.recall, 3),
-                "f1": round(report.weighted.f1, 3),
-            },
-        }
+        # round leaves a class's int support as it is.
+        entries = [(name, {k: round(v, 3) for k, v in vars(s).items() if v is not None})
+                   for name, s in rows]
+        payload = {"per_class": dict(entries[:n]), **dict(entries[n:])}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     raise ValueError(f"unknown report format {format!r}")

@@ -712,6 +712,20 @@ def test_train_profile_setting_exit_3(tmp_path, capsys, flag, value, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--lang", "en", "--k", "0"], "k must be >= 1, got 0"),
+    (["train", "--lang", "en", "--max-depth", "-1"], "max_depth must be >= 0, got -1"),
+    (["train-profile", "--lang", "en", "--n", "0"], "n must be in 1..3, got 0"),
+    (["train-profile", "--lang", "en", "--alpha", "0"], "alpha must be > 0, got 0.0"),
+])
+def test_setting_checked_before_input_is_read(tmp_path, capsys, argv, message):
+    # The input file need not exist: run makes the same check first.
+    out = tmp_path / "out"
+    code = run_cli(*argv, "--out", str(out), str(tmp_path / "missing.tsv"))
+    assert (code, capsys.readouterr().err) == (3, f"config error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value,shown", [("2", "2.0"), ("-1", "-1.0"), ("0", "0.0"),
                                          ("nan", "nan")])
 def test_detect_lang_threshold_exit_3(tmp_path, capsys, value, shown):

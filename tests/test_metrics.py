@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -6,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopedetect
-from hopedetect import metrics
+from hopedetect import cli, metrics
 from hopedetect.corpus import Label
 from hopedetect.errors import HopedetectError
+from conftest import FIXTURES
+
+GOLDEN = FIXTURES / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +178,13 @@ class TestAggregate:
         # 0.1 + 0.2 + 0.3 added in order is 0.6000000000000001; a compensated
         # sum (the builtin sum from Python 3.12 on, or math.fsum) gives 0.6.
         values = {"A": 0.1, "B": 0.2, "C": 0.3}
-        monkeypatch.setattr(metrics, "class_prf", lambda cm, c: metrics.ClassMetrics(
+        monkeypatch.setattr(metrics, "class_prf", lambda cm, c: metrics.Scores(
             precision=values[c], recall=values[c], f1=values[c], support=1))
         cm = metrics.ConfusionMatrix(classes=list(values), counts=[[1, 0, 0]] * 3)
         report = metrics.aggregate(cm)
         in_order = (0.1 + 0.2 + 0.3) / 3
         assert in_order != math.fsum(values.values()) / 3
-        assert report.macro == metrics.Aggregate(in_order, in_order, in_order)
+        assert report.macro == metrics.Scores(in_order, in_order, in_order)
         assert report.weighted == report.macro
 
     def test_zero_support_flag(self):
@@ -218,3 +222,30 @@ class TestRenderReport:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             metrics.render_report(self._report(), "yaml")
+
+    def test_classes_named_like_the_averages_keep_their_rows(self):
+        report = metrics.aggregate(metrics.confusion(
+            ["macro", "macro", "B"], ["macro", "B", "B"], ["macro", "B"]))
+        names = [line.split()[0]
+                 for line in metrics.render_report(report, "text").splitlines()[1:]]
+        assert names == ["macro", "B", "macro", "weighted"]
+        payload = json.loads(metrics.render_report(report, "json"))
+        assert payload["per_class"]["macro"]["support"] == 2
+        assert payload["per_class"]["B"]["support"] == 1
+        assert "support" not in payload["macro"]
+
+
+def test_reports_match_golden_bytes(tmp_path, capsys):
+    # report.txt, report.tsv and evaluate's three formats of a fixture run,
+    # as written when the report files were committed.
+    out = tmp_path / "run"
+    assert cli.main(["run", "--lang", "en", "--k", "3", "--seed", "7", "--epochs", "50",
+                     "--out", str(out), str(FIXTURES / "en_train.tsv"),
+                     str(FIXTURES / "en_test.tsv")]) == 0
+    for name in ("predictions.txt", "report.txt", "report.tsv"):
+        assert (out / name).read_bytes() == (GOLDEN / f"run.{name}").read_bytes()
+    capsys.readouterr()
+    for fmt in ("text", "tsv", "json"):
+        assert cli.main(["evaluate", "--format", fmt, str(FIXTURES / "en_test.tsv"),
+                         str(GOLDEN / "run.predictions.txt")]) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / f"evaluate.{fmt}").read_bytes()
