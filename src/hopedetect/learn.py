@@ -522,17 +522,12 @@ def predict(model: TrainedModel, X) -> list[str]:
         zero = model.zero_paths
         votes = zero.votes.copy()
         # Walk each tree from the first node of its zero path that tests a
-        # feature the row stores. A row that stores as many features as the
-        # index holds (a dense embedding) reaches nearly every tree, so it
-        # walks them all from the root.
-        if len(row) < len(zero.first_test):
-            start = {}
-            for f in row.keys() & zero.first_test.keys():  # iterates the row, the smaller
-                for t, node in zero.first_test[f]:
-                    if start.get(t, node) >= node:
-                        start[t] = node
-        else:
-            start = dict.fromkeys(range(len(model.trees)), 0)
+        # feature the row stores.
+        start = {}
+        for f in row.keys() & zero.first_test.keys():  # iterates the smaller
+            for t, node in zero.first_test[f]:
+                if start.get(t, node) >= node:
+                    start[t] = node
         for t, i in start.items():
             tree = model.trees[t]
             feature, threshold, child = tree.feature, tree.threshold, tree.child

@@ -3,12 +3,13 @@ transliteration -> classification, plus prediction/manifest/report output.
 
 The three-class prediction is realized as a language-ID gate in front of a
 binary hope classifier: comments gated as not-in-intended-language never
-reach the feature or classifier stages.
+reach the feature or classifier stages. The gate runs only on the rows being
+labelled.
 
-``fit`` learns everything from the train rows and ``apply`` labels test rows
-with it. ``run_pipeline`` is the two in one process; ``save_bundle`` and
-``load_bundle`` keep a fitted pipeline in a directory between ``train`` and
-``predict``.
+``fit`` learns everything from the gold Hope/NotHope train rows, and
+``apply`` labels test rows with it. ``run_pipeline`` is the two in one
+process; ``save_bundle`` and ``load_bundle`` keep a fitted pipeline in a
+directory between ``train`` and ``predict``.
 """
 
 from __future__ import annotations
@@ -103,10 +104,6 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _load_profiles(cfg: PipelineConfig):
-    return [langid.load_profile(p) for p in cfg.profile_paths]
-
-
 def _scheme_table(cfg: PipelineConfig):
     path = translit.scheme_file(cfg.dataset_lang, cfg.scheme_path)
     return None if path is None else translit.load_scheme_table(path)
@@ -137,12 +134,11 @@ def preprocess_rows(rows, cfg: PipelineConfig, profiles, table) -> list[Processe
 
 @dataclass
 class FittedPipeline:
-    """What ``apply`` needs from training: the settings, the gate's profiles
-    and scheme table, the vocabulary (None in embeddings mode), and the
-    ensemble members with their records."""
+    """What ``apply`` needs from training: the settings (the gate's profiles
+    are ``cfg.profile_paths``), the scheme table, the vocabulary (None in
+    embeddings mode), and the ensemble members with their records."""
 
     cfg: PipelineConfig
-    profiles: list
     table: translit.SchemeTable | None
     vocab: features.Vocabulary | None
     models: list[learn.TrainedModel]
@@ -158,14 +154,12 @@ def load_rows(stage: str, path, *, labeled: bool | None):
 
 
 def fit(cfg: PipelineConfig, train_rows) -> FittedPipeline:
-    """Preprocess the train rows, build their features and train the ensemble
-    on the gold Hope/NotHope rows. Each member's record gets its validation
-    weighted F1."""
+    """Train the ensemble on the gold Hope/NotHope rows: on the features of
+    their texts, normalized and then transliterated when the dataset has a
+    scheme table, or on their embeddings. No row is gated. Each member's
+    record gets its validation weighted F1."""
     cfg.validate()
-    profiles = _load_profiles(cfg)
     table = _scheme_table(cfg)
-    train_proc = preprocess_rows(train_rows, cfg, profiles, table)
-
     # Binary classifier training set: positions of the gold Hope/NotHope rows.
     binary = [i for i, r in enumerate(train_rows)
               if r.label in (Label.HOPE, Label.NOT_HOPE)]
@@ -175,7 +169,9 @@ def fit(cfg: PipelineConfig, train_rows) -> FittedPipeline:
                               "need at least 2")
     vocab = None
     if cfg.feature_mode == "tfidf":
-        texts = [train_proc[i].text for i in binary]
+        texts = textprep.normalize_text([train_rows[i].text for i in binary])
+        if table is not None:
+            texts = [translit.transliterate(text, table) for text in texts]
         vocab = features.build_vocab(texts, cfg.min_df)
         X = features.tfidf_vectorize(texts, vocab)
     else:
@@ -186,21 +182,25 @@ def fit(cfg: PipelineConfig, train_rows) -> FittedPipeline:
         X, y, cfg.classifier, cfg.k, cfg.base_seed, cfg.fraction_train,
         **cfg.trainer_params())
 
-    # Per-member validation weighted F1, recorded in the manifest.
+    # Per-member validation weighted F1, recorded in the manifest, over the
+    # ensemble's classes: a member whose split held one class knows only it.
+    classes = sorted(set(y))
     for model, rec in zip(models, records):
         rows = rec["validation_rows"]
         gold = [y[i] for i in rows]
         pred = learn.predict(model, X[rows])
-        cm = metrics.confusion(gold, pred, model.classes)
+        cm = metrics.confusion(gold, pred, classes)
         rec["validation_weighted_f1"] = metrics.aggregate(cm).weighted.f1
-    return FittedPipeline(cfg, profiles, table, vocab, models, records)
+    return FittedPipeline(cfg, table, vocab, models, records)
 
 
 def apply(fitted: FittedPipeline, test_rows) -> list[Label]:
     """The label of each test row: the gate's, or the ensemble's vote on the
     row's features. Only the rows the gate keeps get features."""
     cfg = fitted.cfg
-    test_proc = preprocess_rows(test_rows, cfg, fitted.profiles, fitted.table)
+    # The profiles live only as long as this call.
+    test_proc = preprocess_rows(
+        test_rows, cfg, [langid.load_profile(p) for p in cfg.profile_paths], fitted.table)
     kept = [i for i, p in enumerate(test_proc) if p.gate is None]
     if cfg.feature_mode == "tfidf":
         X = features.tfidf_vectorize([test_proc[i].text for i in kept], fitted.vocab)
@@ -286,8 +286,10 @@ def save_bundle(fitted: FittedPipeline, train_path, bundle_dir) -> None:
 
 def load_bundle(bundle_dir) -> FittedPipeline:
     """Read a directory written by ``save_bundle``. The copied profile and
-    scheme files must match the sha256 its manifest pins. Only TF-IDF
-    bundles load: nothing here computes embeddings of new comments."""
+    scheme files must match the sha256 its manifest pins; ``apply`` loads the
+    profiles. Every member must be of the manifest's classifier, vocabulary
+    width and seed, and name only ``Label`` classes. Only TF-IDF bundles
+    load: nothing here computes embeddings of new comments."""
     bundle = Path(bundle_dir)
     try:
         lines = [line for _, line in corpus.utf8_lines(bundle / "manifest.txt")]
@@ -343,11 +345,12 @@ def load_bundle(bundle_dir) -> FittedPipeline:
         wrong = [f"{name} {got}, expected {want}" for name, got, want in (
             ("kind", model.kind, cfg.classifier), ("dim", model.dim, len(vocab)),
             ("seed", model.train_seed, rec["seed"])) if got != want]
+        wrong += [f"class {name}, expected one of {', '.join(Label)}"
+                  for name in model.classes if name not in set(Label)]
         if wrong:
             raise MalformedFile(path, 1, "; ".join(wrong))
         models.append(model)
-    return FittedPipeline(cfg, _load_profiles(cfg), _scheme_table(cfg), vocab,
-                          models, records)
+    return FittedPipeline(cfg, _scheme_table(cfg), vocab, models, records)
 
 
 def _render_manifest(cfg, train_path, test_path, models, records) -> str:

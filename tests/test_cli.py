@@ -251,6 +251,22 @@ class TestBundle:
                          rf"line 1: {message}$", capsys.readouterr().err, re.M)
         assert not (tmp_path / "p.txt").exists()
 
+    def test_member_naming_an_unknown_class_is_refused(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        assert run_cli("train", "--lang", "en", "--epochs", "10", "--out", str(bundle),
+                       str(FIXTURES / "en_train.tsv")) == 0
+        model = bundle / "member-0.model"
+        model.write_text(model.read_text().replace("classes=Hope,NotHope",
+                                                   "classes=Hope,Bogus", 1))
+        capsys.readouterr()
+        code = run_cli("predict", "--lang", "en", "--model", str(bundle),
+                       "--out", str(tmp_path / "p.txt"), str(FIXTURES / "en_test.tsv"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"input error: {model}: line 1: class Bogus, expected one of "
+            "Hope, NotHope, NotLanguage\n")
+        assert not (tmp_path / "p.txt").exists()
+
     @pytest.mark.parametrize("name", ["member-0.model", "vocab.tsv"])
     def test_non_utf8_byte_in_bundle_names_its_line(self, tmp_path, capsys, name):
         bundle = tmp_path / "bundle"
@@ -379,6 +395,20 @@ class TestRun:
         preds = (out1 / "predictions.txt").read_text().splitlines()
         assert len(preds) == 25
         assert set(preds) <= {"Hope_speech", "Non_hope_speech", "not-English"}
+
+    def test_forest_member_of_one_class(self, tmp_path):
+        # Of two train rows a member grows on one and validates on the
+        # other, whose class it never saw.
+        train = tmp_path / "train.tsv"
+        train.write_text("you can do this never give up\tHope_speech\n"
+                         "my internet keeps buffering today truly\tNon_hope_speech\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--lang", "en", "--classifier", "random_forest",
+                       "--n-trees", "5", "--out", str(out), str(train),
+                       str(FIXTURES / "en_test.tsv")) == 0
+        assert len((out / "predictions.txt").read_text().splitlines()) == 25
+        assert "member.seed=0 validation_weighted_f1=0.000000\n" in \
+            (out / "manifest.txt").read_text()
 
     def test_embeddings_mode(self, tmp_path):
         import numpy as np
@@ -959,7 +989,8 @@ class TestPipelineInternals:
         monkeypatch.setattr(features, "tfidf_vectorize", recorded)
         labels = pipeline.apply(fitted, rows)
         assert len(labels) == len(rows)
-        proc = pipeline.preprocess_rows(rows, cfg, fitted.profiles, fitted.table)
+        profiles = [langid.load_profile(path) for path in paths]
+        proc = pipeline.preprocess_rows(rows, cfg, profiles, fitted.table)
         kept = [p.text for p in proc if p.gate is None]
         assert seen == [kept] and 0 < len(kept) < len(rows)
         # One label per row: the gate's, else the vote on the row's features
@@ -969,6 +1000,39 @@ class TestPipelineInternals:
             p.gate or learn.ensemble_predict(fitted.models, X[i:i + 1], cfg.tie_break)
             for i, p in enumerate(proc)]
         assert set(labels) <= set(Label) and Label.NOT_LANGUAGE in labels
+
+    def test_fit_gates_no_row(self, tmp_path, trained_profiles, monkeypatch):
+        # The profiles gate some gold Hope/NotHope rows of the fixture, yet
+        # fit trains on every one of them, normalized and transliterated,
+        # and neither loads a profile nor detects a language.
+        paths = []
+        for p in trained_profiles:
+            paths.append(str(tmp_path / f"{p.lang}.profile"))
+            langid.save_profile(p, paths[-1])
+        cfg = pipeline.PipelineConfig(dataset_lang=DatasetLang.TAMIL,
+                                      profile_paths=paths, k=1, epochs=30)
+        rows = corpus.load_tsv(FIXTURES / "ta_train.tsv")
+        gold = [r for r in rows if r.label in (Label.HOPE, Label.NOT_HOPE)]
+        table = pipeline._scheme_table(cfg)
+        proc = pipeline.preprocess_rows(gold, cfg, trained_profiles, table)
+        assert Label.NOT_LANGUAGE in [p.gate for p in proc]
+        want = [translit.transliterate(text, table)
+                for text in textprep.normalize_text([r.text for r in gold])]
+
+        def refused(*args):
+            raise AssertionError("fit ran the language gate")
+
+        monkeypatch.setattr(langid, "detect", refused)
+        monkeypatch.setattr(langid, "load_profile", refused)
+        build_vocab, seen = features.build_vocab, []
+
+        def recorded(texts, min_df):
+            seen.append(list(texts))
+            return build_vocab(texts, min_df)
+
+        monkeypatch.setattr(features, "build_vocab", recorded)
+        fitted = pipeline.fit(cfg, rows)
+        assert seen == [want] and not hasattr(fitted, "profiles")
 
     def test_stage_order(self, trained_profiles, monkeypatch):
         cfg = pipeline.PipelineConfig(dataset_lang=DatasetLang.TAMIL)
