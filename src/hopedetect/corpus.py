@@ -151,6 +151,24 @@ def utf8_lines(path):
             line_no += len(chunk)
 
 
+def finite_numbers(tokens: list[str]) -> list[float]:
+    """The numbers written in ``tokens``. A ValueError names the first token
+    that is not a finite number: a word, a nan or an infinity."""
+    try:
+        values = list(map(float, tokens))
+        if all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    for token in tokens:
+        try:
+            bad = not math.isfinite(float(token))
+        except ValueError:
+            bad = True
+        if bad:
+            raise ValueError(f"{token!r} is not a finite number")
+
+
 def compute_stats(data: list[LabeledComment]) -> DatasetStats:
     counts = {label: 0 for label in Label}
     for row in data:

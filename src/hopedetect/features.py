@@ -14,7 +14,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .corpus import utf8_lines
+from .corpus import finite_numbers, utf8_lines
 from .errors import HopedetectError, MalformedFile
 
 VOCAB_VERSION = "vocab-v1"
@@ -223,7 +223,7 @@ def load_embeddings(path, dim: int | None = None,
                     n_rows: int | None = None) -> np.ndarray:
     """One dense vector of finite values per line, aligned to dataset row
     order: rows x dim. Without ``dim`` the first vector sets the width."""
-    vectors: list[list[float]] = []
+    vectors: list[np.ndarray] = []
     for line_no, line in utf8_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -234,20 +234,9 @@ def load_embeddings(path, dim: int | None = None,
         if len(tokens) != dim:
             raise MalformedFile(path, line_no, f"expected {dim} values, got {len(tokens)}")
         try:
-            vector = [float(t) for t in tokens]
-            if not all(map(math.isfinite, vector)):
-                raise ValueError
-        except ValueError:
-            bad = next(t for t in tokens if not _is_finite(t))
-            raise MalformedFile(path, line_no, f"{bad!r} is not a finite number") from None
-        vectors.append(vector)
+            vectors.append(np.array(finite_numbers(tokens)))
+        except ValueError as e:
+            raise MalformedFile(path, line_no, e) from None
     if n_rows is not None and len(vectors) != n_rows:
         raise HopedetectError(f"{path}: {len(vectors)} vectors for {n_rows} dataset rows")
     return np.array(vectors, dtype=float).reshape(len(vectors), dim or 0)
-
-
-def _is_finite(token: str) -> bool:
-    try:
-        return math.isfinite(float(token))
-    except ValueError:
-        return False

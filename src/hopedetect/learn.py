@@ -8,14 +8,13 @@ prediction files. All training is deterministic given its seed.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .corpus import Label, parse_label, split_positions, utf8_lines
+from .corpus import Label, finite_numbers, parse_label, split_positions, utf8_lines
 from .errors import ConfigError, HopedetectError, MalformedFile
 from .features import CsrMatrix
 
@@ -512,14 +511,15 @@ def predict(model: TrainedModel, X) -> list[str]:
                       model.dim)
     labels = []
     bounds = X.indptr.tolist()
+    if model.kind != "random_forest":
+        W, b = model.weights, model.bias
+        for lo, hi in zip(bounds, bounds[1:]):
+            scores = W.take(X.indices[lo:hi], axis=1) @ X.data[lo:hi] + b
+            labels.append(model.classes[scores.argmax()])
+        return labels
+    zero = model.zero_paths
     for lo, hi in zip(bounds, bounds[1:]):
-        cols, vals = X.indices[lo:hi], X.data[lo:hi]
-        if model.kind != "random_forest":
-            scores = model.weights.take(cols, axis=1) @ vals + model.bias
-            labels.append(model.classes[int(np.argmax(scores))])
-            continue
-        row = dict(zip(cols.tolist(), vals.tolist()))
-        zero = model.zero_paths
+        row = dict(zip(X.indices[lo:hi].tolist(), X.data[lo:hi].tolist()))
         votes = zero.votes.copy()
         # Walk each tree from the first node of its zero path that tests a
         # feature the row stores.
@@ -662,11 +662,11 @@ def _read_linear(model: TrainedModel, body, path, end) -> None:
             if len(values) != want:
                 raise ValueError(f"{len(values)} values on a {tag} line, expected {want}")
             if tag == "w":
-                rows.append(_finite(values))
+                rows.append(finite_numbers(values))
             elif len(rows) != len(model.classes):
                 raise ValueError(f"{len(rows)} w lines for {len(model.classes)} classes")
             else:
-                bias = _finite(values)
+                bias = finite_numbers(values)
         except ValueError as e:
             raise MalformedFile(path, line_no, e) from None
     if bias is None:
@@ -700,7 +700,7 @@ def _read_trees(model: TrainedModel, body, path, end) -> None:
             elif not 0 <= f < model.dim:
                 raise ValueError(f"feature {f} out of range for dim {model.dim}")
             else:
-                label, threshold = -1, _finite(values[1:])[0]
+                label, threshold = -1, finite_numbers(values[1:])[0]
                 unread += 2
             unread -= 1
             tree.feature.append(f)
@@ -713,16 +713,6 @@ def _read_trees(model: TrainedModel, body, path, end) -> None:
     n_trees = model.hyperparams.get("n_trees", len(model.trees))
     if not model.trees or len(model.trees) != n_trees:
         raise MalformedFile(path, end, f"{len(model.trees)} trees for n_trees={n_trees}")
-
-
-def _finite(texts: list[str]) -> list[float]:
-    """The numbers written in ``texts``; ValueError names one that is not a
-    finite number."""
-    values = [float(t) for t in texts]
-    if not all(map(math.isfinite, values)):
-        bad = next(t for t, v in zip(texts, values) if not math.isfinite(v))
-        raise ValueError(f"{bad!r} is not a finite number")
-    return values
 
 
 def _parse_number(text: str) -> int | float:

@@ -198,9 +198,11 @@ def apply(fitted: FittedPipeline, test_rows) -> list[Label]:
     """The label of each test row: the gate's, or the ensemble's vote on the
     row's features. Only the rows the gate keeps get features."""
     cfg = fitted.cfg
-    # The profiles live only as long as this call.
+    # The profiles live only as long as this call. Embeddings mode reads the
+    # text only for the gate, so it is not transliterated.
+    table = fitted.table if cfg.feature_mode == "tfidf" else None
     test_proc = preprocess_rows(
-        test_rows, cfg, [langid.load_profile(p) for p in cfg.profile_paths], fitted.table)
+        test_rows, cfg, [langid.load_profile(p) for p in cfg.profile_paths], table)
     kept = [i for i, p in enumerate(test_proc) if p.gate is None]
     if cfg.feature_mode == "tfidf":
         X = features.tfidf_vectorize([test_proc[i].text for i in kept], fitted.vocab)

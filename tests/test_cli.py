@@ -1034,6 +1034,49 @@ class TestPipelineInternals:
         fitted = pipeline.fit(cfg, rows)
         assert seen == [want] and not hasattr(fitted, "profiles")
 
+    def test_embeddings_apply_transliterates_nothing(self, tmp_path, monkeypatch):
+        # In embeddings mode only the gate reads text, so apply transliterates
+        # no row. Each label is still the gate's, else the vote on the row's
+        # vector, and fit still loads the scheme table the manifest pins.
+        import numpy as np
+
+        rows = corpus.load_tsv(FIXTURES / "ml_train.tsv")
+        emb = tmp_path / "ml.emb"
+        rng = np.random.default_rng(5)
+        emb.write_text("".join(" ".join(f"{v:.6f}" for v in rng.normal(size=4)) + "\n"
+                               for _ in rows))
+
+        def refused(*args):
+            raise AssertionError("apply transliterated a row")
+
+        apply, fitted_seen = pipeline.apply, []
+
+        def without_transliteration(fitted, test_rows):
+            fitted_seen.append(fitted)
+            with monkeypatch.context() as m:
+                m.setattr(translit, "transliterate", refused)
+                return apply(fitted, test_rows)
+
+        monkeypatch.setattr(pipeline, "apply", without_transliteration)
+        out = tmp_path / "out"
+        assert run_cli("run", "--lang", "ml", "--seed", "1", "--epochs", "30",
+                       "--train-embeddings", str(emb), "--test-embeddings", str(emb),
+                       "--out", str(out), str(FIXTURES / "ml_train.tsv"),
+                       str(FIXTURES / "ml_train.tsv")) == 0
+        fitted, = fitted_seen
+        assert fitted.table is not None
+        proc = pipeline.preprocess_rows(rows, fitted.cfg, [], fitted.table)
+        X = features.load_embeddings(emb)
+        want = [p.gate or learn.ensemble_predict(fitted.models, X[i:i + 1],
+                                                 fitted.cfg.tie_break)
+                for i, p in enumerate(proc)]
+        aliases = DatasetLang.MALAYALAM.aliases
+        assert (out / "predictions.txt").read_text() == "".join(
+            aliases[label] + "\n" for label in want)
+        scheme = translit.scheme_file(DatasetLang.MALAYALAM, None)
+        assert f"scheme.sha256={pipeline.sha256_file(scheme)}\n" in \
+            (out / "manifest.txt").read_text()
+
     def test_stage_order(self, trained_profiles, monkeypatch):
         cfg = pipeline.PipelineConfig(dataset_lang=DatasetLang.TAMIL)
         rows = corpus.load_tsv(FIXTURES / "ta_train.tsv")

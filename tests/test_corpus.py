@@ -176,6 +176,23 @@ class TestUtf8Lines:
         assert want.value.line_no == bad_line
 
 
+class TestFiniteNumbers:
+    def test_reads_every_float_spelling(self):
+        values = corpus.finite_numbers(["0.5", "-3", "1e-300", "-0.0", "2.5E+3"])
+        assert values == [0.5, -3.0, 1e-300, -0.0, 2500.0]
+        assert str(values[3]) == "-0.0"
+        assert corpus.finite_numbers([]) == []
+
+    @pytest.mark.parametrize("tokens,first", [
+        (["0.5", "x", "1.0"], "x"), (["nan"], "nan"), (["0.5", "inf"], "inf"),
+        (["-inf", "2"], "-inf"), (["NaN", "-Infinity"], "NaN"),
+        (["0.5", "inf", "x"], "inf"), (["0.5", "x", "nan"], "x")])
+    def test_names_the_first_token_that_is_not_finite(self, tokens, first):
+        with pytest.raises(ValueError) as err:
+            corpus.finite_numbers(tokens)
+        assert str(err.value) == f"{first!r} is not a finite number"
+
+
 class TestComputeStats:
     def test_fixture_counts(self):
         for name, (hope, nothope, notlang) in FIXTURE_COUNTS.items():

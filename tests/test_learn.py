@@ -1129,6 +1129,9 @@ def _damaged(damage):
                        + logreg[3:], 3),
         "inf bias": ("logreg", logreg[:-1] + ["b 0.0 inf\n"], len(logreg)),
         "-inf threshold": ("forest", forest[:2] + ["n 34 -inf\n"] + forest[3:], 3),
+        "word weight": ("logreg", logreg[:1] + ["w x " + logreg[1].split(" ", 2)[2]]
+                        + logreg[2:], 2),
+        "word threshold": ("forest", forest[:2] + ["n 34 x\n"] + forest[3:], 3),
     }[damage]
     return name, "".join(lines), line_no
 
@@ -1185,7 +1188,8 @@ class TestGoldenModels:
         assert isinstance(err.value, HopedetectError)
 
     @pytest.mark.parametrize("damage,value", [
-        ("nan weight", "nan"), ("inf bias", "inf"), ("-inf threshold", "-inf")])
+        ("nan weight", "nan"), ("inf bias", "inf"), ("-inf threshold", "-inf"),
+        ("word weight", "x"), ("word threshold", "x")])
     def test_non_finite_number_names_its_line(self, tmp_path, damage, value):
         name, text, line_no = _damaged(damage)
         path = tmp_path / f"{name}.model"
