@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect-lang", help="per-line language detection")
     p.add_argument("--profiles", nargs="+", required=True, help=_PROFILES_HELP)
-    p.add_argument("--script-threshold", type=float, default=0.5)
+    p.add_argument("--script-threshold", type=float,
+                   default=pipeline.PipelineConfig.script_threshold)
     p.add_argument("path")
 
     p = sub.add_parser("train-profile", help="train a language ID profile")
@@ -133,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ensemble-vote", help="majority-vote prediction files")
     p.add_argument("--predictions", nargs="+", required=True)
     p.add_argument("--n-rows", type=int, required=True)
-    p.add_argument("--tie-break", default="MajorityClassPrior",
+    p.add_argument("--tie-break", default=pipeline.PipelineConfig.tie_break,
                    choices=learn.TIE_BREAKS)
     p.add_argument("--out")
 
@@ -172,14 +173,15 @@ def _cmd_detect_lang(args):
 
 def _cmd_train_profile(args):
     langid.check_profile_settings(args.n, args.alpha)
-    sentences = [line for _, line in utf8_lines(args.path) if line.strip()]
-    profile = langid.train_profile(sentences, args.lang, args.n, args.alpha)
+    # The grams of comments normalized as detect-lang and the gate see them.
+    texts = textprep.normalize_text([line for _, line in utf8_lines(args.path)])
+    profile = langid.train_profile([t for t in texts if t], args.lang, args.n, args.alpha)
     langid.save_profile(profile, args.out)
     print(f"wrote {args.out} ({len(profile.logprob)} n-grams)")
 
 
 def _cmd_transliterate(args):
-    table = translit.load_scheme_table(translit.scheme_file(_LANGS[args.lang], args.scheme))
+    table = translit.scheme_table(_LANGS[args.lang], args.scheme)
     for _, line in utf8_lines(args.path):
         print(translit.transliterate(line, table))
 

@@ -209,7 +209,7 @@ def svm_gradient(W, b, X, signs, C):
     return gW, C * _row_sums(coef)
 
 
-def train_linear_svm(X, y, lr: float = 0.01, epochs: int = 500, C: float = 1.0,
+def train_linear_svm(X, y, lr: float = 0.1, epochs: int = 500, C: float = 1.0,
                      seed: int = 0) -> TrainedModel:
     y_idx, class_names = _encode_labels(y)
     _check_training_input(X, y_idx, len(class_names))
@@ -409,11 +409,8 @@ def _grow_trees(XT: CsrMatrix, y_idx, n_classes, n_trees, max_depth, n_feats,
         left = np.zeros((len(tree), n_classes), dtype=np.int64)
         mixed = np.flatnonzero(counts.max(axis=1) < counts.sum(axis=1))
         if depth < max_depth and len(mixed):
-            if n_feats < dim:
-                feats = np.sort([rngs[t].choice(dim, n_feats, replace=False)
-                                 for t in tree[mixed]], axis=1)
-            else:
-                feats = np.broadcast_to(np.arange(dim), (len(mixed), dim))
+            feats = np.sort([rngs[t].choice(dim, n_feats, replace=False)
+                             for t in tree[mixed]], axis=1)
             sizes = np.diff(XT.indptr)[feats].sum(axis=1)
             for part in _batches(sizes, _SEARCH_ENTRIES):
                 k = mixed[part]
@@ -576,21 +573,19 @@ def train_ensemble(X, y, kind: str, k: int, base_seed: int, fraction_train: floa
 
     ``X`` is the feature matrix (ndarray or CsrMatrix) and ``y`` the labels,
     row-aligned. Each member trains on its split's rows taken from ``X``.
-    Returns (models, member_records) where each record holds the member's
-    split seed and validation row positions.
+    Returns (models, validation): the members, whose ``train_seed`` is their
+    split's seed, and the validation row positions of each member's split.
     """
     if k % 2 == 0:
         warnings.warn(f"even ensemble size {k}: ties will fall to the tie-break rule")
     trainer = _TRAINERS[kind]
-    models, records = [], []
-    for i in range(k):
-        member_seed = base_seed + i
-        train, validation = split_positions(len(y), member_seed, fraction_train)
-        model = trainer(X[train], [y[j] for j in train], seed=member_seed,
-                        **trainer_params)
-        models.append(model)
-        records.append({"seed": member_seed, "validation_rows": validation})
-    return models, records
+    models, validation = [], []
+    for seed in range(base_seed, base_seed + k):
+        train, held_out = split_positions(len(y), seed, fraction_train)
+        models.append(trainer(X[train], [y[j] for j in train], seed=seed,
+                              **trainer_params))
+        validation.append(held_out)
+    return models, validation
 
 
 def ensemble_predict(models, x, tie_break: str = "MajorityClassPrior") -> str:

@@ -104,11 +104,6 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _scheme_table(cfg: PipelineConfig):
-    path = translit.scheme_file(cfg.dataset_lang, cfg.scheme_path)
-    return None if path is None else translit.load_scheme_table(path)
-
-
 @dataclass(slots=True)
 class ProcessedRow:
     text: str  # normalized (and transliterated, when applicable)
@@ -136,13 +131,14 @@ def preprocess_rows(rows, cfg: PipelineConfig, profiles, table) -> list[Processe
 class FittedPipeline:
     """What ``apply`` needs from training: the settings (the gate's profiles
     are ``cfg.profile_paths``), the scheme table, the vocabulary (None in
-    embeddings mode), and the ensemble members with their records."""
+    embeddings mode), the ensemble members, and each member's validation
+    weighted F1."""
 
     cfg: PipelineConfig
     table: translit.SchemeTable | None
     vocab: features.Vocabulary | None
     models: list[learn.TrainedModel]
-    records: list[dict]
+    validation_f1: list[float]
 
 
 def load_rows(stage: str, path, *, labeled: bool | None):
@@ -156,10 +152,10 @@ def load_rows(stage: str, path, *, labeled: bool | None):
 def fit(cfg: PipelineConfig, train_rows) -> FittedPipeline:
     """Train the ensemble on the gold Hope/NotHope rows: on the features of
     their texts, normalized and then transliterated when the dataset has a
-    scheme table, or on their embeddings. No row is gated. Each member's
-    record gets its validation weighted F1."""
+    scheme table, or on their embeddings. No row is gated. Each member is
+    scored by its validation weighted F1."""
     cfg.validate()
-    table = _scheme_table(cfg)
+    table = translit.scheme_table(cfg.dataset_lang, cfg.scheme_path)
     # Binary classifier training set: positions of the gold Hope/NotHope rows.
     binary = [i for i, r in enumerate(train_rows)
               if r.label in (Label.HOPE, Label.NOT_HOPE)]
@@ -178,20 +174,19 @@ def fit(cfg: PipelineConfig, train_rows) -> FittedPipeline:
         X = features.load_embeddings(cfg.train_embeddings, n_rows=len(train_rows))[binary]
     y = [train_rows[i].label for i in binary]
 
-    models, records = learn.train_ensemble(
+    models, validation = learn.train_ensemble(
         X, y, cfg.classifier, cfg.k, cfg.base_seed, cfg.fraction_train,
         **cfg.trainer_params())
 
     # Per-member validation weighted F1, recorded in the manifest, over the
     # ensemble's classes: a member whose split held one class knows only it.
     classes = sorted(set(y))
-    for model, rec in zip(models, records):
-        rows = rec["validation_rows"]
-        gold = [y[i] for i in rows]
+    validation_f1 = []
+    for model, rows in zip(models, validation):
         pred = learn.predict(model, X[rows])
-        cm = metrics.confusion(gold, pred, classes)
-        rec["validation_weighted_f1"] = metrics.aggregate(cm).weighted.f1
-    return FittedPipeline(cfg, table, vocab, models, records)
+        cm = metrics.confusion([y[i] for i in rows], pred, classes)
+        validation_f1.append(metrics.aggregate(cm).weighted.f1)
+    return FittedPipeline(cfg, table, vocab, models, validation_f1)
 
 
 def apply(fitted: FittedPipeline, test_rows) -> list[Label]:
@@ -251,7 +246,7 @@ def run_pipeline(cfg: PipelineConfig, train_path, test_path, out_dir):
         )
 
     manifest = _render_manifest(cfg, train_path, test_path, fitted.models,
-                                fitted.records)
+                                fitted.validation_f1)
     (out_dir / "manifest.txt").write_text(manifest, encoding="utf-8")
     return labels, report
 
@@ -282,7 +277,8 @@ def save_bundle(fitted: FittedPipeline, train_path, bundle_dir) -> None:
     for i, model in enumerate(fitted.models):
         learn.save_model(model, out / f"member-{i}.model")
     cfg = replace(fitted.cfg, profile_paths=profile_paths, scheme_path=scheme_path)
-    manifest = _render_manifest(cfg, train_path, None, fitted.models, fitted.records)
+    manifest = _render_manifest(cfg, train_path, None, fitted.models,
+                                fitted.validation_f1)
     (out / "manifest.txt").write_text(manifest, encoding="utf-8")
 
 
@@ -325,10 +321,11 @@ def load_bundle(bundle_dir) -> FittedPipeline:
             fraction_train=float(one["fraction_train"]),
             tie_break=one["tie_break"],
         )
-        records = [{"seed": int(seed), "validation_weighted_f1": float(f1.split("=")[1])}
+        # (seed, validation weighted F1) of each member.
+        members = [(int(seed), float(f1.split("=")[1]))
                    for seed, f1 in map(str.split, pinned["member.seed"])]
-        if len(records) != cfg.k:
-            raise ValueError(f"{len(records)} member.seed lines for ensemble_k={cfg.k}")
+        if len(members) != cfg.k:
+            raise ValueError(f"{len(members)} member.seed lines for ensemble_k={cfg.k}")
     except (KeyError, ValueError) as e:
         raise ConfigError(f"{bundle}: malformed manifest.txt ({e!r})") from None
     cfg.validate()
@@ -341,21 +338,22 @@ def load_bundle(bundle_dir) -> FittedPipeline:
                               f"{bundle / 'manifest.txt'} pins")
     vocab = features.load_vocab(bundle / "vocab.tsv")
     models = []
-    for i, rec in enumerate(records):
+    for i, (seed, _) in enumerate(members):
         path = bundle / f"member-{i}.model"
         model = learn.load_model(path)
         wrong = [f"{name} {got}, expected {want}" for name, got, want in (
             ("kind", model.kind, cfg.classifier), ("dim", model.dim, len(vocab)),
-            ("seed", model.train_seed, rec["seed"])) if got != want]
+            ("seed", model.train_seed, seed)) if got != want]
         wrong += [f"class {name}, expected one of {', '.join(Label)}"
                   for name in model.classes if name not in set(Label)]
         if wrong:
             raise MalformedFile(path, 1, "; ".join(wrong))
         models.append(model)
-    return FittedPipeline(cfg, _scheme_table(cfg), vocab, models, records)
+    return FittedPipeline(cfg, translit.scheme_table(cfg.dataset_lang, cfg.scheme_path),
+                          vocab, models, [f1 for _, f1 in members])
 
 
-def _render_manifest(cfg, train_path, test_path, models, records) -> str:
+def _render_manifest(cfg, train_path, test_path, models, validation_f1) -> str:
     lines = [f"# {MANIFEST_VERSION}"]
     add = lines.append
     add(f"hopedetect_version={__version__}")
@@ -388,9 +386,6 @@ def _render_manifest(cfg, train_path, test_path, models, records) -> str:
         add(f"scheme.sha256={sha256_file(scheme)}")
     for path in cfg.profile_paths:
         add(f"profile.sha256={sha256_file(path)}")
-    for rec in records:
-        add(
-            f"member.seed={rec['seed']} "
-            f"validation_weighted_f1={rec.get('validation_weighted_f1', 0.0):.6f}"
-        )
+    for model, f1 in zip(models, validation_f1):
+        add(f"member.seed={model.train_seed} validation_weighted_f1={f1:.6f}")
     return "\n".join(lines) + "\n"

@@ -82,9 +82,11 @@ def scheme_file(lang: DatasetLang, path=None):
     return path or resources.files("hopedetect.data").joinpath(BUNDLED_SCHEMES[lang])
 
 
-def bundled_scheme_table(lang: DatasetLang) -> SchemeTable:
-    """Scheme table shipped for a dataset of BUNDLED_SCHEMES."""
-    return load_scheme_table(scheme_file(lang))
+def scheme_table(lang: DatasetLang, path=None) -> SchemeTable | None:
+    """The table of ``scheme_file(lang, path)``, or None for a dataset
+    whose comments are not transliterated."""
+    path = scheme_file(lang, path)
+    return None if path is None else load_scheme_table(path)
 
 
 def transliterate(text: str, table: SchemeTable) -> str:

@@ -157,7 +157,7 @@ def test_06_transliteration_properties():
     from hopedetect import translit
 
     start = time.monotonic()
-    table = translit.bundled_scheme_table(DatasetLang.TAMIL)
+    table = translit.scheme_table(DatasetLang.TAMIL)
     max_key_len = max(map(len, table.entries))
     rng = random.Random(55)
     pools = ["abcdefghijklmnopqrstuvwxyz",

@@ -1,3 +1,4 @@
+import inspect
 import re
 import shutil
 import sys
@@ -52,6 +53,19 @@ class TestTrainProfileAndDetect:
         assert run_cli("detect-lang", str(input_file),
                        "--profiles", str(profile_path)) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "en"
+
+    def test_profile_learns_normalized_grams(self, tmp_path):
+        # detect-lang and the gate score normalized comments, so a profile
+        # counts the grams of its lines normalized; a line left empty goes.
+        raw, normal = tmp_path / "raw.txt", tmp_path / "normal.txt"
+        raw.write_text("HOPE, Always!\nKeep going :) \U0001F44D\n\U0001F44D !!\n",
+                       encoding="utf-8")
+        normal.write_text("hope always\nkeep going\n", encoding="utf-8")
+        for path in (raw, normal):
+            assert run_cli("train-profile", "--lang", "en", "--out",
+                           str(path.with_suffix(".profile")), str(path)) == 0
+        assert (tmp_path / "raw.profile").read_bytes() == \
+            (tmp_path / "normal.profile").read_bytes()
 
 
 class TestParser:
@@ -937,6 +951,14 @@ class TestInputErrorLines:
 
 
 class TestPipelineInternals:
+    @pytest.mark.parametrize("kind", list(learn._TRAINERS))
+    def test_trainer_defaults_match_config(self, kind):
+        # A library call without settings trains as `run` does by default.
+        params = pipeline.PipelineConfig(dataset_lang=DatasetLang.ENGLISH,
+                                         classifier=kind).trainer_params()
+        signature = inspect.signature(learn._TRAINERS[kind])
+        assert params == {name: signature.parameters[name].default for name in params}
+
     def test_notlanguage_bypasses_classifier(self, tmp_path, trained_profiles,
                                              monkeypatch):
         profile_paths = []
@@ -1013,7 +1035,7 @@ class TestPipelineInternals:
                                       profile_paths=paths, k=1, epochs=30)
         rows = corpus.load_tsv(FIXTURES / "ta_train.tsv")
         gold = [r for r in rows if r.label in (Label.HOPE, Label.NOT_HOPE)]
-        table = pipeline._scheme_table(cfg)
+        table = translit.scheme_table(cfg.dataset_lang, cfg.scheme_path)
         proc = pipeline.preprocess_rows(gold, cfg, trained_profiles, table)
         assert Label.NOT_LANGUAGE in [p.gate for p in proc]
         want = [translit.transliterate(text, table)
@@ -1080,7 +1102,7 @@ class TestPipelineInternals:
     def test_stage_order(self, trained_profiles, monkeypatch):
         cfg = pipeline.PipelineConfig(dataset_lang=DatasetLang.TAMIL)
         rows = corpus.load_tsv(FIXTURES / "ta_train.tsv")
-        table = pipeline._scheme_table(cfg)
+        table = translit.scheme_table(cfg.dataset_lang, cfg.scheme_path)
         events = []  # (stage, first argument, result), in call order
         for module, name in ((textprep, "normalize_text"),
                              (langid, "detect"),
@@ -1128,7 +1150,8 @@ class TestPipelineInternals:
         rows = corpus.load_tsv(FIXTURES / name)
         rows.append(corpus.LabeledComment(len(rows), "नमस्ते दोस्त", None))
         cfg = pipeline.PipelineConfig(dataset_lang=lang)
-        proc = pipeline.preprocess_rows(rows, cfg, [], pipeline._scheme_table(cfg))
+        table = translit.scheme_table(cfg.dataset_lang, cfg.scheme_path)
+        proc = pipeline.preprocess_rows(rows, cfg, [], table)
         gold = [p.gate for p, r in zip(proc, rows)
                 if r.label in (Label.HOPE, Label.NOT_HOPE)]
         assert (len(gold), gold.count("NotLanguage")) == (22, 0)

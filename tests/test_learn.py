@@ -973,9 +973,9 @@ class TestEnsemble:
 
     def test_k7_distinct_seeds(self):
         X, y = self._data()
-        models, records = learn.train_ensemble(X, y, "logreg", 7, 100, 0.9, epochs=20)
+        models, _ = learn.train_ensemble(X, y, "logreg", 7, 100, 0.9, epochs=20)
         assert len(models) == 7
-        assert [r["seed"] for r in records] == list(range(100, 107))
+        assert [m.train_seed for m in models] == list(range(100, 107))
 
     def test_k1_equals_single_model(self):
         X, y = self._data()
@@ -1005,10 +1005,10 @@ class TestEnsemble:
     def test_sparse_and_dense_members_agree(self, kind, params):
         X, y = self._data(n=60, dim=6, seed=3)
         X[np.abs(X) < 0.8] = 0.0  # about half the entries
-        dense, dense_rec = learn.train_ensemble(X, y, kind, 3, 2, 0.9, **params)
-        sparse, sparse_rec = learn.train_ensemble(csr_from_dense(X), y, kind, 3, 2, 0.9,
+        dense, dense_val = learn.train_ensemble(X, y, kind, 3, 2, 0.9, **params)
+        sparse, sparse_val = learn.train_ensemble(csr_from_dense(X), y, kind, 3, 2, 0.9,
                                                   **params)
-        assert dense_rec == sparse_rec
+        assert dense_val == sparse_val
         for a, b in zip(dense, sparse):
             if kind == "random_forest":
                 assert a.trees == b.trees  # same columns, same draws

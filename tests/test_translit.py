@@ -8,9 +8,9 @@ from hopedetect import translit
 from hopedetect.corpus import DatasetLang
 from hopedetect.errors import MalformedFile
 from hopedetect.translit import (
-    bundled_scheme_table,
     load_scheme_table,
     make_scheme_table,
+    scheme_table,
     script_of,
     transliterate,
 )
@@ -39,19 +39,19 @@ class TestTransliterate:
         assert transliterate("k", table) == "க்"
 
     def test_native_passthrough(self):
-        table = bundled_scheme_table(DatasetLang.TAMIL)
+        table = scheme_table(DatasetLang.TAMIL)
         text = "வணக்கம் நண்பா"
         assert transliterate(text, table) == text
 
     def test_empty(self):
-        assert transliterate("", bundled_scheme_table(DatasetLang.TAMIL)) == ""
+        assert transliterate("", scheme_table(DatasetLang.TAMIL)) == ""
 
     def test_unmatched_latin_passthrough(self):
         table = make_scheme_table({"ka": "க"})
         assert transliterate("xkay", table) == "xகy"
 
     def test_digits_and_whitespace_pass(self):
-        table = bundled_scheme_table(DatasetLang.MALAYALAM)
+        table = scheme_table(DatasetLang.MALAYALAM)
         out = transliterate("nalla 123  kalam", table)
         assert "123" in out and "  " in out
 
@@ -106,7 +106,7 @@ def _mixed_strings(n, seed):
 
 @pytest.mark.parametrize("lang", ["ta", "ml"])
 def test_idempotence_and_passthrough_bulk(lang):
-    table = bundled_scheme_table(_BY_CODE[lang])
+    table = scheme_table(_BY_CODE[lang])
     target = _BY_CODE[lang].value
     for s in _mixed_strings(2000, seed=42):
         once = transliterate(s, table)
@@ -123,7 +123,7 @@ def test_idempotence_and_passthrough_bulk(lang):
 
 def test_greedy_replay():
     # Replay: at each consumed position, no longer key could have matched.
-    table = bundled_scheme_table(DatasetLang.TAMIL)
+    table = scheme_table(DatasetLang.TAMIL)
     max_key_len = max(map(len, table.entries))
     rng = random.Random(7)
     for _ in range(500):
@@ -199,7 +199,7 @@ def test_custom_tables_match_oracle(entries, text):
     st.text(max_size=40),
 ))
 def test_bundled_tables_match_oracle(lang, text):
-    table = bundled_scheme_table(_BY_CODE[lang])
+    table = scheme_table(_BY_CODE[lang])
     assert transliterate(text, table) == _oracle_transliterate(text, table)
 
 
@@ -222,6 +222,6 @@ def test_explicit_tables_match_oracle(entries, text):
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=50))
 def test_idempotence_property(s):
-    table = bundled_scheme_table(DatasetLang.TAMIL)
+    table = scheme_table(DatasetLang.TAMIL)
     once = transliterate(s, table)
     assert transliterate(once, table) == once
