@@ -97,3 +97,8 @@ def trained_profiles():
         langid.train_profile(synthetic_sentences(lang, 200, seed=11), lang)
         for lang in ("en", "hi", "ta", "ml")
     ]
+
+
+def pytest_addoption(parser):
+    parser.addoption("--digest-seeds", default="1", metavar="SEEDS",
+                     help="comma-separated corpus seeds of test_full_size.py (default 1)")
