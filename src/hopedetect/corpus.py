@@ -74,7 +74,6 @@ def parse_label(raw: str, line_no: int | None = None, path=None) -> Label:
 
 @dataclass(frozen=True, slots=True)
 class LabeledComment:
-    id: int
     text: str
     label: Label | None  # None == unlabeled (test data)
 
@@ -87,7 +86,7 @@ class DatasetStats:
 
 
 def load_tsv(path, *, labeled: bool | None = True) -> list[LabeledComment]:
-    """Read one comment per line, in file order, ids starting at 0.
+    """Read one comment per line, in file order.
 
     ``labeled=None`` decides from the file: labeled when the first data line
     holds a tab, which an unlabeled row never does. Every error names the
@@ -113,7 +112,7 @@ def load_tsv(path, *, labeled: bool | None = True) -> list[LabeledComment]:
             text, label = line, None
         if text.strip() == "":
             raise MalformedFile(path, line_no, "empty text field")
-        rows.append(LabeledComment(len(rows), text, label))
+        rows.append(LabeledComment(text, label))
     if not rows:
         raise HopedetectError(f"{path}: no data lines")
     return rows
@@ -169,11 +168,21 @@ def finite_numbers(tokens: list[str]) -> list[float]:
             raise ValueError(f"{token!r} is not a finite number")
 
 
+def header_fields(line: str, version: str, keys) -> dict[str, str]:
+    """The ``key=value`` fields of a ``# <version>`` header line, exactly ``keys``."""
+    if not line.startswith(f"# {version}\t"):
+        raise ValueError(f"not a {version} header")
+    fields = dict(part.split("=", 1) for part in line.split("\t")[1:])
+    if fields.keys() != set(keys):
+        raise ValueError(f"bad {version} header fields")
+    return fields
+
+
 def compute_stats(data: list[LabeledComment]) -> DatasetStats:
     counts = {label: 0 for label in Label}
-    for row in data:
+    for i, row in enumerate(data):
         if row.label is None:
-            raise HopedetectError(f"row {row.id} has no label")
+            raise HopedetectError(f"row {i} has no label")
         counts[row.label] += 1
     ratio = None
     if counts[Label.NOT_HOPE] > 0:

@@ -14,7 +14,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .corpus import finite_numbers, utf8_lines
+from .corpus import finite_numbers, header_fields, utf8_lines
 from .errors import HopedetectError, MalformedFile
 
 VOCAB_VERSION = "vocab-v1"
@@ -147,11 +147,7 @@ def load_vocab(path) -> Vocabulary:
     lines = utf8_lines(path)
     line_no, header = next(lines, (1, ""))
     try:
-        if not header.startswith(f"# {VOCAB_VERSION}\t"):
-            raise ValueError(f"not a {VOCAB_VERSION} header")
-        meta = dict(part.split("=", 1) for part in header.split("\t")[1:])
-        if meta.keys() != {"num_docs", "min_df"}:
-            raise ValueError(f"bad {VOCAB_VERSION} header fields")
+        meta = header_fields(header, VOCAB_VERSION, ("num_docs", "min_df"))
         num_docs, min_df = int(meta["num_docs"]), int(meta["min_df"])
         index, doc_freq = {}, {}
         for line_no, line in lines:

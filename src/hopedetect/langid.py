@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from . import textprep
-from .corpus import DatasetLang, Label, utf8_lines
+from .corpus import DatasetLang, Label, finite_numbers, header_fields, utf8_lines
 from .errors import ConfigError, HopedetectError, MalformedFile
 
 PROFILE_VERSION = "langprofile-v1"
@@ -284,39 +284,33 @@ def save_profile(profile: LanguageProfile, path) -> None:
             fh.write(f"{_escape(gram)}\t{profile.logprob[gram]!r}\n")
 
 
-def _logprob(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"log-probability {text!r} is not finite")
-    return value
-
-
 def load_profile(path) -> LanguageProfile:
-    """Read a file written by ``save_profile``. A damaged file raises
-    MalformedFile naming the line at fault."""
+    """Read a file written by ``save_profile``. A damaged file, or settings
+    that ``check_profile_settings`` refuses, raise MalformedFile at the line."""
     lines = utf8_lines(path)
     line_no, header = next(lines, (1, ""))
     try:
-        if not header.startswith(f"# {PROFILE_VERSION}\t"):
-            raise ValueError(f"not a {PROFILE_VERSION} header")
-        meta = dict(part.split("=", 1) for part in header.split("\t")[1:])
-        if meta.keys() != {"lang", "n", "alpha", "count", "unseen"}:
-            raise ValueError(f"bad {PROFILE_VERSION} header fields")
-        n, alpha, count = int(meta["n"]), float(meta["alpha"]), int(meta["count"])
-        unseen = _logprob(meta["unseen"])
-        if not 1 <= n <= 3:
-            raise ValueError(f"n must be in 1..3, got {n}")
-        logprob = {}
+        meta = header_fields(header, PROFILE_VERSION, ("lang", "n", "alpha", "count", "unseen"))
+        n, count = int(meta["n"]), int(meta["count"])
+        alpha, unseen = finite_numbers([meta["alpha"], meta["unseen"]])
+        check_profile_settings(n, alpha)
+        grams, values = [], []
         for line_no, line in lines:
             safe, value = line.split("\t")
-            gram = _unescape(safe)
+            grams.append(gram := _unescape(safe))
+            values.append(value)
             if len(gram) != n:
                 raise ValueError(f"gram {gram!r} has {len(gram)} characters, not n={n}")
-            logprob[gram] = _logprob(value)
+        try:
+            logprob = dict(zip(grams, finite_numbers(values)))
+        except ValueError:
+            # Read again one line at a time, to name the first one at fault.
+            for line_no, value in enumerate(values, start=2):
+                finite_numbers([value])
         line_no += 1
         if len(logprob) != count:
             raise ValueError(f"{len(logprob)} grams, the header says {count}")
-    except ValueError as e:
+    except (ValueError, ConfigError) as e:
         raise MalformedFile(path, line_no, e) from None
     return LanguageProfile(lang=meta["lang"], n=n, logprob=logprob,
                            smoothing_alpha=alpha, unseen_logprob=unseen)

@@ -178,7 +178,7 @@ class TestBundle:
         if lang == "ta":
             rows = corpus.load_tsv(test)
             lines = predicted.decode().splitlines()
-            gold_not_tamil = [r.id for r in rows if r.label is Label.NOT_LANGUAGE]
+            gold_not_tamil = [i for i, r in enumerate(rows) if r.label is Label.NOT_LANGUAGE]
             assert gold_not_tamil and all(lines[i] == "not-Tamil" for i in gold_not_tamil)
 
     def test_min_df_travels_with_the_bundle(self, tmp_path):
@@ -985,7 +985,7 @@ class TestPipelineInternals:
         preds = (tmp_path / "out" / "predictions.txt").read_text().splitlines()
         rows = corpus.load_tsv(FIXTURES / "ta_train.tsv")
         # the pure-English row must come out as not-Tamil without classification
-        english_ids = [r.id for r in rows if r.label is Label.NOT_LANGUAGE]
+        english_ids = [i for i, r in enumerate(rows) if r.label is Label.NOT_LANGUAGE]
         for rid in english_ids:
             assert preds[rid] == "not-Tamil"
         # Only the gate writes not-Tamil, so one vote per other row means no
@@ -1148,7 +1148,7 @@ class TestPipelineInternals:
         # so none of the gold Hope/NotHope rows may be gated; Devanagari
         # script still is.
         rows = corpus.load_tsv(FIXTURES / name)
-        rows.append(corpus.LabeledComment(len(rows), "नमस्ते दोस्त", None))
+        rows.append(corpus.LabeledComment("नमस्ते दोस्त", None))
         cfg = pipeline.PipelineConfig(dataset_lang=lang)
         table = translit.scheme_table(cfg.dataset_lang, cfg.scheme_path)
         proc = pipeline.preprocess_rows(rows, cfg, [], table)

@@ -44,7 +44,6 @@ class TestLoadTsv:
     def test_three_rows_keep_order(self, tmp_path):
         content = "a\tHope_speech\nb\tNon_hope_speech\nc\tnot-English\n"
         rows = corpus.load_tsv(_write(tmp_path, content))
-        assert [r.id for r in rows] == [0, 1, 2]
         assert [r.text for r in rows] == ["a", "b", "c"]
 
     def test_label_aliases_case_insensitive(self, tmp_path):
@@ -208,23 +207,20 @@ class TestComputeStats:
         rows = []
         for label, count in [(Label.HOPE, 1962), (Label.NOT_HOPE, 20778),
                              (Label.NOT_LANGUAGE, 22)]:
-            rows += [
-                corpus.LabeledComment(len(rows) + i, "x", label)
-                for i in range(count)
-            ]
+            rows += [corpus.LabeledComment("x", label) for _ in range(count)]
         stats = corpus.compute_stats(rows)
         assert stats.total == 22762
         assert stats.hope_to_nothope_ratio == Fraction(1962, 20778)
         assert abs(float(stats.hope_to_nothope_ratio) - 0.094) < 5e-4
 
     def test_ratio_absent_without_nothope(self):
-        rows = [corpus.LabeledComment(0, "x", Label.HOPE)]
+        rows = [corpus.LabeledComment("x", Label.HOPE)]
         stats = corpus.compute_stats(rows)
         assert stats.counts[Label.HOPE] == 1
         assert stats.hope_to_nothope_ratio is None
 
     def test_unlabeled_rejected(self):
-        rows = [corpus.LabeledComment(0, "x", None)]
+        rows = [corpus.LabeledComment("x", None)]
         with pytest.raises(HopedetectError, match="row 0 has no label"):
             corpus.compute_stats(rows)
 

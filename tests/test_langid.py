@@ -313,7 +313,30 @@ class TestProfileRoundTrip:
             lines[3] = lines[3].split("\t")[0] + f"\t{value}\n"
         path.write_text("".join(lines))
         with pytest.raises(MalformedFile, match=rf"xx\.profile: line {line_no}: "
-                                                rf"log-probability '{value}' is not finite"):
+                                                rf"'{value}' is not a finite number"):
+            langid.load_profile(path)
+
+    def test_word_logprob_names_its_line(self, tmp_path):
+        path = tmp_path / "xx.profile"
+        langid.save_profile(langid.train_profile(["hope wins again"], "xx", n=2), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[4] = lines[4].split("\t")[0] + "\tx\n"
+        path.write_text("".join(lines))
+        with pytest.raises(MalformedFile,
+                           match=r"xx\.profile: line 5: 'x' is not a finite number"):
+            langid.load_profile(path)
+
+    @pytest.mark.parametrize("alpha,detail", [
+        ("nan", "'nan' is not a finite number"),
+        ("0", r"alpha must be > 0, got 0\.0"),
+        ("-1", r"alpha must be > 0, got -1\.0"),
+    ])
+    def test_alpha_not_above_zero_names_the_header(self, tmp_path, alpha, detail):
+        # alpha is checked by the rule that train-profile's --alpha passes.
+        path = tmp_path / "xx.profile"
+        langid.save_profile(langid.train_profile(["hope wins again"], "xx", n=2), path)
+        path.write_text(path.read_text().replace("\talpha=0.5\t", f"\talpha={alpha}\t", 1))
+        with pytest.raises(MalformedFile, match=rf"xx\.profile: line 1: {detail}"):
             langid.load_profile(path)
 
     @pytest.mark.parametrize("damage,line_no", [
